@@ -6,12 +6,8 @@ determinants, domain preservation checks, torus centralizer tests with
 diagonal extraction, winding-number component invariants, and certified
 homotopy paths to the identity. A JSON-driven CLI exposes every
 operation; see `hologroup --help`.
-
-Set HOLOGROUP_BACKEND=numpy|numba|auto to pick the polynomial
-evaluation kernel (default auto: use numba when importable).
 """
 
-from ._kernels import active_backend
 from .domains import (DomainClass, FullSpace, HyperplaneComplement,
                       PreservationVerdict, Punctured, classify_domain, contains,
                       contains_batch, sample_points, word_preserves_domain)
@@ -23,7 +19,7 @@ from .homotopy import (SIN_BUMP, BumpFunction, CertificationReport, HomotopyPath
                        OvershearPath, TranspositionPath, certify_path,
                        continuity_modulus, path_at, path_det, path_target,
                        sample_polydisc, transposition_matrix)
-from .polynomials import Poly, poly_from_mapping
+from .polynomials import Poly
 from .torus import (CentralizerVerdict, CentralizerWitness, ExponentMatrix,
                     TorusElement, apply_torus, commutes_with_torus,
                     extract_diagonal, integer_det, validate_exponent_matrix)
@@ -37,14 +33,14 @@ from .words import (TAU_DET, Diagonal, GeneratorStep, Inversion, Linear,
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__", "active_backend",
+    "__version__",
     # errors
     "HoloError", "DimensionMismatch", "SingularPoint", "NonInvertibleStep",
     "NotUnimodular", "NotDiagonal", "InvalidAxis", "OutsideDomain",
     "ZeroOnContour", "BudgetExhausted", "OutOfRange", "DomainNotPreserved",
     "SceneError",
     # polynomials
-    "Poly", "poly_from_mapping",
+    "Poly",
     # words
     "TAU_DET", "GeneratorStep", "Overshear", "Permutation", "Diagonal",
     "Linear", "Inversion", "Word", "compose", "eval_word", "eval_word_batch",

@@ -1,35 +1,23 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""The hot numeric kernel: batched multivariate polynomial evaluation.
 
-The only kernel that matters for throughput is batched multivariate
-polynomial evaluation: it sits inside every overshear step and is hit
-thousands of times by contour refinement and certification grids.
-
-Backend selection happens lazily on first use, controlled by the
-HOLOGROUP_BACKEND environment variable:
-
-    unset / "auto"  try numba, silently fall back to numpy
-    "numba"         require numba (ImportError if unavailable)
-    "numpy"         force the pure-numpy path
-
-`benchmarks/bench_kernels.py` compares both implementations.
+It sits inside every overshear step and is hit thousands of times by
+contour refinement and certification grids.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_VAR = "HOLOGROUP_BACKEND"
 
-
-def _poly_eval_numpy(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def poly_eval(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Evaluate sum_t coeffs[t] * prod_v pts[:, v]**exps[t, v].
 
     exps: (T, V) int64, coeffs: (T,) complex128, pts: (P, V) complex128.
     Accumulates term by term to keep temporaries at O(P).
     """
     out = np.zeros(pts.shape[0], dtype=np.complex128)
+    if coeffs.shape[0] == 0:
+        return out
     for t in range(exps.shape[0]):
         term = np.full(pts.shape[0], coeffs[t])
         for v in range(exps.shape[1]):
@@ -40,81 +28,3 @@ def _poly_eval_numpy(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> n
                 term *= pts[:, v] ** e
         out += term
     return out
-
-
-def _poly_eval_loops(exps, coeffs, pts, out):
-    # numba target; exponentiation by squaring avoids complex pow
-    n_pts, n_vars = pts.shape
-    n_terms = exps.shape[0]
-    for i in range(n_pts):
-        acc = 0.0 + 0.0j
-        for t in range(n_terms):
-            m = coeffs[t]
-            for v in range(n_vars):
-                e = exps[t, v]
-                if e:
-                    b = pts[i, v]
-                    while e > 1:
-                        if e & 1:
-                            m *= b
-                        b *= b
-                        e >>= 1
-                    m *= b
-            acc += m
-        out[i] = acc
-    return out
-
-
-def get_numba_impl():
-    """Compiled kernel with the numpy-fallback call signature, or None."""
-    try:
-        import numba
-    except ImportError:
-        return None
-    jitted = numba.njit(cache=True)(_poly_eval_loops)
-
-    def poly_eval_numba(exps, coeffs, pts):
-        out = np.empty(pts.shape[0], dtype=np.complex128)
-        return jitted(exps, coeffs, pts, out)
-
-    return poly_eval_numba
-
-
-_active = None
-_active_name = None
-
-
-def _select():
-    global _active, _active_name
-    choice = os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
-    if choice == "numpy":
-        _active, _active_name = _poly_eval_numpy, "numpy"
-        return
-    if choice not in ("auto", "numba"):
-        raise ValueError(f"{_ENV_VAR} must be 'auto', 'numba' or 'numpy', got {choice!r}")
-    impl = get_numba_impl()
-    if impl is None:
-        if choice == "numba":
-            raise ImportError(f"{_ENV_VAR}=numba but numba is not importable")
-        _active, _active_name = _poly_eval_numpy, "numpy"
-    else:
-        _active, _active_name = impl, "numba"
-
-
-def poly_eval(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Batched polynomial evaluation on the selected backend."""
-    if coeffs.shape[0] == 0:
-        return np.zeros(pts.shape[0], dtype=np.complex128)
-    if _active is None:
-        _select()
-    return _active(exps, coeffs, pts)
-
-
-def active_backend() -> str:
-    """Name of the backend in use ('numba' or 'numpy'); selects if needed."""
-    if _active is None:
-        _select()
-    return _active_name
-
-
-poly_eval_numpy = _poly_eval_numpy

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -108,8 +108,3 @@ class Poly:
     def __call__(self, z) -> complex:
         z = np.asarray(z, dtype=np.complex128).reshape(1, -1)
         return complex(self.eval_batch(z)[0])
-
-
-def poly_from_mapping(n_vars: int, terms: Mapping) -> Poly:
-    """Build a Poly from any {multi-index: coefficient} mapping."""
-    return Poly(n_vars, dict(terms))

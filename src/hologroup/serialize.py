@@ -288,10 +288,7 @@ def parse_path(v, where: str) -> HomotopyPath:
     n = _as_int(_want(v, "n", where), where)
     try:
         if kind == "overshear":
-            target = Overshear(_as_int(_want(v, "axis", where), where),
-                               parse_poly(_want(v, "f", where), n, where + ".f"),
-                               parse_poly(_want(v, "g", where), n, where + ".g"))
-            return OvershearPath(target, n)
+            return OvershearPath(parse_step(v, n, where), n)
         if kind == "transposition":
             return TranspositionPath(_as_int(_want(v, "j", where), where),
                                      _as_int(_want(v, "k", where), where),

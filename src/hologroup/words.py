@@ -15,6 +15,13 @@ identity. Generators:
 f and g are polynomials that must not involve the overshear axis, so
 the multiplier exp(g) is entire and nowhere zero by construction.
 All step and word values are immutable; every operation is pure.
+
+Every step has one evaluation method, `apply_batch(cur, jac, valid)`,
+which returns the image of a (P, n) batch as a new array, plus the
+step's Jacobian determinant (an array or a scalar) when `jac` is true,
+else None. `valid` matters only to Inversion: when it is None a zero
+coordinate raises SingularPoint, otherwise the singular rows get NaN
+and are cleared in `valid`. `_word_pass` chains the steps once.
 """
 
 from __future__ import annotations
@@ -63,15 +70,13 @@ class Overshear:
     def dim(self) -> Optional[int]:
         return self.f.n_vars
 
-    def apply_batch(self, cur: np.ndarray) -> np.ndarray:
+    def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
         a = self.axis - 1
         fv = self.f.eval_batch(cur)
         hv = np.exp(self.g.eval_batch(cur))
-        cur[:, a] = fv + hv * cur[:, a]
-        return cur
-
-    def jac_batch(self, cur: np.ndarray) -> np.ndarray:
-        return np.exp(self.g.eval_batch(cur))
+        out = cur.copy()
+        out[:, a] = fv + hv * cur[:, a]
+        return out, (hv if jac else None)
 
     def inverse(self) -> tuple:
         # (y - f) * exp(-g) is not overshear-shaped in one step unless
@@ -118,13 +123,10 @@ class Permutation:
                 sign = -sign
         return sign
 
-    def apply_batch(self, cur: np.ndarray) -> np.ndarray:
+    def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
         out = np.empty_like(cur)
         out[:, np.array(self.perm) - 1] = cur
-        return out
-
-    def jac_batch(self, cur: np.ndarray) -> np.ndarray:
-        return np.full(cur.shape[0], complex(self.sign))
+        return out, (complex(self.sign) if jac else None)
 
     def inverse(self) -> tuple:
         inv = [0] * len(self.perm)
@@ -149,12 +151,9 @@ class Diagonal:
     def dim(self) -> Optional[int]:
         return len(self.lam)
 
-    def apply_batch(self, cur: np.ndarray) -> np.ndarray:
-        cur *= np.array(self.lam)
-        return cur
-
-    def jac_batch(self, cur: np.ndarray) -> np.ndarray:
-        return np.full(cur.shape[0], complex(np.prod(np.array(self.lam))))
+    def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
+        det = complex(np.prod(np.array(self.lam))) if jac else None
+        return cur * np.array(self.lam), det
 
     def inverse(self) -> tuple:
         return (Diagonal(tuple(1.0 / v for v in self.lam)),)
@@ -186,11 +185,8 @@ class Linear:
     def dim(self) -> Optional[int]:
         return self.matrix.shape[0]
 
-    def apply_batch(self, cur: np.ndarray) -> np.ndarray:
-        return cur @ self.matrix.T
-
-    def jac_batch(self, cur: np.ndarray) -> np.ndarray:
-        return np.full(cur.shape[0], self._det)
+    def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
+        return cur @ self.matrix.T, (self._det if jac else None)
 
     def inverse(self) -> tuple:
         try:
@@ -214,26 +210,21 @@ class Inversion:
     def dim(self) -> Optional[int]:
         return None  # compatible with any n >= axis
 
-    def apply_batch(self, cur: np.ndarray) -> np.ndarray:
-        col = cur[:, self.axis - 1]
-        if np.any(col == 0):
-            raise SingularPoint(f"inversion of coordinate {self.axis} at value 0")
-        cur[:, self.axis - 1] = 1.0 / col
-        return cur
-
-    def apply_batch_masked(self, cur: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        col = cur[:, self.axis - 1]
-        bad = (col == 0) & valid
-        safe = np.where(col == 0, 1.0, col)
-        cur[:, self.axis - 1] = np.where(bad, np.nan, 1.0 / safe)
-        valid &= ~bad
-        return cur
-
-    def jac_batch(self, cur: np.ndarray) -> np.ndarray:
-        col = cur[:, self.axis - 1]
-        if np.any(col == 0):
-            raise SingularPoint(f"inversion of coordinate {self.axis} at value 0")
-        return -1.0 / col ** 2
+    def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
+        a = self.axis - 1
+        col = cur[:, a]
+        zero = col == 0
+        singular = zero.any()
+        if singular:
+            if valid is None:
+                raise SingularPoint(f"inversion of coordinate {self.axis} at value 0")
+            valid &= ~zero
+            col = np.where(zero, 1.0, col)
+        out = cur.copy()
+        out[:, a] = 1.0 / col
+        if singular:
+            out[zero, a] = np.nan
+        return out, (-1.0 / col ** 2 if jac else None)
 
     def inverse(self) -> tuple:
         return (self,)
@@ -284,14 +275,31 @@ def eval_word(word: Word, z) -> np.ndarray:
     return eval_word_batch(word, z.reshape(1, -1))[0]
 
 
-def eval_word_batch(word: Word, pts) -> np.ndarray:
-    """Vectorized evaluation on a (P, n) batch; raises on singular points."""
-    cur = _as_batch(pts).copy()
+def _word_pass(word: Word, pts, jac: bool = False, masked: bool = False):
+    """The one evaluation pass: (images, det, valid) on a (P, n) batch.
+
+    det is the Jacobian determinant when `jac`, valid the mask of rows
+    that met no singular inversion when `masked`; each is None otherwise.
+    Without `masked` the first inversion that meets zero raises. Images
+    and det are meaningful only on valid rows.
+    """
+    cur = _as_batch(pts)
     if cur.shape[1] != word.n:
         raise DimensionMismatch(f"points have {cur.shape[1]} coordinates, word has {word.n}")
+    det = np.ones(cur.shape[0], dtype=np.complex128) if jac else None
+    valid = np.ones(cur.shape[0], dtype=bool) if masked else None
+    if not word.steps:
+        cur = cur.copy()  # steps return new arrays; the identity must too
     for step in word.steps:
-        cur = step.apply_batch(cur)
-    return cur
+        cur, d = step.apply_batch(cur, jac, valid)
+        if jac:
+            det *= d
+    return cur, det, valid
+
+
+def eval_word_batch(word: Word, pts) -> np.ndarray:
+    """Vectorized evaluation on a (P, n) batch; raises on singular points."""
+    return _word_pass(word, pts)[0]
 
 
 def eval_word_batch_masked(word: Word, pts) -> tuple[np.ndarray, np.ndarray]:
@@ -300,16 +308,8 @@ def eval_word_batch_masked(word: Word, pts) -> tuple[np.ndarray, np.ndarray]:
     Returns (images, valid) where invalid rows hold NaN in the
     coordinate that hit an inversion at zero.
     """
-    cur = _as_batch(pts).copy()
-    if cur.shape[1] != word.n:
-        raise DimensionMismatch(f"points have {cur.shape[1]} coordinates, word has {word.n}")
-    valid = np.ones(cur.shape[0], dtype=bool)
-    for step in word.steps:
-        if isinstance(step, Inversion):
-            cur = step.apply_batch_masked(cur, valid)
-        else:
-            cur = step.apply_batch(cur)
-    return cur, valid
+    images, _, valid = _word_pass(word, pts, masked=True)
+    return images, valid
 
 
 def compose(a: Word, b: Word) -> Word:
@@ -340,11 +340,4 @@ def jacobian_det(word: Word, z) -> complex:
 
 def jacobian_det_batch(word: Word, pts) -> np.ndarray:
     """Jacobian determinants at a (P, n) batch of points."""
-    cur = _as_batch(pts).copy()
-    if cur.shape[1] != word.n:
-        raise DimensionMismatch(f"points have {cur.shape[1]} coordinates, word has {word.n}")
-    det = np.ones(cur.shape[0], dtype=np.complex128)
-    for step in word.steps:
-        det *= step.jac_batch(cur)
-        cur = step.apply_batch(cur)
-    return det
+    return _word_pass(word, pts, jac=True)[1]

@@ -2,8 +2,9 @@
 
 Each test exercises one shipped guarantee and prints a single
 "criterion N: ...: PASS/FAIL" line (visible under `pytest -s`). The
-stated runtime budgets are asserted after a one-time kernel warmup so
-that JIT compilation is not billed to any criterion.
+stated runtime budgets are asserted after a one-time warmup so that
+first-call costs (lazy imports, cached polynomial arrays) are not
+billed to any criterion.
 """
 
 import time
@@ -36,7 +37,7 @@ def _report(num: int, desc: str, ok: bool, elapsed: float = None):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    """Compile/cache every evaluation kernel before anything is timed."""
+    """Run every evaluation path once before anything is timed."""
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
     steps = (Overshear(2, Poly.coordinate(2, 1), Poly(2, {(1, 0): 0.1})),

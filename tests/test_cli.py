@@ -10,11 +10,10 @@ DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "scenes", "demo.json")
 
 
 def run(*args, scene=DEMO):
-    env = dict(os.environ, HOLOGROUP_BACKEND="numpy")
     argv = [sys.executable, "-m", "hologroup", *args]
     if scene is not None:
         argv += ["--scene", scene]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    proc = subprocess.run(argv, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -213,9 +212,46 @@ def test_math_errors_exit_2(aux_scene):
 @pytest.mark.skipif(shutil.which("hologroup") is None,
                     reason="console script not on PATH")
 def test_console_script():
-    env = dict(os.environ, HOLOGROUP_BACKEND="numpy")
     proc = subprocess.run(["hologroup", "winding-index", "--word", "inv1",
                            "--contour", "c0", "--scene", DEMO],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == '{"index":-1,"raw":-1.0,"samples":64}\n'
+
+
+# stdout of one fixed invocation per subcommand on the demo scene,
+# pinned byte for byte; run in process to spare 13 interpreter starts
+DEMO_GOLDEN = [
+    (["eval", "--word", "inv1", "--point", "2,1;3,0"],
+     '{"image":[[0.40000000000000002,-0.20000000000000001],[3.0,0.0]]}'),
+    (["compose", "--word", "shear", "--word", "inv1"],
+     '{"n":2,"steps":[{"type":"overshear","axis":2,"f":[{"exponents":[1,0],'
+     '"re":1.0,"im":0.0}],"g":[]},{"type":"inversion","axis":1}]}'),
+    (["invert", "--word", "shear"],
+     '{"n":2,"steps":[{"type":"overshear","axis":2,"f":[{"exponents":[1,0],'
+     '"re":-1.0,"im":0.0}],"g":[]}]}'),
+    (["jacobian", "--word", "inv1", "--point", "0.5,0.25;1,0"],
+     '{"det":[-1.9199999999999999,2.5600000000000001]}'),
+    (["winding-index", "--word", "inv1", "--contour", "c0"],
+     '{"index":-1,"raw":-1.0,"samples":64}'),
+    (["negative-component", "--word", "inv1", "--contour", "c0"],
+     '{"in_negative_component":true}'),
+    (["homotopy-certify", "--path", "swap_path"],
+     '{"endpoint_err0":0.0,"endpoint_err1":3.1401849173675503e-16,'
+     '"min_abs_det":0.42711760691476847,"max_inverse_residual":1.5582722720639764e-15}'),
+    (["continuity", "--path", "shear_path", "--t", "1e-3"],
+     '{"dt":0.001,"modulus":0.0019704801692940551}'),
+    (["centralizer", "--word", "diag"], '{"commutes":true,"witness":null}'),
+    (["extract-diagonal", "--word", "diag"],
+     '{"lambda":[[2.0,-0.0],[1.1152089179695205e-16,3.0000000000000004]]}'),
+    (["classify"], '{"kind":"complement","is_stein":true}'),
+    (["preserves", "--word", "inv1"], '{"preserves":true,"witness":null}'),
+    (["validate-exponents", "--matrix", "m_shear"], '{"det":1}'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", DEMO_GOLDEN, ids=[a[0] for a, _ in DEMO_GOLDEN])
+def test_demo_scene_golden(argv, expected, capsys):
+    from hologroup import cli
+    assert cli.main([*argv, "--scene", DEMO]) == 0
+    assert capsys.readouterr().out == expected + "\n"

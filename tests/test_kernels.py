@@ -1,8 +1,4 @@
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from hologroup import _kernels
 
@@ -17,23 +13,11 @@ def _random_case(rng, n_terms=6, n_vars=3, n_pts=200):
 def test_numpy_backend_matches_naive_sum():
     rng = np.random.default_rng(7)
     exps, coeffs, pts = _random_case(rng)
-    got = _kernels._poly_eval_numpy(exps, coeffs, pts)
+    got = _kernels.poly_eval(exps, coeffs, pts)
     want = np.zeros(len(pts), dtype=np.complex128)
     for e, c in zip(exps, coeffs):
         want += c * np.prod(pts ** e[None, :], axis=1)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-
-def test_numba_backend_agrees_with_numpy():
-    impl = _kernels.get_numba_impl()
-    if impl is None:
-        pytest.skip("numba not importable")
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        exps, coeffs, pts = _random_case(rng)
-        a = _kernels._poly_eval_numpy(exps, coeffs, pts)
-        b = impl(exps, coeffs, pts)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 def test_empty_polynomial_evaluates_to_zero():
@@ -41,37 +25,3 @@ def test_empty_polynomial_evaluates_to_zero():
     coeffs = np.zeros(0, dtype=np.complex128)
     pts = np.ones((5, 2), dtype=np.complex128)
     assert np.all(_kernels.poly_eval(exps, coeffs, pts) == 0)
-
-
-def _backend_in_subprocess(value):
-    code = ("import hologroup, numpy as np\n"
-            "p = hologroup.Poly.coordinate(2, 1)\n"
-            "p.eval_batch(np.ones((2, 2), dtype=complex))\n"
-            "print(hologroup.active_backend())\n")
-    env = {"HOLOGROUP_BACKEND": value} if value else {}
-    import os
-    full_env = dict(os.environ)
-    full_env.pop("HOLOGROUP_BACKEND", None)
-    full_env.update(env)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=full_env)
-
-
-def test_env_flag_selects_numpy():
-    out = _backend_in_subprocess("numpy")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_selects_numba():
-    if _kernels.get_numba_impl() is None:
-        pytest.skip("numba not importable")
-    out = _backend_in_subprocess("numba")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numba"
-
-
-def test_env_flag_rejects_unknown_value():
-    out = _backend_in_subprocess("fortran")
-    assert out.returncode != 0
-    assert "HOLOGROUP_BACKEND" in out.stderr

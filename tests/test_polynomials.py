@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hologroup import Poly, poly_from_mapping
+from hologroup import Poly
 from oracles import naive_poly_eval
 
 
@@ -94,7 +94,7 @@ def poly_and_points(draw):
 @given(poly_and_points())
 def test_eval_matches_naive_oracle(case):
     n, terms, pts = case
-    p = poly_from_mapping(n, terms)
+    p = Poly(n, dict(terms))
     got = p.eval_batch(pts)
     want = np.array([naive_poly_eval(terms, z) for z in pts])
     scale = 1.0 + np.max(np.abs(want))

@@ -190,6 +190,13 @@ def test_parse_path():
         parse_path({"type": "transposition", "n": 2, "j": 2, "k": 1}, "t")
     with pytest.raises(SceneError):
         parse_path({"type": "spin", "n": 2}, "t")
+    f = [{"exponents": [1, 0], "re": 1.0, "im": 0.0}]
+    with pytest.raises(SceneError) as exc:
+        parse_path({"type": "overshear", "n": 2, "axis": 2, "f": f}, "t")
+    assert str(exc.value) == "t: missing field 'g'"
+    with pytest.raises(SceneError) as exc:
+        parse_path({"type": "overshear", "n": 2, "axis": 3, "f": [], "g": []}, "t")
+    assert str(exc.value) == "t: axis 3 out of range 1..2"
 
 
 def test_parse_exponent_matrix_shapes():

@@ -18,6 +18,15 @@ def zero(n=2):
     return Poly.zero(n)
 
 
+def five_kind_word():
+    """A word on C^3 with one step of each generator kind."""
+    g = Poly(3, {(1, 0, 0): 0.3, (0, 0, 1): -0.2j})
+    f = Poly(3, {(2, 0, 0): 0.5, (0, 0, 0): 1.0})
+    m = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.25j], [0.3, 0.0, 1.0]])
+    return Word(3, (Inversion(1), Overshear(2, f, g), Permutation((3, 1, 2)),
+                    Diagonal((2.0, 1j, -0.5)), Linear(m)))
+
+
 def test_identity_word_fixes_points():
     assert np.array_equal(eval_word(Word.identity(2), [1.0, 2.0]), [1.0, 2.0])
 
@@ -36,6 +45,44 @@ def test_inversion_at_zero_raises():
     w = Word(2, (Inversion(1),))
     with pytest.raises(SingularPoint):
         eval_word(w, [0.0, 1.0])
+    # the first inversion in step order that meets zero is reported
+    w, pts = two_inversion_case()
+    for run in (eval_word_batch, jacobian_det_batch):
+        with pytest.raises(SingularPoint) as exc:
+            run(w, pts)
+        assert str(exc.value) == "inversion of coordinate 2 at value 0"
+
+
+def two_inversion_case():
+    """Inversion(2) is singular on row 1, the later Inversion(1) on row 2."""
+    shift = Overshear(1, Poly.constant(2, -1.0), zero())
+    w = Word(2, (Inversion(2), shift, Inversion(1)))
+    pts = np.array([[2.0, 2.0], [2.0, 0.0], [1.0, 2.0]], dtype=complex)
+    return w, pts
+
+
+def chain_steps(w, pts):
+    """Images and the product of one-step determinants, step by step."""
+    cur, product = pts, np.ones(len(pts), dtype=complex)
+    for step in w.steps:
+        one = Word(w.n, (step,))
+        product = product * jacobian_det_batch(one, cur)
+        cur = eval_word_batch(one, cur)
+    return cur, product
+
+
+def test_passes_are_pure_and_chain_step_dets():
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+    pts[3, 0] = 0.0
+    before = pts.copy()
+    w = five_kind_word()
+    images, product = chain_steps(w, pts[:3])
+    assert np.array_equal(eval_word_batch(w, pts[:3]), images)
+    assert np.array_equal(jacobian_det_batch(w, pts[:3]), product)
+    assert eval_word_batch_masked(w, pts)[1].tolist() == [i != 3 for i in range(16)]
+    eval_word_batch(Word.identity(3), pts)[:] = 0.0  # the identity returns a copy too
+    assert np.array_equal(pts, before)
 
 
 def test_dimension_mismatch():
@@ -170,6 +217,7 @@ def test_chain_rule_matches_fd():
         w = random_word(rng, n)
         pts = admissible_points(w, rng, 3, n)
         analytic = jacobian_det_batch(w, pts)
+        assert np.array_equal(analytic, chain_steps(w, pts)[1])
         for z, a in zip(pts, analytic):
             fd = fd_jacobian_det(w, z)
             assert abs(fd - a) < 1e-5 * max(1e-12, abs(a))
@@ -182,3 +230,8 @@ def test_masked_eval_flags_singular_rows():
     assert valid.tolist() == [True, False]
     assert np.isnan(images[1, 0])
     assert np.allclose(images[0], [1.0, 1.0])
+    w, pts = two_inversion_case()
+    images, valid = eval_word_batch_masked(w, pts)
+    assert valid.tolist() == [True, False, False]
+    assert np.isnan(images).tolist() == [[False, False], [False, True], [True, False]]
+    assert np.allclose(images[0], [1.0, 0.5])

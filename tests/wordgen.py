@@ -11,7 +11,7 @@ or grows past magnitude 20 at any step boundary.
 import numpy as np
 
 from hologroup import (Diagonal, Inversion, Linear, Overshear, Permutation,
-                       Poly, Word)
+                       Poly, Word, eval_word_batch_masked)
 
 
 def nonzero_scalar(rng, lo: float = 0.3, hi: float = 2.0) -> complex:
@@ -115,14 +115,13 @@ def point_batch(rng, count: int, n: int, lo: float = 0.25, hi: float = 1.8) -> n
 
 def admissible_mask(word: Word, pts: np.ndarray, floor: float = 0.05,
                     cap: float = 20.0) -> np.ndarray:
-    cur = pts.copy()
+    cur = pts
     ok = np.ones(pts.shape[0], dtype=bool)
     for step in word.steps:
         if isinstance(step, Inversion):
             ok &= np.abs(cur[:, step.axis - 1]) >= floor
-            cur = step.apply_batch_masked(cur, ok)
-        else:
-            cur = step.apply_batch(cur)
+        cur, valid = eval_word_batch_masked(Word(word.n, (step,)), cur)
+        ok &= valid
         with np.errstate(invalid="ignore"):
             ok &= np.asarray(np.all(np.abs(cur) <= cap, axis=1))
         cur = np.where(ok[:, None], cur, 1.0)
