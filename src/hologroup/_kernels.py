@@ -28,3 +28,27 @@ def poly_eval(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarr
                 term *= pts[:, v] ** e
         out += term
     return out
+
+
+def scaled_poly_evaluator(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray):
+    """Return scales -> (S, P) values at `pts` of the polynomials whose
+    coefficients are scales[i] * coeffs.
+
+    Row i equals poly_eval on those coefficients bit for bit: each term
+    starts from its scaled coefficient, multiplies the same factor
+    columns in the same order, and the terms are summed in order. The
+    columns depend only on `pts` and are built once, here.
+    """
+    columns = [[pts[:, v] if e == 1 else pts[:, v] ** e for v, e in enumerate(row) if e > 0]
+               for row in exps]
+
+    def evaluate(scales: np.ndarray) -> np.ndarray:
+        out = np.zeros((scales.shape[0], pts.shape[0]), dtype=np.complex128)
+        for c, cols in zip(coeffs, columns):
+            term = np.empty_like(out)
+            term[:] = (scales * c)[:, None]
+            for col in cols:
+                term *= col
+            out += term
+        return out
+    return evaluate

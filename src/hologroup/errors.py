@@ -52,11 +52,15 @@ class ZeroOnContour(HoloError):
 
 
 class BudgetExhausted(HoloError):
-    """Adaptive refinement hit its sample budget without converging."""
+    """A computation would exceed its work budget: adaptive refinement ran
+    out of samples without converging, or a requested time grid has more
+    points than allowed."""
 
 
 class OutOfRange(HoloError):
-    """Path parameter t lies outside [0, 1]."""
+    """A numeric argument lies outside its allowed range: a path parameter
+    t outside [0, 1], a time step or grid size, or a sampling radius that
+    is negative or not finite."""
 
 
 class DomainNotPreserved(HoloError):

@@ -159,6 +159,17 @@ class Diagonal:
         return (Diagonal(tuple(1.0 / v for v in self.lam)),)
 
 
+def check_invertible(m: np.ndarray) -> None:
+    """Raise NonInvertibleStep unless each (n, n) matrix in `m` (one, or a
+    stack) has no zero row and |det| > TAU_DET with its rows scaled to unit
+    norm."""
+    norms = np.linalg.norm(m, axis=-1)
+    if (norms == 0).any():
+        raise NonInvertibleStep("linear step has a zero row")
+    if (np.abs(np.linalg.det(m / norms[..., None])) <= TAU_DET).any():
+        raise NonInvertibleStep("linear step is singular to tolerance")
+
+
 @dataclass(frozen=True, eq=False)
 class Linear:
     """z -> A z for an invertible complex matrix A."""
@@ -169,11 +180,7 @@ class Linear:
         m = np.array(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
-        norms = np.linalg.norm(m, axis=1)
-        if np.any(norms == 0):
-            raise NonInvertibleStep("linear step has a zero row")
-        if abs(np.linalg.det(m / norms[:, None])) <= TAU_DET:
-            raise NonInvertibleStep("linear step is singular to tolerance")
+        check_invertible(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_det", complex(np.linalg.det(m)))
@@ -214,16 +221,18 @@ class Inversion:
         a = self.axis - 1
         col = cur[:, a]
         zero = col == 0
-        singular = zero.any()
+        # rows singular at an earlier step are not divided and keep their values
+        skip = zero if valid is None else zero | ~valid
+        singular = skip.any()
         if singular:
             if valid is None:
                 raise SingularPoint(f"inversion of coordinate {self.axis} at value 0")
             valid &= ~zero
-            col = np.where(zero, 1.0, col)
+            col = np.where(skip, 1.0, col)
         out = cur.copy()
         out[:, a] = 1.0 / col
         if singular:
-            out[zero, a] = np.nan
+            out[skip, a] = np.where(zero, np.nan, cur[:, a])[skip]
         return out, (-1.0 / col ** 2 if jac else None)
 
     def inverse(self) -> tuple:

@@ -5,11 +5,14 @@ come from central finite differences, winding numbers from trapezoidal
 quadrature of the logarithmic derivative, determinants and permutation
 signs from brute force. Derived expected values in the tests are
 checked against these before (and alongside) the library's answers.
+The homotopy checks are redone the plain way, one word per grid time.
 """
 
 import numpy as np
 
-from hologroup import Word, eval_word_batch
+from hologroup import (CertificationReport, Word, eval_word_batch, invert_word,
+                       jacobian_det_batch, path_at, path_target, sample_polydisc)
+from hologroup.homotopy import CERTIFY_POINTS, DEFAULT_CERTIFY_SEED
 from hologroup.winding import ContourSpec, contour_points
 
 
@@ -79,3 +82,43 @@ def naive_poly_eval(terms: dict, z) -> complex:
             val *= zj ** e
         total += val
     return total
+
+
+def certify_path_per_time(path, grid_size: int, sample_radius: float,
+                          seed: int = DEFAULT_CERTIFY_SEED) -> CertificationReport:
+    """certify_path by building the word path_at(path, t) at every grid time.
+
+    Per time: images, Jacobian determinants and the round trip through
+    invert_word, each a separate word pass. This is the straightforward
+    algorithm that the library's block evaluation must reproduce exactly.
+    """
+    pts = sample_polydisc(path.n, CERTIFY_POINTS, sample_radius,
+                          np.random.default_rng(seed))
+    min_det = np.inf
+    max_resid = 0.0
+    for t in np.linspace(0.0, 1.0, grid_size):
+        wt = path_at(path, float(t))
+        images = eval_word_batch(wt, pts)
+        min_det = min(min_det, float(np.min(np.abs(jacobian_det_batch(wt, pts)))))
+        back = eval_word_batch(invert_word(wt), images)
+        max_resid = max(max_resid, float(np.max(np.abs(back - pts))))
+    target_images = eval_word_batch(path_target(path), pts)
+    err0 = float(np.max(np.abs(eval_word_batch(path_at(path, 0.0), pts) - target_images)))
+    err1 = float(np.max(np.abs(eval_word_batch(path_at(path, 1.0), pts) - pts)))
+    return CertificationReport(err0, err1, float(min_det), max_resid)
+
+
+def continuity_modulus_per_time(path, dt: float, sample_radius: float,
+                                seed: int = DEFAULT_CERTIFY_SEED) -> float:
+    """continuity_modulus by evaluating path_at(path, t) at every grid time."""
+    pts = sample_polydisc(path.n, CERTIFY_POINTS, sample_radius,
+                          np.random.default_rng(seed))
+    steps = int(np.floor(1.0 / dt + 1e-9))
+    times = np.minimum(np.arange(steps + 1) * dt, 1.0)
+    modulus = 0.0
+    prev = eval_word_batch(path_at(path, float(times[0])), pts)
+    for t in times[1:]:
+        cur = eval_word_batch(path_at(path, float(t)), pts)
+        modulus = max(modulus, float(np.max(np.abs(cur - prev))))
+        prev = cur
+    return modulus

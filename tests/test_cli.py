@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -255,3 +256,29 @@ def test_demo_scene_golden(argv, expected, capsys):
     from hologroup import cli
     assert cli.main([*argv, "--scene", DEMO]) == 0
     assert capsys.readouterr().out == expected + "\n"
+
+
+# oversized work and unusable sampling radii are refused before any
+# allocation, with the exit-2 error document; run in process, since each
+# must return at once
+REFUSED = [
+    (["continuity", "--path", "shear_path", "--t", "1e-9"], "BudgetExhausted"),
+    (["homotopy-certify", "--path", "swap_path", "--grid", str(10 ** 9)],
+     "BudgetExhausted"),
+    (["homotopy-certify", "--path", "shear_path", "--radius", "nan"], "OutOfRange"),
+    (["homotopy-certify", "--path", "shear_path", "--radius", "inf"], "OutOfRange"),
+    (["homotopy-certify", "--path", "shear_path", "--radius", "-2"], "OutOfRange"),
+    (["continuity", "--path", "swap_path", "--t", "0.1", "--radius", "nan"],
+     "OutOfRange"),
+]
+
+
+@pytest.mark.parametrize("argv,name", REFUSED, ids=[" ".join(a[3:]) for a, _ in REFUSED])
+def test_refused_before_any_work(argv, name, capsys):
+    from hologroup import cli
+    start = time.perf_counter()
+    assert cli.main([*argv, "--scene", DEMO]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == name
+    assert err != ""

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from hologroup import (BumpFunction, OutOfRange, Overshear, OvershearPath,
-                       Poly, TranspositionPath, Word, certify_path,
-                       continuity_modulus, eval_word, jacobian_det, path_at,
-                       path_det, path_target)
-from oracles import fd_jacobian_det
+from hologroup import (BudgetExhausted, BumpFunction, NonInvertibleStep,
+                       OutOfRange, Overshear, OvershearPath, Poly,
+                       TranspositionPath, Word, certify_path,
+                       continuity_modulus, eval_word, homotopy, jacobian_det,
+                       path_at, path_det, path_target, transposition_matrix)
+from hologroup.words import check_invertible
+from oracles import (certify_path_per_time, continuity_modulus_per_time,
+                     fd_jacobian_det)
 
 SHEAR = Overshear(2, Poly.coordinate(2, 1), Poly.zero(2))
 
@@ -167,3 +170,70 @@ def test_continuity_dt_range():
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(OutOfRange):
             continuity_modulus(shear_path(), bad, 2.0)
+
+
+def bit_identity_paths():
+    f = Poly(3, {(1, 0, 0): 0.5 - 0.25j, (2, 0, 1): 0.3j, (0, 0, 0): -0.2})
+    g = Poly(3, {(0, 0, 2): 0.25 + 0.1j, (1, 0, 1): -0.15, (0, 0, 0): 0.05j})
+    table = BumpFunction("table", (0.0, 0.7, -0.4, 0.9, 0.0))
+    return {
+        "overshear-fg": OvershearPath(Overshear(2, f, g), 3),
+        "overshear-g": OvershearPath(Overshear(2, Poly.zero(3), g), 3),
+        "overshear-f": OvershearPath(Overshear(2, f, Poly.zero(3)), 3),
+        "transposition-sin": TranspositionPath(2, 3, 3),
+        "transposition-table": TranspositionPath(2, 3, 3, table),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(bit_identity_paths()))
+def test_block_evaluation_equals_per_time_words(name):
+    # grids 2, 33 (not a block multiple) and 1001, and dt 1, 1/257, 1e-3,
+    # so that one block, a partial last block and many block boundaries occur
+    path = bit_identity_paths()[name]
+    for grid in (2, 33, 1001):
+        assert certify_path(path, grid, 1.5, seed=7) == \
+            certify_path_per_time(path, grid, 1.5, seed=7)
+    for dt in (1.0, 1.0 / 257, 1e-3):
+        assert continuity_modulus(path, dt, 1.5, seed=7) == \
+            continuity_modulus_per_time(path, dt, 1.5, seed=7)
+
+
+def test_no_per_time_word_rebuild(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a word or polynomial was rebuilt for one time")
+
+    monkeypatch.setattr(homotopy, "path_at", forbidden)
+    monkeypatch.setattr(Poly, "scale", forbidden)
+    for path in bit_identity_paths().values():
+        certify_path(path, 101, 1.0)
+        continuity_modulus(path, 0.01, 1.0)
+
+
+def test_invertibility_check_covers_every_matrix_of_a_stack():
+    stack = transposition_matrix(swap_path(), np.linspace(0.0, 1.0, 5))
+    check_invertible(stack)
+    stack[3] = [[1.0, 2.0], [2.0, 4.0 + 1e-14]]
+    with pytest.raises(NonInvertibleStep, match="singular to tolerance"):
+        check_invertible(stack)
+    stack[1, 0] = 0.0
+    with pytest.raises(NonInvertibleStep, match="zero row"):
+        check_invertible(stack)
+
+
+def test_work_cap():
+    cap = homotopy.MAX_GRID_TIMES
+    assert cap >= 1001
+    with pytest.raises(BudgetExhausted):
+        certify_path(shear_path(), cap + 1, 2.0)
+    with pytest.raises(BudgetExhausted):
+        continuity_modulus(shear_path(), 1.0 / cap, 2.0)
+    with pytest.raises(BudgetExhausted):
+        continuity_modulus(shear_path(), 5e-324, 2.0)
+
+
+def test_bad_radius():
+    for bad in (float("nan"), float("inf"), -2.0):
+        with pytest.raises(OutOfRange):
+            certify_path(shear_path(), 11, bad)
+        with pytest.raises(OutOfRange):
+            continuity_modulus(swap_path(), 0.1, bad)

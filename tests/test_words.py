@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,16 @@ def test_masked_eval_flags_singular_rows():
     assert valid.tolist() == [True, False, False]
     assert np.isnan(images).tolist() == [[False, False], [False, True], [True, False]]
     assert np.allclose(images[0], [1.0, 0.5])
+
+
+def test_masked_double_inversion_does_not_divide_invalid_rows():
+    # the second inversion must leave the NaN of the first alone instead of
+    # dividing it, which numpy reports as an invalid-value warning
+    w = Word(2, (Inversion(1), Inversion(1)))
+    pts = np.array([[0, 1], [2, 1]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        images, valid = eval_word_batch_masked(w, pts)
+    assert valid.tolist() == [False, True]
+    assert np.isnan(images[0, 0]) and images[0, 1] == 1.0
+    assert images[1].tolist() == [2.0, 1.0]
