@@ -12,9 +12,9 @@ from .domains import (DomainClass, FullSpace, HyperplaneComplement,
                       PreservationVerdict, Punctured, classify_domain, contains,
                       contains_batch, sample_points, word_preserves_domain)
 from .errors import (BudgetExhausted, DimensionMismatch, DomainNotPreserved,
-                     HoloError, InvalidAxis, NonInvertibleStep, NotDiagonal,
-                     NotUnimodular, OutOfRange, OutsideDomain, SceneError,
-                     SingularPoint, ZeroOnContour)
+                     HoloError, InvalidAxis, NonFinite, NonInvertibleStep,
+                     NotDiagonal, NotUnimodular, OutOfRange, OutsideDomain,
+                     SceneError, SingularPoint, ZeroOnContour)
 from .homotopy import (SIN_BUMP, BumpFunction, CertificationReport, HomotopyPath,
                        OvershearPath, TranspositionPath, certify_path,
                        continuity_modulus, path_at, path_det, path_target,
@@ -37,8 +37,8 @@ __all__ = [
     # errors
     "HoloError", "DimensionMismatch", "SingularPoint", "NonInvertibleStep",
     "NotUnimodular", "NotDiagonal", "InvalidAxis", "OutsideDomain",
-    "ZeroOnContour", "BudgetExhausted", "OutOfRange", "DomainNotPreserved",
-    "SceneError",
+    "ZeroOnContour", "BudgetExhausted", "OutOfRange", "NonFinite",
+    "DomainNotPreserved", "SceneError",
     # polynomials
     "Poly",
     # words

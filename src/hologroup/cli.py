@@ -2,11 +2,11 @@
 
 Every subcommand loads one JSON scene file, picks named objects out of
 it, runs a single library operation, and prints one JSON document to
-stdout. Human-readable diagnostics go to stderr. Exit codes: 0 on
-success, 1 on malformed input (bad flags, unreadable or inconsistent
-scenes, dimension mismatches), 2 on mathematical failures (singular
-points, non-unimodular matrices, zeros on contours, and the like),
-which also emit an {"error": ...} document on stdout.
+stdout through `serialize.dumps`. Human-readable diagnostics go to
+stderr. Exit codes: 0 on success, 1 on malformed input (bad flags,
+SceneError, DimensionMismatch), 2 on every other HoloError (singular
+points, non-unimodular matrices, zeros on contours, non-finite values,
+and the like), which also emits an {"error": ...} document on stdout.
 
 Randomized procedures take --seed (default 42) and identical
 invocations produce byte-identical output.
@@ -22,19 +22,11 @@ import numpy as np
 
 from . import serialize
 from .domains import FullSpace, classify_domain, word_preserves_domain
-from .errors import (BudgetExhausted, DimensionMismatch, DomainNotPreserved,
-                     InvalidAxis, NonInvertibleStep, NotDiagonal, NotUnimodular,
-                     OutOfRange, OutsideDomain, SceneError, SingularPoint,
-                     ZeroOnContour)
+from .errors import DimensionMismatch, HoloError, NonFinite, NotUnimodular, SceneError
 from .homotopy import certify_path, continuity_modulus
 from .torus import commutes_with_torus, extract_diagonal, validate_exponent_matrix
 from .winding import in_negative_component, make_contour, winding_index
 from .words import compose, eval_word, invert_word, jacobian_det
-
-_MATH_ERRORS = (SingularPoint, OutsideDomain, NotDiagonal, NotUnimodular,
-                ZeroOnContour, InvalidAxis, BudgetExhausted, NonInvertibleStep,
-                DomainNotPreserved, OutOfRange)
-
 
 class UsageError(Exception):
     pass
@@ -55,9 +47,12 @@ def _parse_point(text: str) -> np.ndarray:
         if len(bits) != 2:
             raise UsageError(f'bad point component {part!r}: expected "re,im"')
         try:
-            coords.append(complex(float(bits[0]), float(bits[1])))
+            c = complex(float(bits[0]), float(bits[1]))
         except ValueError:
             raise UsageError(f"bad point component {part!r}: not numbers") from None
+        if not np.isfinite(c):
+            raise NonFinite(f"point component {part!r} is not finite")
+        coords.append(c)
     if not coords:
         raise UsageError("point must have at least one coordinate")
     return np.array(coords, dtype=np.complex128)
@@ -143,14 +138,13 @@ def _domain_or_fullspace(scene: serialize.Scene, n: int):
     return scene.domain if scene.domain is not None else FullSpace(n)
 
 
-def _dispatch(args) -> dict:
+def _dispatch(args):
     scene = serialize.load_scene(args.scene)
     cmd = args.command
 
     if cmd == "eval":
         w = _named(scene.words, args.word, "word")
-        image = eval_word(w, _parse_point(args.point))
-        return {"image": serialize.vector_json(image)}
+        return {"image": eval_word(w, _parse_point(args.point))}
 
     if cmd == "compose":
         if len(args.word) != 2:
@@ -165,8 +159,7 @@ def _dispatch(args) -> dict:
 
     if cmd == "jacobian":
         w = _named(scene.words, args.word, "word")
-        det = jacobian_det(w, _parse_point(args.point))
-        return {"det": serialize.complex_pair(det)}
+        return {"det": jacobian_det(w, _parse_point(args.point))}
 
     if cmd in ("winding-index", "negative-component"):
         w = _named(scene.words, args.word, "word")
@@ -179,11 +172,7 @@ def _dispatch(args) -> dict:
 
     if cmd == "homotopy-certify":
         path = _named(scene.paths, args.path, "path")
-        rep = certify_path(path, args.grid, args.radius, seed=args.seed)
-        return {"endpoint_err0": rep.endpoint_err0,
-                "endpoint_err1": rep.endpoint_err1,
-                "min_abs_det": rep.min_abs_det,
-                "max_inverse_residual": rep.max_inverse_residual}
+        return certify_path(path, args.grid, args.radius, seed=args.seed)
 
     if cmd == "continuity":
         path = _named(scene.paths, args.path, "path")
@@ -192,30 +181,20 @@ def _dispatch(args) -> dict:
 
     if cmd == "centralizer":
         w = _named(scene.words, args.word, "word")
-        verdict = commutes_with_torus(w, _domain_or_fullspace(scene, w.n), args.seed)
-        witness = None
-        if verdict.witness is not None:
-            witness = {"theta": [float(t) for t in verdict.witness.theta],
-                       "z": serialize.vector_json(verdict.witness.z),
-                       "deviation": verdict.witness.deviation}
-        return {"commutes": verdict.commutes, "witness": witness}
+        return commutes_with_torus(w, _domain_or_fullspace(scene, w.n), args.seed)
 
     if cmd == "extract-diagonal":
         w = _named(scene.words, args.word, "word")
-        lam = extract_diagonal(w, _domain_or_fullspace(scene, w.n), args.seed)
-        return {"lambda": serialize.vector_json(lam)}
+        return {"lambda": extract_diagonal(w, _domain_or_fullspace(scene, w.n), args.seed)}
 
     if cmd == "classify":
         if scene.domain is None:
             raise SceneError("scene has no domain to classify")
-        c = classify_domain(scene.domain)
-        return {"kind": c.kind, "is_stein": c.is_stein}
+        return classify_domain(scene.domain)
 
     if cmd == "preserves":
         w = _named(scene.words, args.word, "word")
-        verdict = word_preserves_domain(w, _domain_or_fullspace(scene, w.n), args.seed)
-        witness = None if verdict.witness is None else serialize.vector_json(verdict.witness)
-        return {"preserves": verdict.preserves, "witness": witness}
+        return word_preserves_domain(w, _domain_or_fullspace(scene, w.n), args.seed)
 
     if cmd == "validate-exponents":
         matrix = _named(scene.exponent_matrices, args.matrix, "exponent matrix")
@@ -229,14 +208,14 @@ def main(argv: Optional[list] = None) -> int:
         args = build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (try --help)")
-        result = _dispatch(args)
+        text = serialize.dumps(_dispatch(args), indent=args.json_indent)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (SceneError, DimensionMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except _MATH_ERRORS as exc:
+    except HoloError as exc:
         payload = {"error": type(exc).__name__}
         if isinstance(exc, NotUnimodular):
             payload["det"] = exc.det
@@ -245,5 +224,5 @@ def main(argv: Optional[list] = None) -> int:
         print(serialize.dumps(payload, indent=getattr(args, "json_indent", None)))
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(serialize.dumps(result, indent=args.json_indent))
+    print(text)
     return 0

@@ -22,6 +22,9 @@ from .errors import DimensionMismatch, NonInvertibleStep, SingularPoint
 from .words import Diagonal, Inversion, Linear, Overshear, Permutation, Word
 from .words import eval_word, eval_word_batch_masked, invert_word
 
+# seeded domain points a word faces once no structural rule rejects it
+PRESERVE_SAMPLES = 256
+
 
 @dataclass(frozen=True)
 class FullSpace:
@@ -259,8 +262,7 @@ def _structural_witness(w: Word, d: DomainSpec) -> Optional[np.ndarray]:
     return None
 
 
-def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int,
-                          samples: int = 256) -> PreservationVerdict:
+def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> PreservationVerdict:
     """Check that the word maps the domain into itself.
 
     Structural rules run first and catch the measure-zero escapes that
@@ -268,8 +270,9 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int,
     somewhere in the domain, overshears pushed into a deleted
     hyperplane, permutations and linear steps that move the deleted
     set). Each structural rejection carries an explicitly solved
-    witness, validated end to end. The remaining words face `samples`
-    seeded domain points; the first escaping point is returned.
+    witness, validated end to end. The remaining words face
+    PRESERVE_SAMPLES seeded domain points; the first escaping point is
+    returned.
     """
     if w.n != d.n:
         raise DimensionMismatch(f"word dimension {w.n} != domain dimension {d.n}")
@@ -277,7 +280,7 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int,
     if witness is not None:
         return PreservationVerdict(False, witness)
     rng = np.random.default_rng(sampler_seed)
-    pts = sample_points(d, samples, rng)
+    pts = sample_points(d, PRESERVE_SAMPLES, rng)
     images, valid = eval_word_batch_masked(w, pts)
     ok = valid & contains_batch(d, np.where(valid[:, None], images, 1.0))
     bad = np.flatnonzero(~ok)

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-Every error that a caller is expected to catch derives from HoloError.
-The CLI maps these onto its exit-code contract, so new error types
-should be added here rather than raising bare ValueErrors from the
-numeric modules.
+Every error that a caller is expected to catch derives from HoloError,
+and the class alone decides the CLI's exit status: SceneError and
+DimensionMismatch are malformed input (exit 1); every other HoloError,
+NonFinite included, is a well-posed request whose mathematics fails
+(exit 2, with an {"error": ...} document on stdout). New error types
+belong here rather than as bare ValueErrors from the numeric modules.
 """
 
 
@@ -61,6 +63,12 @@ class OutOfRange(HoloError):
     """A numeric argument lies outside its allowed range: a path parameter
     t outside [0, 1], a time step or grid size, or a sampling radius that
     is negative or not finite."""
+
+
+class NonFinite(HoloError):
+    """A value that must be finite is NaN or infinite: a parsed input, a
+    computed result, or an intermediate such as a determinant that
+    overflowed."""
 
 
 class DomainNotPreserved(HoloError):

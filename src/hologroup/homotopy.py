@@ -29,7 +29,9 @@ values. For a transposition path the block is a stack of matrices with
 batched products, determinants and inverses. The results equal those
 of evaluating path_at(path, t) at each time, and `tests/oracles.py`
 keeps that per-time algorithm to check it. Grids are capped at
-MAX_GRID_TIMES times (BudgetExhausted).
+MAX_GRID_TIMES times (BudgetExhausted), and a time whose |det|,
+residual or jump is not finite (exp((1-t) g) overflowed) is refused
+with NonFinite rather than reported as a finite-looking extremum.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import BudgetExhausted, OutOfRange
+from .errors import BudgetExhausted, NonFinite, OutOfRange
 from .words import (Linear, Overshear, Permutation, Word, check_invertible,
                     eval_word_batch)
 
@@ -185,6 +187,14 @@ def _check_budget(count, what: str):
                               f"of {MAX_GRID_TIMES}")
 
 
+def _finite(values: np.ndarray, times: np.ndarray, what: str) -> np.ndarray:
+    """The per-time values, unless one is NaN or infinite (NonFinite)."""
+    if not np.isfinite(values).all():
+        t = times[np.flatnonzero(~np.isfinite(values))[0]]
+        raise NonFinite(f"{what} is not finite at t = {t}")
+    return values
+
+
 def _blocks(times: np.ndarray):
     return (times[i:i + BLOCK_TIMES] for i in range(0, len(times), BLOCK_TIMES))
 
@@ -256,9 +266,9 @@ def certify_path(path: HomotopyPath, grid_size: int, sample_radius: float,
         images, dets, resids = evaluate(times, True)
         if first is None:
             first = images[0]
-        # fmin/fmax skip a time whose value is NaN, as the per-time min/max did
-        min_det = np.fmin.reduce(dets, initial=min_det)
-        max_resid = np.fmax.reduce(resids, initial=max_resid)
+        min_det = np.minimum.reduce(_finite(dets, times, "|det|"), initial=min_det)
+        max_resid = np.maximum.reduce(_finite(resids, times, "the inverse residual"),
+                                      initial=max_resid)
     err0 = float(np.max(np.abs(first - eval_word_batch(path_target(path), pts))))
     err1 = float(np.max(np.abs(images[-1] - pts)))
     return CertificationReport(err0, err1, float(min_det), float(max_resid))
@@ -285,6 +295,7 @@ def continuity_modulus(path: HomotopyPath, dt: float, sample_radius: float,
         if prev is not None:
             images = np.concatenate((prev[None], images))
         jumps = np.max(np.abs(np.diff(images, axis=0)), axis=(1, 2))
-        modulus = np.fmax.reduce(jumps, initial=modulus)
+        modulus = np.maximum.reduce(_finite(jumps, times[-len(jumps):], "the jump"),
+                                    initial=modulus)
         prev = images[-1]
     return float(modulus)

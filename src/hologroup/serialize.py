@@ -5,27 +5,33 @@ Complex numbers travel as [re, im] pairs, polynomials as lists of
 unions on a "type" field, and a scene file groups named words,
 contours, paths, and exponent matrices around one optional domain.
 
-Output goes through `dumps`, a small encoder that formats every float
-with 17 significant digits so that identical inputs yield byte
-identical output (the stdlib encoder's float formatting is not
-pinned down, which would make golden tests flaky).
+Output goes through `dumps`, the one place where a value becomes JSON.
+Its encoder owns the output formats: every float has 17 significant
+digits, so identical inputs yield byte-identical output (the stdlib
+encoder's float formatting is not pinned down, which would make golden
+tests flaky), and a non-finite float raises NonFinite; a complex number
+becomes [re, im]; a numpy array becomes nested lists; a dataclass
+instance (a verdict or report) becomes an object of its fields in
+declaration order.
 
 Parsing failures raise SceneError with a message naming the offending
-field; mathematical validity of exponent matrices is deliberately not
-checked here, so that the unimodularity verdict stays an operation
-result rather than a file-loading side effect.
+field, a constructor's complaint about the parsed values included
+(`_scene_errors`); mathematical validity of exponent matrices is
+deliberately not checked here, so that the unimodularity verdict stays
+an operation result rather than a file-loading side effect.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
 
 from .domains import DomainSpec, FullSpace, HyperplaneComplement, Punctured
-from .errors import HoloError, SceneError
+from .errors import HoloError, NonFinite, SceneError
 from .homotopy import BumpFunction, HomotopyPath, OvershearPath, TranspositionPath
 from .polynomials import Poly
 from .words import Diagonal, Inversion, Linear, Overshear, Permutation, Word
@@ -36,7 +42,7 @@ from .words import Diagonal, Inversion, Linear, Overshear, Permutation, Word
 
 def format_float(x: float) -> str:
     if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x}")
+        raise NonFinite(f"cannot serialize non-finite float {x}")
     s = format(float(x), ".17g")
     if not any(ch in s for ch in ".eE"):
         s += ".0"
@@ -59,12 +65,18 @@ def _encode(obj, out: list, indent: Optional[int], depth: int):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(float(obj)))
+    elif isinstance(obj, complex):
+        _encode([obj.real, obj.imag], out, indent, depth)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
         _encode_items(obj.items(), out, indent, depth, "{", "}", keyed=True)
     elif isinstance(obj, (list, tuple)):
         _encode_items(obj, out, indent, depth, "[", "]", keyed=False)
+    elif isinstance(obj, np.ndarray):
+        _encode(obj.tolist(), out, indent, depth)
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        _encode({f.name: getattr(obj, f.name) for f in fields(obj)}, out, indent, depth)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -93,17 +105,20 @@ def _encode_items(items, out: list, indent, depth, open_ch, close_ch, keyed):
     out.append(end + close_ch)
 
 
-def complex_pair(c) -> list:
-    c = complex(c)
-    return [float(c.real), float(c.imag)]
-
-
-def vector_json(v) -> list:
-    return [complex_pair(c) for c in np.asarray(v, dtype=np.complex128)]
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
+
+@contextmanager
+def _scene_errors(where: str):
+    """Re-raise a constructor's ValueError, TypeError or HoloError as a
+    SceneError naming `where`; a SceneError passes through unchanged."""
+    try:
+        yield
+    except SceneError:
+        raise
+    except (HoloError, ValueError, TypeError) as exc:
+        raise SceneError(f"{where}: {exc}") from exc
+
 
 def _want(obj, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
@@ -154,10 +169,8 @@ def parse_poly(v, n_vars: int, where: str) -> Poly:
         coeff = complex(_as_number(_want(t, "re", where), where),
                         _as_number(_want(t, "im", where), where))
         terms[key] = terms.get(key, 0) + coeff
-    try:
+    with _scene_errors(where):
         return Poly(n_vars, terms)
-    except ValueError as exc:
-        raise SceneError(f"{where}: {exc}") from exc
 
 
 def step_to_json(step) -> dict:
@@ -167,10 +180,9 @@ def step_to_json(step) -> dict:
     if isinstance(step, Permutation):
         return {"type": "permutation", "perm": list(step.perm)}
     if isinstance(step, Diagonal):
-        return {"type": "diagonal", "lambda": [complex_pair(v) for v in step.lam]}
+        return {"type": "diagonal", "lambda": step.lam}
     if isinstance(step, Linear):
-        return {"type": "linear",
-                "matrix": [[complex_pair(v) for v in row] for row in step.matrix]}
+        return {"type": "linear", "matrix": step.matrix}
     if isinstance(step, Inversion):
         return {"type": "inversion", "axis": step.axis}
     raise TypeError(f"unknown step {type(step).__name__}")
@@ -178,7 +190,7 @@ def step_to_json(step) -> dict:
 
 def parse_step(v, n: int, where: str):
     kind = _want(v, "type", where)
-    try:
+    with _scene_errors(where):
         if kind == "overshear":
             return Overshear(_as_int(_want(v, "axis", where), where),
                              parse_poly(_want(v, "f", where), n, where + ".f"),
@@ -201,10 +213,6 @@ def parse_step(v, n: int, where: str):
             return Linear(np.array(m, dtype=np.complex128))
         if kind == "inversion":
             return Inversion(_as_int(_want(v, "axis", where), where))
-    except SceneError:
-        raise
-    except (HoloError, ValueError, TypeError) as exc:
-        raise SceneError(f"{where}: {exc}") from exc
     raise SceneError(f"{where}: unknown step type {kind!r}")
 
 
@@ -218,27 +226,17 @@ def parse_word(v, where: str) -> Word:
     if not isinstance(steps, list):
         raise SceneError(f"{where}: steps must be a list")
     parsed = tuple(parse_step(s, n, f"{where}.steps[{i}]") for i, s in enumerate(steps))
-    try:
+    with _scene_errors(where):
         return Word(n, parsed)
-    except (HoloError, ValueError) as exc:
-        raise SceneError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # domains, contours, paths, matrices
 
-def domain_to_json(d: DomainSpec) -> dict:
-    if isinstance(d, FullSpace):
-        return {"kind": "full", "n": d.n}
-    if isinstance(d, Punctured):
-        return {"kind": "punctured", "n": d.n}
-    return {"kind": "complement", "n": d.n, "deleted": sorted(d.deleted)}
-
-
 def parse_domain(v, where: str) -> DomainSpec:
     kind = _want(v, "kind", where)
     n = _as_int(_want(v, "n", where), where)
-    try:
+    with _scene_errors(where):
         if kind == "full":
             return FullSpace(n)
         if kind == "punctured":
@@ -248,8 +246,6 @@ def parse_domain(v, where: str) -> DomainSpec:
             if not isinstance(deleted, list):
                 raise SceneError(f"{where}: deleted must be a list")
             return HyperplaneComplement(n, frozenset(_as_int(i, where) for i in deleted))
-    except (ValueError, TypeError) as exc:
-        raise SceneError(f"{where}: {exc}") from exc
     raise SceneError(f"{where}: unknown domain kind {kind!r}")
 
 
@@ -270,7 +266,7 @@ def parse_contour(v, where: str) -> RawContour:
 
 
 def parse_bump(v, where: str) -> BumpFunction:
-    try:
+    with _scene_errors(where):
         if v == "sin" or v is None:
             return BumpFunction("sin")
         if isinstance(v, dict) and "table" in v:
@@ -278,25 +274,19 @@ def parse_bump(v, where: str) -> BumpFunction:
             if not isinstance(table, list):
                 raise SceneError(f"{where}: bump table must be a list")
             return BumpFunction("table", tuple(_as_number(x, where) for x in table))
-    except ValueError as exc:
-        raise SceneError(f"{where}: {exc}") from exc
     raise SceneError(f"{where}: bump must be \"sin\" or {{\"table\": [...]}}")
 
 
 def parse_path(v, where: str) -> HomotopyPath:
     kind = _want(v, "type", where)
     n = _as_int(_want(v, "n", where), where)
-    try:
+    with _scene_errors(where):
         if kind == "overshear":
             return OvershearPath(parse_step(v, n, where), n)
         if kind == "transposition":
             return TranspositionPath(_as_int(_want(v, "j", where), where),
                                      _as_int(_want(v, "k", where), where),
                                      n, parse_bump(v.get("bump"), where + ".bump"))
-    except SceneError:
-        raise
-    except (HoloError, ValueError, TypeError) as exc:
-        raise SceneError(f"{where}: {exc}") from exc
     raise SceneError(f"{where}: unknown path type {kind!r}")
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hologroup import (BudgetExhausted, BumpFunction, NonInvertibleStep,
-                       OutOfRange, Overshear, OvershearPath, Poly,
+from hologroup import (BudgetExhausted, BumpFunction, NonFinite,
+                       NonInvertibleStep, OutOfRange, Overshear, OvershearPath, Poly,
                        TranspositionPath, Word, certify_path,
                        continuity_modulus, eval_word, homotopy, jacobian_det,
                        path_at, path_det, path_target, transposition_matrix)
@@ -237,3 +237,15 @@ def test_bad_radius():
             certify_path(shear_path(), 11, bad)
         with pytest.raises(OutOfRange):
             continuity_modulus(swap_path(), 0.1, bad)
+
+
+def test_overflow_is_refused():
+    # exp((1-t) 400 z1) leaves the float range on the radius-2 polydisc: at
+    # t = 0 the round trip multiplies an overflowed exp(-g) by 0, and at
+    # radius 3 the image itself overflows
+    path = OvershearPath(Overshear(2, Poly.coordinate(2, 1), Poly(2, {(1, 0): 400.0})), 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite, match="inverse residual is not finite at t = 0.0"):
+            certify_path(path, 101, 2.0)
+        with pytest.raises(NonFinite, match="jump is not finite at t = 0.01"):
+            continuity_modulus(path, 0.01, 3.0)

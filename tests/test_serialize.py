@@ -3,11 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from hologroup import (Diagonal, FullSpace, HyperplaneComplement, Inversion,
-                       Linear, Overshear, Permutation, Poly, Punctured,
-                       SceneError, Word)
-from hologroup.serialize import (complex_pair, domain_to_json, dumps,
-                                 format_float, load_scene, parse_bump,
+from hologroup import (CertificationReport, Diagonal, FullSpace,
+                       HyperplaneComplement, Inversion, Linear, NonFinite,
+                       Overshear, Permutation, Poly, Punctured, SceneError, Word)
+from hologroup.serialize import (dumps, format_float, load_scene, parse_bump,
                                  parse_complex, parse_contour, parse_domain,
                                  parse_exponent_matrix, parse_path,
                                  parse_poly, parse_scene, parse_word,
@@ -25,7 +24,7 @@ def test_format_float_goldens():
 
 def test_format_float_rejects_non_finite():
     for bad in (float("inf"), float("-inf"), float("nan")):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFinite):
             format_float(bad)
 
 
@@ -50,6 +49,18 @@ def test_dumps_indent_mode_parses():
     assert json.loads(s) == obj
 
 
+def test_dumps_encodes_complex_arrays_and_records():
+    assert dumps(1 - 0.5j) == "[1.0,-0.5]"
+    assert dumps(np.array([[1j, -0.0], [2.5, 3]])) == \
+        "[[[0.0,1.0],[-0.0,0.0]],[[2.5,0.0],[3.0,0.0]]]"
+    assert dumps(np.array([0.25, 1.0])) == "[0.25,1.0]"
+    rep = CertificationReport(0.0, 1e-16, 0.5, 2.0)
+    assert dumps(rep) == ('{"endpoint_err0":0.0,"endpoint_err1":9.9999999999999998e-17,'
+                          '"min_abs_det":0.5,"max_inverse_residual":2.0}')
+    with pytest.raises(NonFinite):
+        dumps({"z": np.array([complex(1.0, float("nan"))])})
+
+
 def test_dumps_rejects_unknown_types():
     with pytest.raises(TypeError):
         dumps({"x": object()})
@@ -58,8 +69,8 @@ def test_dumps_rejects_unknown_types():
 
 
 def test_complex_pair_round_trip():
-    for c in (1 + 2j, -0.5j, 3.0, 0j):
-        assert parse_complex(complex_pair(c), "t") == c
+    for c in (1 + 2j, -0.5j, 3.0 + 0j, 0j):
+        assert parse_complex(json.loads(dumps(c)), "t") == c
     with pytest.raises(SceneError):
         parse_complex([1.0], "t")
     with pytest.raises(SceneError):
@@ -98,17 +109,22 @@ ALL_STEPS = [
 ]
 
 
+def through_json(obj):
+    """obj as the CLI prints it, read back."""
+    return json.loads(dumps(obj))
+
+
 def test_step_round_trips():
     for step in ALL_STEPS:
-        assert parse_word({"n": 2, "steps": [step_to_json(step)]}, "t") == \
+        assert parse_word(through_json({"n": 2, "steps": [step_to_json(step)]}), "t") == \
             Word(2, (step,))
 
 
 def test_word_round_trip():
     w = Word(2, tuple(ALL_STEPS))
-    assert parse_word(word_to_json(w), "t") == w
+    assert parse_word(through_json(word_to_json(w)), "t") == w
     ident = Word.identity(3)
-    assert parse_word(word_to_json(ident), "t") == ident
+    assert parse_word(through_json(word_to_json(ident)), "t") == ident
 
 
 def test_word_json_is_byte_stable():
@@ -144,9 +160,10 @@ def test_parse_word_errors():
 
 
 def test_domain_round_trips():
-    for d in (FullSpace(2), Punctured(3),
-              HyperplaneComplement(3, frozenset({1, 3}))):
-        assert parse_domain(domain_to_json(d), "t") == d
+    assert parse_domain({"kind": "full", "n": 2}, "t") == FullSpace(2)
+    assert parse_domain({"kind": "punctured", "n": 3}, "t") == Punctured(3)
+    assert parse_domain({"kind": "complement", "n": 3, "deleted": [3, 1]}, "t") == \
+        HyperplaneComplement(3, frozenset({1, 3}))
 
 
 def test_parse_domain_errors():
@@ -197,6 +214,31 @@ def test_parse_path():
     with pytest.raises(SceneError) as exc:
         parse_path({"type": "overshear", "n": 2, "axis": 3, "f": [], "g": []}, "t")
     assert str(exc.value) == "t: axis 3 out of range 1..2"
+
+
+# a constructor's complaint is re-raised as a SceneError naming the field
+CONSTRUCTOR_ERRORS = [
+    (lambda: parse_poly([{"exponents": [-1, 0], "re": 1.0, "im": 0.0}], 2, "t"),
+     "t: negative exponent in (-1, 0)"),
+    (lambda: parse_word({"n": 2, "steps": [{"type": "inversion", "axis": 0}]}, "t"),
+     "t.steps[0]: axis must be a positive coordinate index"),
+    (lambda: parse_word({"n": 2, "steps": [{"type": "inversion", "axis": 3}]}, "t"),
+     "t: inversion axis 3 exceeds dimension 2"),
+    (lambda: parse_domain({"kind": "complement", "n": 2, "deleted": [3]}, "t"),
+     "t: deleted indices [3] out of range 1..2"),
+    (lambda: parse_bump({"table": [0.5, 1.0, 0.0]}, "t"),
+     "t: bump function must vanish at t=0 and t=1"),
+    (lambda: parse_path({"type": "transposition", "n": 2, "j": 2, "k": 1}, "t"),
+     "t: need 1 <= j < k <= n, got j=2, k=1, n=2"),
+]
+
+
+@pytest.mark.parametrize("parse,message", CONSTRUCTOR_ERRORS,
+                         ids=["poly", "step", "word", "domain", "bump", "path"])
+def test_constructor_errors_name_their_field(parse, message):
+    with pytest.raises(SceneError) as exc:
+        parse()
+    assert str(exc.value) == message
 
 
 def test_parse_exponent_matrix_shapes():
