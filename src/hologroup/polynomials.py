@@ -109,7 +109,7 @@ class Poly:
         """Return scales -> (S, P) values of self.scale(s) at `pts` for each s.
 
         Each row equals `self.scale(s).eval_batch(pts)` up to the sign of
-        zeros; the monomial columns at `pts` are built once, here.
+        zeros; the monomials at `pts` are built once, here.
         """
         exps, coeffs = self._arrays
         return _kernels.scaled_poly_evaluator(exps, coeffs, pts)

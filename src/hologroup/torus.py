@@ -14,12 +14,14 @@ diagonal is recoverable from a single orbit ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainNotPreserved, NotDiagonal, NotUnimodular
+from .errors import (DimensionMismatch, DomainNotPreserved, NonFinite, NotDiagonal,
+                     NotUnimodular)
 from .domains import DomainSpec, sample_points, word_preserves_domain
 from .words import Word, eval_word_batch
 
@@ -131,7 +133,8 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
     The word must preserve the domain; torus orbits never leave it, so
     both sides are always defined. The verdict is the max deviation in
     sup norm over the full 64x64 grid, compared against 1e-10, with the
-    maximizing pair returned on failure. Enumeration order is fixed, so
+    maximizing pair returned on failure; a non-finite deviation (the
+    word overflowed) raises NonFinite. Enumeration order is fixed, so
     the verdict is reproducible for a given seed.
     """
     if w.n != d.n:
@@ -149,6 +152,10 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
     t_of_wz = coeffs[:, None, :] * eval_word_batch(w, pts)[None, :, :]
     dev = np.max(np.abs(w_of_tz - t_of_wz), axis=2)
     worst = float(dev.max())
+    if not math.isfinite(worst):
+        i, j = np.unravel_index(int(np.flatnonzero(~np.isfinite(dev))[0]), dev.shape)
+        raise NonFinite(f"centralizer check: the deviation |w(t(z)) - t(w(z))| is "
+                        f"{dev[i, j]} at theta {thetas[i]}, z {pts[j]}")
     if worst < COMMUTE_TOL:
         return CentralizerVerdict(True, None)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)

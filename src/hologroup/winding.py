@@ -15,13 +15,14 @@ that refuses to shrink under bisection) is detected and reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import HyperplaneComplement, contains
-from .errors import (BudgetExhausted, DimensionMismatch, InvalidAxis, OutOfRange,
-                     OutsideDomain, ZeroOnContour)
+from .errors import (BudgetExhausted, DimensionMismatch, InvalidAxis, NonFinite,
+                     OutOfRange, OutsideDomain, ZeroOnContour)
 from .words import Word, eval_word_batch
 
 INITIAL_SAMPLES = 64
@@ -89,7 +90,8 @@ def winding_index(w: Word, c: ContourSpec, max_samples: int = MAX_SAMPLES) -> In
     first value, closing the loop exactly) and bisects every interval
     whose argument increment reaches pi/2, so each increment determines
     the continuous argument branch unambiguously. The accumulated
-    increments divided by 2*pi round to the reported integer.
+    increments divided by 2*pi round to the reported integer; a
+    non-finite sum (the word overflowed on the contour) raises NonFinite.
     """
     if w.n != c.domain.n:
         raise DimensionMismatch(f"word dimension {w.n} != contour dimension {c.domain.n}")
@@ -111,6 +113,9 @@ def winding_index(w: Word, c: ContourSpec, max_samples: int = MAX_SAMPLES) -> In
         values = np.insert(values, coarse + 1, _profile(w, c, mids))
         used += coarse.size
     raw = float(np.sum(np.angle(values[1:] / values[:-1])) / (2.0 * np.pi))
+    if not math.isfinite(raw):
+        raise NonFinite(f"the accumulated winding is {raw}: the output coordinate "
+                        "is not finite on the contour")
     return IndexResult(index=int(round(raw)), raw=raw, samples_used=used)
 
 

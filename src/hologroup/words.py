@@ -27,10 +27,12 @@ and are cleared in `valid`. `_word_pass` chains the steps once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import _kernels
 from .errors import DimensionMismatch, NonInvertibleStep, SingularPoint
 from .polynomials import Poly
 
@@ -70,10 +72,20 @@ class Overshear:
     def dim(self) -> Optional[int]:
         return self.f.n_vars
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The union exponent table of f and g, and their coefficients as
+        its two columns (zero where one of them lacks the term)."""
+        union = sorted(self.f.terms.keys() | self.g.terms.keys())
+        exps = np.array(union, dtype=np.int64).reshape(len(union), self.f.n_vars)
+        coeffs = np.array([(self.f.terms.get(e, 0), self.g.terms.get(e, 0)) for e in union],
+                          dtype=np.complex128).reshape(len(union), 2)
+        return exps, coeffs
+
     def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
         a = self.axis - 1
-        fv = self.f.eval_batch(cur)
-        hv = np.exp(self.g.eval_batch(cur))
+        fv, gv = _kernels.poly_eval(*self._tables, cur)
+        hv = np.exp(gv)
         out = cur.copy()
         out[:, a] = fv + hv * cur[:, a]
         return out, (hv if jac else None)

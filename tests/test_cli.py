@@ -31,6 +31,9 @@ def aux_scene(tmp_path_factory):
             "huge": {"n": 2, "steps": [{"type": "overshear", "axis": 2, "f": [],
                                         "g": [{"exponents": [1, 0], "re": 800.0,
                                                "im": 0.0}]}]},
+            "spike": {"n": 2, "steps": [{"type": "overshear", "axis": 1, "f": [],
+                                         "g": [{"exponents": [0, 0], "re": 800.0,
+                                                "im": 0.0}]}]},
         },
         "contours": {
             "good": {"axis": 1, "p": [[1.0, 0.0], [1.0, 0.0]], "R": 1.0},
@@ -218,6 +221,9 @@ def test_math_errors_exit_2(aux_scene):
          aux_scene),
         (["continuity", "--path", "blowup", "--t", "0.01", "--radius", "3"],
          "NonFinite", aux_scene),
+        (["winding-index", "--word", "spike", "--contour", "good"], "NonFinite",
+         aux_scene),
+        (["centralizer", "--word", "spike", "--seed", "3"], "NonFinite", aux_scene),
     ]
     for argv, name, scene in cases:
         code, out, err = run(*argv, scene=scene)

@@ -3,7 +3,7 @@ import pytest
 
 from hologroup import (Diagonal, DimensionMismatch, DomainNotPreserved,
                        ExponentMatrix, FullSpace, HyperplaneComplement,
-                       Inversion, NotDiagonal, NotUnimodular, Overshear, Poly,
+                       Inversion, NonFinite, NotDiagonal, NotUnimodular, Overshear, Poly,
                        TorusElement, Word, apply_torus, commutes_with_torus,
                        compose, extract_diagonal, integer_det,
                        validate_exponent_matrix)
@@ -123,6 +123,16 @@ def test_centralizer_requires_domain_preservation():
     # on its natural domain the check runs (and correctly fails commutation)
     d = HyperplaneComplement(2, frozenset({1}))
     assert not commutes_with_torus(w, d, 42).commutes
+
+
+def test_overflowing_multiplier_is_refused():
+    # exp(800) overflows; the deviation grid used to be NaN and the verdict
+    # commutes=False with a NaN deviation
+    w = Word(2, (Overshear(1, Poly.zero(2), Poly.constant(2, 800)),))
+    d = HyperplaneComplement(2, frozenset({1}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite, match="centralizer check"):
+            commutes_with_torus(w, d, 3)
 
 
 def test_extract_examples():

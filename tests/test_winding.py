@@ -3,7 +3,7 @@ import pytest
 
 from hologroup import (BudgetExhausted, Diagonal, DimensionMismatch,
                        FullSpace, HyperplaneComplement, InvalidAxis,
-                       Inversion, OutOfRange, OutsideDomain, Overshear, Poly,
+                       Inversion, NonFinite, OutOfRange, OutsideDomain, Overshear, Poly,
                        Word, ZeroOnContour, contour_points, eval_word,
                        in_negative_component, make_contour, winding_index)
 from oracles import quadrature_winding
@@ -131,6 +131,15 @@ def test_zero_on_contour():
     w = Word(2, (Overshear(1, f, Poly.zero(2)),))
     with pytest.raises(ZeroOnContour):
         winding_index(w, contour())
+
+
+def test_overflowing_multiplier_is_refused():
+    # exp(800) overflows, so every sample is NaN; the accumulated winding
+    # used to end in "cannot convert float NaN to integer"
+    w = Word(2, (Overshear(1, Poly.zero(2), Poly.constant(2, 800)),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite, match="accumulated winding is nan"):
+            winding_index(w, contour())
 
 
 def test_word_dimension_checked():
