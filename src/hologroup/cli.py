@@ -208,7 +208,10 @@ def main(argv: Optional[list] = None) -> int:
         args = build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (try --help)")
-        text = serialize.dumps(_dispatch(args), indent=args.json_indent)
+        # overflow and invalid values are refused by the NonFinite checks
+        # and the encoder; numpy's own warnings would only add noise to stderr
+        with np.errstate(all="ignore"):
+            text = serialize.dumps(_dispatch(args), indent=args.json_indent)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

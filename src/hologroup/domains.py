@@ -4,11 +4,14 @@ A domain is C^n, the punctured space C^n \\ {0}, or C^n minus a nonempty
 union of coordinate hyperplanes {z_i = 0}. Membership is exact: a
 coordinate is "nonzero" iff it differs from floating-point zero.
 
-`word_preserves_domain` combines a structural pass (closed-form escape
-points for the step patterns that sampling would miss with probability
-one) with a seeded sampling pass. Every structural rejection is backed
-by a verified witness: a point of the domain whose image leaves it or
-hits a singular inversion.
+`word_preserves_domain` decides by proof when every step of the word is
+an automorphism of the domain (`_automorphism`): such a word maps the
+domain bijectively onto itself, so no point is evaluated. Any other word
+faces a structural pass (closed-form escape points for the step patterns
+that sampling would miss with probability one) and then a seeded
+sampling pass. Every structural rejection is backed by a verified
+witness: a point of the domain whose image leaves it or hits a singular
+inversion.
 """
 
 from __future__ import annotations
@@ -129,7 +132,38 @@ def sample_points(d: DomainSpec, count: int, rng: np.random.Generator) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# structural escape analysis
+# structural analysis
+
+
+def _automorphism(step, d: DomainSpec) -> bool:
+    """True only when the step maps d bijectively onto d.
+
+    A sufficient rule, not a test: False means nothing is proved.
+    Inversion is an automorphism only of a complement, on a deleted
+    axis. Every other step is an automorphism of C^n, and of
+    C^n \\ {0} when it fixes the origin (an overshear needs f(0) = 0).
+    On a complement a step must map the deleted coordinates among
+    themselves: a diagonal step; an overshear on a free axis, or on a
+    deleted axis with f = 0; a permutation of the deleted set onto
+    itself; a linear map whose deleted rows each have one nonzero
+    entry, in a deleted column.
+    """
+    if isinstance(step, Inversion):
+        return isinstance(d, HyperplaneComplement) and step.axis in d.deleted
+    if isinstance(d, FullSpace):
+        return True
+    if isinstance(d, Punctured):
+        return not isinstance(step, Overshear) or step.f.constant_term == 0
+    if isinstance(step, Overshear):
+        return step.axis not in d.deleted or step.f.is_zero
+    if isinstance(step, Permutation):
+        return {step.perm[i - 1] for i in d.deleted} == d.deleted
+    if isinstance(step, Linear):
+        for i in d.deleted:
+            support = np.flatnonzero(step.matrix[i - 1])
+            if len(support) != 1 or support[0] + 1 not in d.deleted:
+                return False
+    return True
 
 
 def _fillers():
@@ -265,7 +299,9 @@ def _structural_witness(w: Word, d: DomainSpec) -> Optional[np.ndarray]:
 def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> PreservationVerdict:
     """Check that the word maps the domain into itself.
 
-    Structural rules run first and catch the measure-zero escapes that
+    A word whose every step is an automorphism of the domain preserves
+    it by proof, and no point is evaluated. For any other word,
+    structural rules run first and catch the measure-zero escapes that
     random sampling cannot see (inversions on coordinates that vanish
     somewhere in the domain, overshears pushed into a deleted
     hyperplane, permutations and linear steps that move the deleted
@@ -276,6 +312,8 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
     """
     if w.n != d.n:
         raise DimensionMismatch(f"word dimension {w.n} != domain dimension {d.n}")
+    if all(_automorphism(step, d) for step in w.steps):
+        return PreservationVerdict(True, None)
     witness = _structural_witness(w, d)
     if witness is not None:
         return PreservationVerdict(False, witness)

@@ -9,7 +9,11 @@ elimination, never floating point.
 `commutes_with_torus` and `extract_diagonal` are the two halves of the
 dichotomy this package relies on: a word commutes with every torus
 rotation exactly when it is a diagonal map, and in that case its
-diagonal is recoverable from a single orbit ratio.
+diagonal is recoverable from a single orbit ratio. A word whose every
+step is exactly diagonal (a `Diagonal`, a `Linear` with zero
+off-diagonal entries, an `Overshear` with f = 0 and constant g) is
+decided by proof: it commutes, and its diagonal is the product of the
+steps' multipliers. Every other word is sampled.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from .errors import (DimensionMismatch, DomainNotPreserved, NonFinite, NotDiagonal,
                      NotUnimodular)
 from .domains import DomainSpec, sample_points, word_preserves_domain
-from .words import Word, eval_word_batch
+from .words import Diagonal, Linear, Overshear, Word, eval_word_batch
 
 COMMUTE_TOL = 1e-10
 DIAG_RATIO_TOL = 1e-9
@@ -127,11 +131,46 @@ class CentralizerVerdict:
     witness: Optional[CentralizerWitness]
 
 
+def _step_multipliers(step, n: int) -> Optional[np.ndarray]:
+    """lam when the step is exactly z -> lam * z, else None."""
+    if isinstance(step, Diagonal):
+        return np.array(step.lam)
+    if isinstance(step, Linear):
+        diag = np.diag(step.matrix)
+        return diag.copy() if np.array_equal(step.matrix, np.diag(diag)) else None
+    if isinstance(step, Overshear) and step.f.is_zero \
+            and set(step.g.terms) <= {(0,) * n}:
+        lam = np.ones(n, dtype=np.complex128)
+        lam[step.axis - 1] = np.exp(step.g.constant_term)
+        return lam
+    return None
+
+
+def _exact_diagonal(w: Word, what: str) -> Optional[np.ndarray]:
+    """The product, in step order, of the multipliers of a word whose every
+    step is exactly diagonal; None for any other word. A product that is
+    not finite, or has a zero entry, raises NonFinite."""
+    lam = np.ones(w.n, dtype=np.complex128)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for step in w.steps:
+            mult = _step_multipliers(step, w.n)
+            if mult is None:
+                return None
+            lam = lam * mult
+    if not np.all(np.isfinite(lam) & (lam != 0)):
+        raise NonFinite(f"{what}: the diagonal multipliers multiply to {lam}, "
+                        f"which is not finite and nonzero")
+    return lam
+
+
 def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict:
     """Test w(t(z)) = t(w(z)) over 64 seeded rotations and 64 seeded points.
 
     The word must preserve the domain; torus orbits never leave it, so
-    both sides are always defined. The verdict is the max deviation in
+    both sides are always defined. A word whose every step is exactly
+    diagonal commutes by proof, without sampling, once its multipliers
+    multiply to a finite, nonzero diagonal (else NonFinite). For any
+    other word the verdict is the max deviation in
     sup norm over the full 64x64 grid, compared against 1e-10, with the
     maximizing pair returned on failure; a non-finite deviation (the
     word overflowed) raises NonFinite. Enumeration order is fixed, so
@@ -143,6 +182,8 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
     if not guard.preserves:
         raise DomainNotPreserved(
             f"word does not preserve the domain (witness {guard.witness})")
+    if _exact_diagonal(w, "centralizer check") is not None:
+        return CentralizerVerdict(True, None)
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(64, w.n))
     pts = sample_points(d, 64, rng)
@@ -165,6 +206,9 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
 def extract_diagonal(w: Word, d: DomainSpec, seed: int) -> np.ndarray:
     """Recover lambda from a word assumed to commute with the torus.
 
+    A word whose every step is exactly diagonal gives the exact product
+    of its multipliers, in step order; a product that is not finite, or
+    has a zero entry, raises NonFinite. For any other word,
     lambda_j = w_j(p) / p_j at one seeded base point with every
     |p_j| in [0.5, 1.5]; then two verifications back the assumption up:
     the same ratio at 32 further points agrees to 1e-9, and nudging any
@@ -174,6 +218,9 @@ def extract_diagonal(w: Word, d: DomainSpec, seed: int) -> np.ndarray:
     """
     if w.n != d.n:
         raise DimensionMismatch(f"word dimension {w.n} != domain dimension {d.n}")
+    lam = _exact_diagonal(w, "diagonal extraction")
+    if lam is not None:
+        return lam
     rng = np.random.default_rng(seed)
     n = w.n
     r = rng.uniform(0.5, 1.5, size=(33, n))

@@ -6,13 +6,20 @@ quadrature of the logarithmic derivative, determinants and permutation
 signs from brute force. Derived expected values in the tests are
 checked against these before (and alongside) the library's answers.
 The homotopy checks are redone the plain way, one word per grid time.
+Domain preservation and diagonal extraction are redone by sampling
+alone, for every word, as the library did before it decided some words
+by proof.
 """
 
 import numpy as np
 
-from hologroup import (CertificationReport, Word, eval_word_batch, invert_word,
-                       jacobian_det_batch, path_at, path_target, sample_polydisc)
+from hologroup import (CertificationReport, NotDiagonal, PreservationVerdict, Word,
+                       contains_batch, eval_word_batch, eval_word_batch_masked,
+                       invert_word, jacobian_det_batch, path_at, path_target,
+                       sample_points, sample_polydisc)
+from hologroup.domains import PRESERVE_SAMPLES, _structural_witness
 from hologroup.homotopy import CERTIFY_POINTS, DEFAULT_CERTIFY_SEED
+from hologroup.torus import DIAG_DEPENDENCE_TOL, DIAG_PROBE_STEP, DIAG_RATIO_TOL
 from hologroup.winding import ContourSpec, contour_points
 
 
@@ -122,3 +129,46 @@ def continuity_modulus_per_time(path, dt: float, sample_radius: float,
         modulus = max(modulus, float(np.max(np.abs(cur - prev))))
         prev = cur
     return modulus
+
+
+def preserves_sampled(w: Word, d, sampler_seed: int) -> PreservationVerdict:
+    """word_preserves_domain without the automorphism proof: the structural
+    escape pass, then PRESERVE_SAMPLES seeded points, for every word."""
+    witness = _structural_witness(w, d)
+    if witness is not None:
+        return PreservationVerdict(False, witness)
+    pts = sample_points(d, PRESERVE_SAMPLES, np.random.default_rng(sampler_seed))
+    images, valid = eval_word_batch_masked(w, pts)
+    ok = valid & contains_batch(d, np.where(valid[:, None], images, 1.0))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        return PreservationVerdict(False, pts[bad[0]])
+    return PreservationVerdict(True, None)
+
+
+def extract_diagonal_sampled(w: Word, seed: int) -> np.ndarray:
+    """extract_diagonal by sampling, for every word: the orbit ratio at one
+    seeded point, checked at 32 more and by a dependence probe."""
+    rng = np.random.default_rng(seed)
+    n = w.n
+    r = rng.uniform(0.5, 1.5, size=(33, n))
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=(33, n))
+    pts = r * np.exp(1j * ang)
+    images = eval_word_batch(w, pts)
+    ratios = images / pts
+    lam = ratios[0]
+    drift = np.abs(ratios[1:] - lam[None, :])
+    bad = np.flatnonzero(np.max(drift, axis=1) >= DIAG_RATIO_TOL)
+    if bad.size:
+        raise NotDiagonal("orbit ratio is not constant across sample points",
+                          point=pts[1 + bad[0]])
+    probes = np.repeat(pts, n, axis=0)
+    probes[np.arange(33 * n), np.tile(np.arange(n), 33)] += DIAG_PROBE_STEP
+    shifts = np.abs(eval_word_batch(w, probes) - np.repeat(images, n, axis=0))
+    shifts = shifts.reshape(33, n, n)
+    cross = np.max(np.where(np.eye(n, dtype=bool)[None, :, :], 0.0, shifts), axis=(1, 2))
+    bad = np.flatnonzero(cross >= DIAG_DEPENDENCE_TOL)
+    if bad.size:
+        raise NotDiagonal("an output coordinate depends on a foreign input coordinate",
+                          point=pts[bad[0]])
+    return lam

@@ -1,0 +1,37 @@
+"""Every verdict of the benchmark's small pools passes its reference check,
+or fails only as a known defect predicts for its input. The pools are
+built from `benchmarks/layers/workloads.py`, loaded by path; `run.py` is
+not imported, since importing it pins the process to one CPU."""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+WORKLOADS = os.path.join(ROOT, "benchmarks", "layers", "workloads.py")
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["verdicts", "sweep", "paths"])
+def test_small_pool_has_no_unpredicted_failure(workload):
+    wl = load_workloads()
+    items = wl.build(workload, 7, ROOT, small=True)
+    assert items
+    unpredicted = []
+    for item in items:
+        try:
+            key = item.check(item.run())
+        except Exception as exc:  # a refusal is a failure like any other
+            key = f"{wl.REFUSED}:{type(exc).__name__}"
+        if key is not None and key not in item.tolerated:
+            unpredicted.append(f"{item.family}:{key}")
+    assert unpredicted == []

@@ -233,6 +233,16 @@ def test_math_errors_exit_2(aux_scene):
         assert err != "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["winding-index", "--word", "spike", "--contour", "good"],
+                                  ["centralizer", "--word", "spike", "--seed", "3"]],
+                         ids=["winding-index", "centralizer"])
+def test_refusal_stderr_is_one_line(aux_scene, argv):
+    # numpy's overflow warnings used to print above the refusal
+    code, out, err = run(*argv, scene=aux_scene)
+    assert code == 2
+    assert err == f"error: {json.loads(out)['message']}\n"
+
+
 @pytest.mark.skipif(shutil.which("hologroup") is None,
                     reason="console script not on PATH")
 def test_console_script():
@@ -267,7 +277,7 @@ DEMO_GOLDEN = [
      '{"dt":0.001,"modulus":0.0019704801692940551}'),
     (["centralizer", "--word", "diag"], '{"commutes":true,"witness":null}'),
     (["extract-diagonal", "--word", "diag"],
-     '{"lambda":[[2.0,-0.0],[1.1152089179695205e-16,3.0000000000000004]]}'),
+     '{"lambda":[[2.0,0.0],[0.0,3.0]]}'),
     (["classify"], '{"kind":"complement","is_stein":true}'),
     (["preserves", "--word", "inv1"], '{"preserves":true,"witness":null}'),
     (["validate-exponents", "--matrix", "m_shear"], '{"det":1}'),

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hologroup import (DimensionMismatch, Diagonal, FullSpace,
                        HyperplaneComplement, Inversion, Linear, Overshear,
                        Permutation, Poly, Punctured, Word, classify_domain,
                        contains, contains_batch, eval_word, invert_word,
                        sample_points, word_preserves_domain)
-from wordgen import random_diagonal
+from hologroup.domains import _automorphism
+from oracles import preserves_sampled
+from wordgen import automorphism_step, automorphism_word, random_diagonal, random_step
 
 
 def comp(n, deleted):
@@ -182,3 +186,59 @@ def test_preserving_words_survive_larger_sample():
         pts = sample_points(d, 10000, np.random.default_rng(8))
         from hologroup import eval_word_batch
         assert np.all(contains_batch(d, eval_word_batch(w, pts)))
+
+
+def test_automorphism_rules():
+    z1, z2 = Poly.coordinate(3, 1), Poly.coordinate(3, 2)
+    one = Poly.constant(3, 1.0)
+    zero = Poly.zero(3)
+    d = comp(3, {1, 3})
+    assert _automorphism(Inversion(1), d)
+    assert not _automorphism(Inversion(2), d)  # a free axis
+    assert _automorphism(Permutation((3, 2, 1)), d)
+    assert not _automorphism(Permutation((2, 1, 3)), d)  # moves the deleted set
+    assert _automorphism(Overshear(2, one, z1), d)  # a free axis
+    assert _automorphism(Overshear(1, zero, z2), d)
+    assert not _automorphism(Overshear(1, z2, zero), d)  # f != 0
+    assert _automorphism(Linear([[0, 0, 2], [5, 1, 7], [3j, 0, 0]]), d)
+    assert not _automorphism(Linear([[1, 0, 1], [0, 1, 0], [0, 0, 1]]), d)
+    assert not _automorphism(Linear([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), d)
+    assert _automorphism(Diagonal((2.0, 3.0, 4.0)), d)
+    assert not _automorphism(Overshear(2, one, zero), Punctured(3))  # f(0) != 0
+    assert _automorphism(Overshear(2, z1, one), Punctured(3))
+    assert _automorphism(Linear(np.eye(3) + 1.0), Punctured(3))
+    assert not _automorphism(Inversion(1), Punctured(3))
+    assert _automorphism(Overshear(1, one, one), FullSpace(3))
+    assert not _automorphism(Inversion(1), FullSpace(3))
+
+
+DOMAINS = [FullSpace(2), FullSpace(3), Punctured(2), Punctured(3), comp(2, {1}),
+           comp(3, {2}), comp(3, {1, 3}), comp(2, {1, 2})]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DOMAINS), st.integers(0, 2 ** 32 - 1))
+def test_proved_preservation_matches_sampled(d, seed):
+    rng = np.random.default_rng(seed)
+    w = automorphism_word(rng, d)
+    assert all(_automorphism(step, d) for step in w.steps)
+    want = preserves_sampled(w, d, seed)
+    assert want.preserves and want.witness is None
+    assert word_preserves_domain(w, d, seed) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DOMAINS), st.integers(0, 2 ** 32 - 1))
+def test_other_words_keep_the_sampled_verdict(d, seed):
+    # one arbitrary step among automorphisms: whatever it is, the verdict
+    # and its witness are the sampled ones, bit for bit
+    rng = np.random.default_rng(seed)
+    steps = [automorphism_step(rng, d) for _ in range(int(rng.integers(0, 3)))]
+    steps.insert(int(rng.integers(0, len(steps) + 1)), random_step(rng, d.n))
+    w = Word(d.n, tuple(steps))
+    got, want = word_preserves_domain(w, d, seed), preserves_sampled(w, d, seed)
+    assert got.preserves == want.preserves
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert np.array_equal(got.witness, want.witness)

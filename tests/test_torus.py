@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hologroup import (Diagonal, DimensionMismatch, DomainNotPreserved,
                        ExponentMatrix, FullSpace, HyperplaneComplement,
-                       Inversion, NonFinite, NotDiagonal, NotUnimodular, Overshear, Poly,
-                       TorusElement, Word, apply_torus, commutes_with_torus,
+                       Inversion, Linear, NonFinite, NotDiagonal, NotUnimodular, Overshear,
+                       Poly, TorusElement, Word, apply_torus, commutes_with_torus,
                        compose, extract_diagonal, integer_det,
                        validate_exponent_matrix)
-from oracles import det2
-from wordgen import offender_word, pure_diagonal_word
+from oracles import det2, extract_diagonal_sampled
+from wordgen import exact_diagonal_word, offender_word, pure_diagonal_word, random_word
 
 
 def torus(a):
@@ -174,3 +176,55 @@ def test_verdict_deterministic():
     assert a.witness.deviation == b.witness.deviation
     assert np.array_equal(a.witness.theta, b.witness.theta)
     assert np.array_equal(a.witness.z, b.witness.z)
+
+
+def test_large_diagonals_are_decided_exactly():
+    # sampling judged these by absolute tolerances: Diagonal((1e6, 1)) was
+    # reported as not commuting (deviation about 5e-10 against 1e-10), and
+    # extraction raised NotDiagonal at 1e8
+    d = FullSpace(2)
+    assert commutes_with_torus(Word(2, (Diagonal((1e6, 1)),)), d, 42).commutes
+    lam = extract_diagonal(Word(2, (Diagonal((1e8, 1)),)), d, 42)
+    assert lam.tolist() == [1e8, 1.0]
+    big = Word(2, (Diagonal((1e200, 1)), Diagonal((1e200, 1))))
+    with pytest.raises(NonFinite, match="diagonal extraction"):
+        extract_diagonal(big, d, 42)
+    with pytest.raises(NonFinite, match="centralizer check"):
+        commutes_with_torus(big, d, 42)
+
+
+def test_exactly_diagonal_steps_multiply():
+    w = Word(2, (Linear(np.diag([2.0, 1j])), Diagonal((3.0, 2.0)),
+                 Overshear(2, Poly.zero(2), Poly.constant(2, np.log(5.0)))))
+    lam = extract_diagonal(w, FullSpace(2), 42)
+    assert np.allclose(lam, [6.0, 10j], rtol=1e-15, atol=0)
+    assert commutes_with_torus(w, HyperplaneComplement(2, frozenset({2})), 42).commutes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
+def test_exact_extraction_matches_sampled(n, seed):
+    rng = np.random.default_rng(seed)
+    w = exact_diagonal_word(rng, n)
+    lam = extract_diagonal(w, FullSpace(n), seed)
+    assert commutes_with_torus(w, FullSpace(n), seed).commutes
+    try:
+        sampled = extract_diagonal_sampled(w, seed)
+    except NotDiagonal:
+        return
+    assert np.all(np.abs(sampled - lam) <= 1e-12 * np.abs(lam))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
+def test_other_words_keep_the_sampled_extraction(n, seed):
+    rng = np.random.default_rng(seed)
+    w = compose(offender_word(rng, n), random_word(rng, n, allow_inversion=False))
+    try:
+        want = extract_diagonal_sampled(w, seed)
+    except NotDiagonal as exc:
+        with pytest.raises(NotDiagonal) as got:
+            extract_diagonal(w, FullSpace(n), seed)
+        assert str(got.value) == str(exc)
+        return
+    assert np.array_equal(extract_diagonal(w, FullSpace(n), seed), want)

@@ -10,8 +10,8 @@ or grows past magnitude 20 at any step boundary.
 
 import numpy as np
 
-from hologroup import (Diagonal, Inversion, Linear, Overshear, Permutation,
-                       Poly, Word, eval_word_batch_masked)
+from hologroup import (Diagonal, HyperplaneComplement, Inversion, Linear, Overshear,
+                       Permutation, Poly, Punctured, Word, eval_word_batch_masked)
 
 
 def nonzero_scalar(rng, lo: float = 0.3, hi: float = 2.0) -> complex:
@@ -35,8 +35,10 @@ def bounded_poly(rng, n: int, axis: int, degree: int, max_terms: int,
     return Poly(n, terms)
 
 
-def random_overshear(rng, n: int, force_nonconstant_f: bool = False) -> Overshear:
-    axis = int(rng.integers(1, n + 1))
+def random_overshear(rng, n: int, force_nonconstant_f: bool = False,
+                     axis: int = None) -> Overshear:
+    if axis is None:
+        axis = int(rng.integers(1, n + 1))
     f = bounded_poly(rng, n, axis, degree=2, max_terms=2, bound=2.0,
                      force_nonconstant=force_nonconstant_f)
     g = bounded_poly(rng, n, axis, degree=1, max_terms=2, bound=0.4)
@@ -93,6 +95,64 @@ def diag_inversion_word(rng, n: int, max_steps: int = 4) -> Word:
         else:
             steps.append(Inversion(int(rng.integers(1, n + 1))))
     return Word(n, tuple(steps))
+
+
+def exact_diagonal_step(rng, n: int):
+    """A step that is exactly z -> lam * z: a diagonal, a linear map with
+    zero off-diagonal entries, or a multiplier exp(c) on one axis."""
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return random_diagonal(rng, n)
+    if kind == 1:
+        return Linear(np.diag([nonzero_scalar(rng) for _ in range(n)]))
+    g = Poly.constant(n, rng.uniform(-0.7, 0.7) + 1j * rng.uniform(0.0, 2.0 * np.pi))
+    return Overshear(int(rng.integers(1, n + 1)), Poly.zero(n), g)
+
+
+def exact_diagonal_word(rng, n: int, max_steps: int = 4) -> Word:
+    count = int(rng.integers(0, max_steps + 1))
+    return Word(n, tuple(exact_diagonal_step(rng, n) for _ in range(count)))
+
+
+def automorphism_step(rng, d):
+    """A step that maps the domain d bijectively onto itself."""
+    n = d.n
+    if not isinstance(d, HyperplaneComplement):
+        step = random_step(rng, n, allow_inversion=False)
+        if isinstance(d, Punctured) and isinstance(step, Overshear):
+            f = Poly(n, {e: c for e, c in step.f.terms.items() if any(e)})
+            step = Overshear(step.axis, f, step.g)  # f(0) = 0 fixes the origin
+        return step
+    deleted = sorted(d.deleted)
+    free = [a for a in range(1, n + 1) if a not in d.deleted]
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        return random_diagonal(rng, n)
+    if kind == 1:
+        return Inversion(int(rng.choice(deleted)))
+    # a permutation of each of the deleted and the free axes
+    perm = np.arange(1, n + 1)
+    for block in (deleted, free):
+        perm[np.array(block, dtype=int) - 1] = rng.permutation(block)
+    if kind == 2:
+        return Permutation(tuple(int(p) for p in perm))
+    if kind == 3:
+        # deleted rows monomial in deleted columns; free rows may also
+        # reach into deleted columns without losing invertibility
+        m = np.zeros((n, n), dtype=np.complex128)
+        for i, j in enumerate(perm):
+            m[i, j - 1] = nonzero_scalar(rng)
+            if i + 1 in free:
+                for k in deleted:
+                    m[i, k - 1] += rng.normal()
+        return Linear(m)
+    step = random_overshear(rng, n, axis=int(rng.integers(1, n + 1)))
+    return step if step.axis in free else Overshear(step.axis, Poly.zero(n), step.g)
+
+
+def automorphism_word(rng, d, max_steps: int = 4) -> Word:
+    count = int(rng.integers(0, max_steps + 1))
+    return Word(d.n, tuple(automorphism_step(rng, d) for _ in range(count)))
 
 
 def offender_word(rng, n: int) -> Word:
