@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatch, NonInvertibleStep, SingularPoint
-from .words import Diagonal, Inversion, Linear, Overshear, Permutation, Word
+from .words import Inversion, Linear, Overshear, Permutation, Word
 from .words import eval_word, eval_word_batch_masked, invert_word
 
 # seeded domain points a word faces once no structural rule rejects it
@@ -159,11 +159,14 @@ def _automorphism(step, d: DomainSpec) -> bool:
     if isinstance(step, Permutation):
         return {step.perm[i - 1] for i in d.deleted} == d.deleted
     if isinstance(step, Linear):
-        for i in d.deleted:
-            support = np.flatnonzero(step.matrix[i - 1])
-            if len(support) != 1 or support[0] + 1 not in d.deleted:
-                return False
+        return all(_row_stays_deleted(step.matrix[i - 1], d) for i in d.deleted)
     return True
+
+
+def _row_stays_deleted(row: np.ndarray, d: HyperplaneComplement) -> bool:
+    """True when the row has one nonzero entry, in a deleted column."""
+    support = np.flatnonzero(row)
+    return len(support) == 1 and support[0] + 1 in d.deleted
 
 
 def _fillers():
@@ -180,9 +183,11 @@ def _point_with(n: int, axis: int, value: complex, filler: complex) -> np.ndarra
 
 
 def _overshear_escape(step: Overshear, d: DomainSpec, n: int):
-    """Points the overshear sends into the deleted locus, if any."""
-    if isinstance(d, HyperplaneComplement) and step.axis in d.deleted and not step.f.is_zero:
-        # solve f(z') + exp(g(z')) * z_axis = 0 for z_axis
+    """Points an overshear that is not an automorphism of d sends into the
+    deleted locus, if any."""
+    if isinstance(d, HyperplaneComplement):
+        # the axis is deleted and f != 0: solve
+        # f(z') + exp(g(z')) * z_axis = 0 for z_axis
         for filler in _fillers():
             z = np.full(n, filler, dtype=np.complex128)
             fv = step.f(z)
@@ -191,39 +196,35 @@ def _overshear_escape(step: Overshear, d: DomainSpec, n: int):
             z[step.axis - 1] = -fv * np.exp(-step.g(z))
             if z[step.axis - 1] != 0:
                 yield z
-    if isinstance(d, Punctured) and d.n >= 2:
-        c0 = step.f.constant_term
-        if c0 != 0:
-            # the unique preimage of the origin is nonzero
-            z = np.zeros(n, dtype=np.complex128)
-            z[step.axis - 1] = -c0 * np.exp(-step.g.constant_term)
-            yield z
+    elif d.n >= 2:
+        # punctured, and f(0) != 0: the unique preimage of the origin is nonzero
+        z = np.zeros(n, dtype=np.complex128)
+        z[step.axis - 1] = -step.f.constant_term * np.exp(-step.g.constant_term)
+        yield z
 
 
 def _step_escapes(step, d: DomainSpec, n: int):
-    if isinstance(step, Diagonal):
+    """Candidate escape points of one step; none for an automorphism of d.
+
+    A step that reaches the rules below is not an automorphism, and a
+    permutation or linear step that is not one acts on a complement.
+    """
+    if _automorphism(step, d):
         return
     if isinstance(step, Inversion):
         # undefined wherever coordinate `axis` vanishes inside the domain
-        bad_axis_ok = (
-            isinstance(d, FullSpace)
-            or (isinstance(d, Punctured) and d.n >= 2)
-            or (isinstance(d, HyperplaneComplement) and step.axis not in d.deleted)
-        )
-        if bad_axis_ok:
+        if not (isinstance(d, Punctured) and d.n < 2):
             for filler in _fillers():
                 yield _point_with(n, step.axis, 0.0, filler)
         return
     if isinstance(step, Permutation):
-        if isinstance(d, HyperplaneComplement):
-            for j, img in enumerate(step.perm, start=1):
-                if j not in d.deleted and img in d.deleted:
-                    for filler in _fillers():
-                        yield _point_with(n, j, 0.0, filler)
+        for j, img in enumerate(step.perm, start=1):
+            if j not in d.deleted and img in d.deleted:
+                for filler in _fillers():
+                    yield _point_with(n, j, 0.0, filler)
         return
     if isinstance(step, Linear):
-        if isinstance(d, HyperplaneComplement):
-            yield from _linear_escape(step, d, n)
+        yield from _linear_escape(step, d, n)
         return
     if isinstance(step, Overshear):
         yield from _overshear_escape(step, d, n)
@@ -234,9 +235,9 @@ def _linear_escape(step: Linear, d: HyperplaneComplement, n: int):
     # otherwise some domain point lands on {w_i = 0}
     for i in sorted(d.deleted):
         row = step.matrix[i - 1]
-        support = [j + 1 for j in range(n) if row[j] != 0]
-        if len(support) == 1 and support[0] in d.deleted:
+        if _row_stays_deleted(row, d):
             continue
+        support = [j + 1 for j in range(n) if row[j] != 0]
         free = [j for j in support if j not in d.deleted]
         if free:
             # zero out w_i using an unconstrained coordinate

@@ -149,7 +149,7 @@ def _step_multipliers(step, n: int) -> Optional[np.ndarray]:
 def _exact_diagonal(w: Word, what: str) -> Optional[np.ndarray]:
     """The product, in step order, of the multipliers of a word whose every
     step is exactly diagonal; None for any other word. A product that is
-    not finite, or has a zero entry, raises NonFinite."""
+    not finite raises NonFinite."""
     lam = np.ones(w.n, dtype=np.complex128)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for step in w.steps:
@@ -157,9 +157,9 @@ def _exact_diagonal(w: Word, what: str) -> Optional[np.ndarray]:
             if mult is None:
                 return None
             lam = lam * mult
-    if not np.all(np.isfinite(lam) & (lam != 0)):
+    if not np.all(np.isfinite(lam)):
         raise NonFinite(f"{what}: the diagonal multipliers multiply to {lam}, "
-                        f"which is not finite and nonzero")
+                        f"which is not finite")
     return lam
 
 
@@ -169,7 +169,7 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
     The word must preserve the domain; torus orbits never leave it, so
     both sides are always defined. A word whose every step is exactly
     diagonal commutes by proof, without sampling, once its multipliers
-    multiply to a finite, nonzero diagonal (else NonFinite). For any
+    multiply to a finite diagonal (else NonFinite). For any
     other word the verdict is the max deviation in
     sup norm over the full 64x64 grid, compared against 1e-10, with the
     maximizing pair returned on failure; a non-finite deviation (the
@@ -220,6 +220,9 @@ def extract_diagonal(w: Word, d: DomainSpec, seed: int) -> np.ndarray:
         raise DimensionMismatch(f"word dimension {w.n} != domain dimension {d.n}")
     lam = _exact_diagonal(w, "diagonal extraction")
     if lam is not None:
+        if np.any(lam == 0):
+            raise NonFinite(f"diagonal extraction: the diagonal multipliers "
+                            f"multiply to {lam}, which has a zero entry")
         return lam
     rng = np.random.default_rng(seed)
     n = w.n

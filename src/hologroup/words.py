@@ -85,11 +85,8 @@ class Overshear:
     def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
         a = self.axis - 1
         fv, gv = _kernels.poly_eval(*self._tables, cur)
-        out = cur.copy()
-        if self.g.is_zero:  # a pure shear: the multiplier is 1
-            out[:, a] = fv + cur[:, a]
-            return out, (1.0 if jac else None)
         hv = np.exp(gv)
+        out = cur.copy()
         out[:, a] = fv + hv * cur[:, a]
         return out, (hv if jac else None)
 

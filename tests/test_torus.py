@@ -193,6 +193,19 @@ def test_large_diagonals_are_decided_exactly():
         commutes_with_torus(big, d, 42)
 
 
+def test_underflowing_diagonal_commutes():
+    # a product that underflows to 0 still commutes by proof, as the sampled
+    # check (deviation 0) said; only extraction refuses the zero multiplier
+    d = FullSpace(2)
+    tiny = Word(2, (Overshear(1, Poly.zero(2), Poly.constant(2, -800)),))
+    twice = Word(2, (Diagonal((1e-200, 1)), Diagonal((1e-200, 1))))
+    for w in (tiny, twice):
+        verdict = commutes_with_torus(w, d, 42)
+        assert verdict.commutes and verdict.witness is None
+        with pytest.raises(NonFinite, match="zero entry"):
+            extract_diagonal(w, d, 42)
+
+
 def test_exactly_diagonal_steps_multiply():
     w = Word(2, (Linear(np.diag([2.0, 1j])), Diagonal((3.0, 2.0)),
                  Overshear(2, Poly.zero(2), Poly.constant(2, np.log(5.0)))))

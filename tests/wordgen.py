@@ -35,10 +35,8 @@ def bounded_poly(rng, n: int, axis: int, degree: int, max_terms: int,
     return Poly(n, terms)
 
 
-def random_overshear(rng, n: int, force_nonconstant_f: bool = False,
-                     axis: int = None) -> Overshear:
-    if axis is None:
-        axis = int(rng.integers(1, n + 1))
+def random_overshear(rng, n: int, force_nonconstant_f: bool = False) -> Overshear:
+    axis = int(rng.integers(1, n + 1))
     f = bounded_poly(rng, n, axis, degree=2, max_terms=2, bound=2.0,
                      force_nonconstant=force_nonconstant_f)
     g = bounded_poly(rng, n, axis, degree=1, max_terms=2, bound=0.4)
@@ -146,7 +144,7 @@ def automorphism_step(rng, d):
                 for k in deleted:
                     m[i, k - 1] += rng.normal()
         return Linear(m)
-    step = random_overshear(rng, n, axis=int(rng.integers(1, n + 1)))
+    step = random_overshear(rng, n)
     return step if step.axis in free else Overshear(step.axis, Poly.zero(n), step.g)
 
 
