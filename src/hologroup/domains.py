@@ -4,14 +4,15 @@ A domain is C^n, the punctured space C^n \\ {0}, or C^n minus a nonempty
 union of coordinate hyperplanes {z_i = 0}. Membership is exact: a
 coordinate is "nonzero" iff it differs from floating-point zero.
 
-`word_preserves_domain` decides by proof when every step of the word is
-an automorphism of the domain (`_automorphism`): such a word maps the
-domain bijectively onto itself, so no point is evaluated. Any other word
-faces a structural pass (closed-form escape points for the step patterns
-that sampling would miss with probability one) and then a seeded
-sampling pass. Every structural rejection is backed by a verified
-witness: a point of the domain whose image leaves it or hits a singular
-inversion.
+`word_preserves_domain` classifies each step of a word once: a step that
+maps the domain bijectively onto itself is an automorphism
+(`_automorphism`), any other step is odd. A word without odd steps
+preserves the domain by proof, and no point is evaluated. A word with
+one odd step does not preserve it, by proof, once that step has a solved
+escape point in the domain; the witness is that point pulled back
+through the steps before it, checked to lie in the domain. Words with
+more odd steps have each solved point verified end to end, then face a
+seeded sampling pass, so True is a sampled verdict for them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonInvertibleStep, SingularPoint
+from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint
 from .words import Inversion, Linear, Overshear, Permutation, Word
 from .words import eval_word, eval_word_batch_masked, invert_word
 
@@ -89,14 +90,7 @@ def _check_dim(d: DomainSpec, z: np.ndarray):
 
 def contains(d: DomainSpec, z) -> bool:
     """Exact membership test (no tolerance on the zero comparisons)."""
-    z = np.asarray(z, dtype=np.complex128)
-    _check_dim(d, z)
-    if isinstance(d, FullSpace):
-        return True
-    if isinstance(d, Punctured):
-        return bool(np.any(z != 0))
-    cols = np.array(sorted(d.deleted)) - 1
-    return bool(np.all(z[cols] != 0))
+    return bool(contains_batch(d, np.reshape(z, (1, -1)))[0])
 
 
 def contains_batch(d: DomainSpec, pts) -> np.ndarray:
@@ -134,11 +128,13 @@ def sample_points(d: DomainSpec, count: int, rng: np.random.Generator) -> np.nda
 # ---------------------------------------------------------------------------
 # structural analysis
 
+# the constant coordinates of the points at which odd steps are solved
+FILLERS = (1.0 + 0.0j, 1.3 + 0.0j, 0.7 + 0.4j, -0.9 + 0.6j)
+
 
 def _automorphism(step, d: DomainSpec) -> bool:
     """True only when the step maps d bijectively onto d.
 
-    A sufficient rule, not a test: False means nothing is proved.
     Inversion is an automorphism only of a complement, on a deleted
     axis. Every other step is an automorphism of C^n, and of
     C^n \\ {0} when it fixes the origin (an overshear needs f(0) = 0).
@@ -146,7 +142,9 @@ def _automorphism(step, d: DomainSpec) -> bool:
     themselves: a diagonal step; an overshear on a free axis, or on a
     deleted axis with f = 0; a permutation of the deleted set onto
     itself; a linear map whose deleted rows each have one nonzero
-    entry, in a deleted column.
+    entry, in a deleted column. The rule is exact for one step once
+    C \\ {0} is read as the complement of {z1 = 0}, as
+    `word_preserves_domain` reads it.
     """
     if isinstance(step, Inversion):
         return isinstance(d, HyperplaneComplement) and step.axis in d.deleted
@@ -169,155 +167,125 @@ def _row_stays_deleted(row: np.ndarray, d: HyperplaneComplement) -> bool:
     return len(support) == 1 and support[0] + 1 in d.deleted
 
 
-def _fillers():
-    yield 1.0 + 0.0j
-    yield 1.3 + 0.0j
-    yield 0.7 + 0.4j
-    yield -0.9 + 0.6j
-
-
 def _point_with(n: int, axis: int, value: complex, filler: complex) -> np.ndarray:
     z = np.full(n, filler, dtype=np.complex128)
     z[axis - 1] = value
     return z
 
 
-def _overshear_escape(step: Overshear, d: DomainSpec, n: int):
-    """Points an overshear that is not an automorphism of d sends into the
-    deleted locus, if any."""
-    if isinstance(d, HyperplaneComplement):
-        # the axis is deleted and f != 0: solve
-        # f(z') + exp(g(z')) * z_axis = 0 for z_axis
-        for filler in _fillers():
-            z = np.full(n, filler, dtype=np.complex128)
-            fv = step.f(z)
-            if fv == 0:
+def _step_escapes(step, d: DomainSpec):
+    """Solved points that the odd step sends out of d or onto a zero it
+    inverts; the caller drops those that miss d.
+
+    Only odd steps come here, so a permutation or linear step acts on a
+    complement, and an overshear either moves the origin of C^n \\ {0}
+    or acts on a deleted axis with f != 0.
+    """
+    n = d.n
+    if isinstance(step, (Inversion, Permutation)):
+        # zero a coordinate that the step inverts, or moves to a deleted slot
+        axes = [step.axis] if isinstance(step, Inversion) else [
+            j for j, img in enumerate(step.perm, start=1)
+            if j not in d.deleted and img in d.deleted]
+        for j in axes:
+            for filler in FILLERS:
+                yield _point_with(n, j, 0.0, filler)
+    elif isinstance(step, Linear):
+        # a deleted row that is not one entry in a deleted column: solve
+        # w_i = 0 for its first free coordinate, else its last deleted one
+        for i in sorted(d.deleted):
+            row = step.matrix[i - 1]
+            if _row_stays_deleted(row, d):
                 continue
-            z[step.axis - 1] = -fv * np.exp(-step.g(z))
-            if z[step.axis - 1] != 0:
+            support = np.flatnonzero(row)
+            free = [j for j in support if j + 1 not in d.deleted]
+            j0 = free[0] if free else support[-1]
+            for filler in FILLERS:
+                z = _point_with(n, j0 + 1, 0.0, filler)
+                z[j0] = -(row @ z) / row[j0]
                 yield z
-    elif d.n >= 2:
-        # punctured, and f(0) != 0: the unique preimage of the origin is nonzero
+    elif isinstance(d, Punctured):
+        # f(0) != 0: the unique preimage of the origin
         z = np.zeros(n, dtype=np.complex128)
         z[step.axis - 1] = -step.f.constant_term * np.exp(-step.g.constant_term)
         yield z
+    else:
+        # solve f(z') + exp(g(z')) * z_axis = 0 for z_axis
+        for filler in FILLERS:
+            z = np.full(n, filler, dtype=np.complex128)
+            z[step.axis - 1] = -step.f(z) * np.exp(-step.g(z))
+            yield z
 
 
-def _step_escapes(step, d: DomainSpec, n: int):
-    """Candidate escape points of one step; none for an automorphism of d.
-
-    A step that reaches the rules below is not an automorphism, and a
-    permutation or linear step that is not one acts on a complement.
-    """
-    if _automorphism(step, d):
-        return
-    if isinstance(step, Inversion):
-        # undefined wherever coordinate `axis` vanishes inside the domain
-        if not (isinstance(d, Punctured) and d.n < 2):
-            for filler in _fillers():
-                yield _point_with(n, step.axis, 0.0, filler)
-        return
-    if isinstance(step, Permutation):
-        for j, img in enumerate(step.perm, start=1):
-            if j not in d.deleted and img in d.deleted:
-                for filler in _fillers():
-                    yield _point_with(n, j, 0.0, filler)
-        return
-    if isinstance(step, Linear):
-        yield from _linear_escape(step, d, n)
-        return
-    if isinstance(step, Overshear):
-        yield from _overshear_escape(step, d, n)
-
-
-def _linear_escape(step: Linear, d: HyperplaneComplement, n: int):
-    # row i (i deleted) must be a single nonzero entry in a deleted column,
-    # otherwise some domain point lands on {w_i = 0}
-    for i in sorted(d.deleted):
-        row = step.matrix[i - 1]
-        if _row_stays_deleted(row, d):
-            continue
-        support = [j + 1 for j in range(n) if row[j] != 0]
-        free = [j for j in support if j not in d.deleted]
-        if free:
-            # zero out w_i using an unconstrained coordinate
-            j0 = free[0]
-            for filler in _fillers():
-                z = np.full(n, filler, dtype=np.complex128)
-                z[j0 - 1] = 0.0
-                rest = row @ z
-                z[j0 - 1] = -rest / row[j0 - 1]
-                yield z
-        else:
-            # at least two entries on deleted columns: cancel them
-            j0 = support[-1]
-            for filler in _fillers():
-                z = np.full(n, filler, dtype=np.complex128)
-                z[j0 - 1] = 0.0
-                rest = row @ z
-                if rest == 0:
-                    continue
-                z[j0 - 1] = -rest / row[j0 - 1]
-                if z[j0 - 1] != 0:
-                    yield z
-
-
-def _verify_escape(w: Word, d: DomainSpec, cand: Optional[np.ndarray]) -> bool:
-    """True iff cand is a genuine counterexample for the whole word."""
-    if cand is None or not contains(d, cand):
-        return False
+def _pullbacks(w: Word, k: int, d: DomainSpec):
+    """The finite solved points of d for the odd step k, pulled back
+    through the steps before it; a prefix that cannot be inverted gives
+    none."""
     try:
-        img = eval_word(w, cand)
+        back = invert_word(Word(w.n, w.steps[:k]))
+    except (NonInvertibleStep, NonFinite):
+        return
+    for local in _step_escapes(w.steps[k], d):
+        if np.all(np.isfinite(local)) and contains(d, local):
+            try:
+                z = eval_word(back, local)
+            except SingularPoint:
+                continue
+            if np.all(np.isfinite(z)):
+                yield z
+
+
+def _leaves(w: Word, d: DomainSpec, z: np.ndarray) -> bool:
+    """True when the word sends z out of d or onto a zero it inverts."""
+    try:
+        return not contains(d, eval_word(w, z))
     except SingularPoint:
         return True
-    return not contains(d, img)
-
-
-def _structural_witness(w: Word, d: DomainSpec) -> Optional[np.ndarray]:
-    for k, step in enumerate(w.steps):
-        prefix = Word(w.n, w.steps[:k])
-        for local in _step_escapes(step, d, w.n):
-            try:
-                cand = eval_word(invert_word(prefix), local)
-            except (SingularPoint, NonInvertibleStep):
-                continue
-            if _verify_escape(w, d, cand):
-                return cand
-    if isinstance(d, Punctured) and d.n >= 2 and not any(
-            isinstance(s, Inversion) for s in w.steps):
-        # composite rule: an entire word preserves C^n \ {0} iff it fixes 0
-        try:
-            img0 = eval_word(w, np.zeros(w.n, dtype=np.complex128))
-            if np.any(img0 != 0):
-                cand = eval_word(invert_word(w), np.zeros(w.n, dtype=np.complex128))
-                if _verify_escape(w, d, cand):
-                    return cand
-        except (SingularPoint, NonInvertibleStep):
-            pass
-    return None
 
 
 def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> PreservationVerdict:
     """Check that the word maps the domain into itself.
 
-    A word whose every step is an automorphism of the domain preserves
-    it by proof, and no point is evaluated. For any other word,
-    structural rules run first and catch the measure-zero escapes that
-    random sampling cannot see (inversions on coordinates that vanish
-    somewhere in the domain, overshears pushed into a deleted
-    hyperplane, permutations and linear steps that move the deleted
-    set). Each structural rejection carries an explicitly solved
-    witness, validated end to end. The remaining words face
-    PRESERVE_SAMPLES seeded domain points; the first escaping point is
-    returned.
+    C \\ {0} is read as the complement of {z1 = 0}. The steps are
+    classified once, and the verdict is decided as follows:
+
+    - No odd step (every step is an automorphism): True by proof; no
+      point is evaluated.
+    - One odd step S, in the word B o S o A: False by proof once S has
+      a solved escape point p in the domain. A^-1(p) lies in the
+      domain, and B maps the domain one-to-one onto itself, so it cannot
+      bring S's image back. The witness is the first pull-back A^-1(p),
+      computed in floating point, that lies in the domain; it is not
+      evaluated again, and rounding may keep its floating-point image
+      inside the domain.
+    - Otherwise (more odd steps, or no solved point in the domain):
+      each pulled-back solved point is verified end to end; on
+      C^n \\ {0} a word without inversions is then tested at the
+      preimage of the origin; last, PRESERVE_SAMPLES seeded domain
+      points are tried. The first escaping point is the witness, and a
+      True from this branch is sampled, not proved.
     """
     if w.n != d.n:
         raise DimensionMismatch(f"word dimension {w.n} != domain dimension {d.n}")
-    if all(_automorphism(step, d) for step in w.steps):
+    d = HyperplaneComplement(1, {1}) if d == Punctured(1) else d
+    odd = [k for k, step in enumerate(w.steps) if not _automorphism(step, d)]
+    if not odd:
         return PreservationVerdict(True, None)
-    witness = _structural_witness(w, d)
-    if witness is not None:
-        return PreservationVerdict(False, witness)
+    for k in odd:
+        for z in _pullbacks(w, k, d):
+            if contains(d, z) and (len(odd) == 1 or _leaves(w, d, z)):
+                return PreservationVerdict(False, z)
+    if isinstance(d, Punctured) and not any(isinstance(s, Inversion) for s in w.steps):
+        # composite rule: a word without inversions preserves C^n \ {0}
+        # iff it fixes 0
+        origin = np.zeros(w.n, dtype=np.complex128)
+        try:
+            if np.any(eval_word(w, origin) != 0):
+                z = eval_word(invert_word(w), origin)
+                if contains(d, z) and _leaves(w, d, z):
+                    return PreservationVerdict(False, z)
+        except (NonInvertibleStep, NonFinite):
+            pass
     rng = np.random.default_rng(sampler_seed)
     pts = sample_points(d, PRESERVE_SAMPLES, rng)
     images, valid = eval_word_batch_masked(w, pts)

@@ -8,6 +8,7 @@ non-vanishing holds by construction.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -15,6 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels
+from .errors import NonFinite
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,8 @@ class Poly:
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             coeff = complex(coeff)
+            if not cmath.isfinite(coeff):
+                raise NonFinite(f"coefficient of {exps} is not finite: {coeff}")
             if coeff != 0:
                 canon[exps] = canon.get(exps, 0) + coeff
         object.__setattr__(self, "terms", canon)

@@ -61,6 +61,8 @@ def make_contour(d, axis: int, p, R: float) -> ContourSpec:
     p = np.asarray(p, dtype=np.complex128)
     if p.shape != (d.n,):
         raise DimensionMismatch(f"base point has shape {p.shape}, domain dimension is {d.n}")
+    if not (np.isfinite(p).all() and math.isfinite(R)):
+        raise NonFinite(f"contour base point and radius must be finite, got {p} and {R}")
     if not contains(d, p):
         raise OutsideDomain("contour base point lies on a deleted hyperplane")
     if not R > 0:

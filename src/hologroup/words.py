@@ -26,6 +26,7 @@ and are cleared in `valid`. `_word_pass` chains the steps once.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -33,7 +34,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatch, NonInvertibleStep, SingularPoint
+from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint
 from .polynomials import Poly
 
 # Linear steps must have |det| above this after scaling rows to unit norm.
@@ -156,6 +157,8 @@ class Diagonal:
     def __post_init__(self):
         lam = tuple(complex(v) for v in self.lam)
         object.__setattr__(self, "lam", lam)
+        if not all(cmath.isfinite(v) for v in lam):
+            raise NonFinite(f"diagonal entries must be finite, got {lam}")
         if any(v == 0 for v in lam):
             raise NonInvertibleStep("diagonal entries must be nonzero")
 
@@ -192,6 +195,8 @@ class Linear:
         m = np.array(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise NonFinite("linear step has a non-finite entry")
         check_invertible(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -8,16 +8,19 @@ checked against these before (and alongside) the library's answers.
 The homotopy checks are redone the plain way, one word per grid time.
 Domain preservation and diagonal extraction are redone by sampling
 alone, for every word, as the library did before it decided some words
-by proof.
+by proof; the structural escape pass that preservation ran first is
+kept here as its own copy, with its own step classification.
 """
 
 import numpy as np
 
-from hologroup import (CertificationReport, NotDiagonal, PreservationVerdict, Word,
-                       contains_batch, eval_word_batch, eval_word_batch_masked,
-                       invert_word, jacobian_det_batch, path_at, path_target,
-                       sample_points, sample_polydisc)
-from hologroup.domains import PRESERVE_SAMPLES, _structural_witness
+from hologroup import (CertificationReport, FullSpace, HyperplaneComplement, Inversion,
+                       Linear, NonFinite, NonInvertibleStep, NotDiagonal, Overshear,
+                       Permutation, PreservationVerdict, Punctured, SingularPoint, Word,
+                       contains, contains_batch, eval_word, eval_word_batch,
+                       eval_word_batch_masked, invert_word, jacobian_det_batch, path_at,
+                       path_target, sample_points, sample_polydisc)
+from hologroup.domains import PRESERVE_SAMPLES
 from hologroup.homotopy import CERTIFY_POINTS, DEFAULT_CERTIFY_SEED
 from hologroup.torus import DIAG_DEPENDENCE_TOL, DIAG_PROBE_STEP, DIAG_RATIO_TOL
 from hologroup.winding import ContourSpec, contour_points
@@ -131,10 +134,132 @@ def continuity_modulus_per_time(path, dt: float, sample_radius: float,
     return modulus
 
 
+def automorphism(step, d) -> bool:
+    """True when the step maps d bijectively onto d (C \\ {0} taken as a
+    punctured space, on which no inversion is one)."""
+    if isinstance(step, Inversion):
+        return isinstance(d, HyperplaneComplement) and step.axis in d.deleted
+    if isinstance(d, FullSpace):
+        return True
+    if isinstance(d, Punctured):
+        return not isinstance(step, Overshear) or step.f.constant_term == 0
+    if isinstance(step, Overshear):
+        return step.axis not in d.deleted or step.f.is_zero
+    if isinstance(step, Permutation):
+        return {step.perm[i - 1] for i in d.deleted} == d.deleted
+    if isinstance(step, Linear):
+        return all(_row_stays_deleted(step.matrix[i - 1], d) for i in d.deleted)
+    return True
+
+
+def _row_stays_deleted(row, d) -> bool:
+    support = np.flatnonzero(row)
+    return len(support) == 1 and support[0] + 1 in d.deleted
+
+
+FILLERS = (1.0 + 0.0j, 1.3 + 0.0j, 0.7 + 0.4j, -0.9 + 0.6j)
+
+
+def _point_with(n: int, axis: int, value: complex, filler: complex) -> np.ndarray:
+    z = np.full(n, filler, dtype=np.complex128)
+    z[axis - 1] = value
+    return z
+
+
+def _step_escapes(step, d, n: int):
+    """Solved escape points of one step; none for an automorphism of d."""
+    if automorphism(step, d):
+        return
+    if isinstance(step, Inversion):
+        if not (isinstance(d, Punctured) and d.n < 2):
+            for filler in FILLERS:
+                yield _point_with(n, step.axis, 0.0, filler)
+    elif isinstance(step, Permutation):
+        for j, img in enumerate(step.perm, start=1):
+            if j not in d.deleted and img in d.deleted:
+                for filler in FILLERS:
+                    yield _point_with(n, j, 0.0, filler)
+    elif isinstance(step, Linear):
+        for i in sorted(d.deleted):
+            row = step.matrix[i - 1]
+            if _row_stays_deleted(row, d):
+                continue
+            support = [j + 1 for j in range(n) if row[j] != 0]
+            free = [j for j in support if j not in d.deleted]
+            if free:
+                # zero out w_i using an unconstrained coordinate
+                j0 = free[0]
+                for filler in FILLERS:
+                    z = _point_with(n, j0, 0.0, filler)
+                    z[j0 - 1] = -(row @ z) / row[j0 - 1]
+                    yield z
+            else:
+                # at least two entries on deleted columns: cancel them
+                j0 = support[-1]
+                for filler in FILLERS:
+                    z = _point_with(n, j0, 0.0, filler)
+                    rest = row @ z
+                    if rest == 0:
+                        continue
+                    z[j0 - 1] = -rest / row[j0 - 1]
+                    if z[j0 - 1] != 0:
+                        yield z
+    elif isinstance(step, Overshear):
+        if isinstance(d, HyperplaneComplement):
+            for filler in FILLERS:
+                z = np.full(n, filler, dtype=np.complex128)
+                fv = step.f(z)
+                if fv == 0:
+                    continue
+                z[step.axis - 1] = -fv * np.exp(-step.g(z))
+                if z[step.axis - 1] != 0:
+                    yield z
+        elif d.n >= 2:
+            z = np.zeros(n, dtype=np.complex128)
+            z[step.axis - 1] = -step.f.constant_term * np.exp(-step.g.constant_term)
+            yield z
+
+
+def _escapes_end_to_end(w: Word, d, cand) -> bool:
+    if not contains(d, cand):
+        return False
+    try:
+        return not contains(d, eval_word(w, cand))
+    except SingularPoint:
+        return True
+
+
+def structural_witness(w: Word, d):
+    """The structural escape pass: each solved point of each step, pulled
+    back through the steps before it (inverted anew for every point), is
+    returned once the whole word sends it out of d; then, on a punctured
+    space, the preimage of the origin under a word without inversions."""
+    for k, step in enumerate(w.steps):
+        prefix = Word(w.n, w.steps[:k])
+        for local in _step_escapes(step, d, w.n):
+            try:
+                cand = eval_word(invert_word(prefix), local)
+            except (SingularPoint, NonInvertibleStep, NonFinite):
+                continue
+            if _escapes_end_to_end(w, d, cand):
+                return cand
+    if isinstance(d, Punctured) and d.n >= 2 and not any(
+            isinstance(s, Inversion) for s in w.steps):
+        origin = np.zeros(w.n, dtype=np.complex128)
+        try:
+            if np.any(eval_word(w, origin) != 0):
+                cand = eval_word(invert_word(w), origin)
+                if _escapes_end_to_end(w, d, cand):
+                    return cand
+        except (SingularPoint, NonInvertibleStep, NonFinite):
+            pass
+    return None
+
+
 def preserves_sampled(w: Word, d, sampler_seed: int) -> PreservationVerdict:
-    """word_preserves_domain without the automorphism proof: the structural
-    escape pass, then PRESERVE_SAMPLES seeded points, for every word."""
-    witness = _structural_witness(w, d)
+    """word_preserves_domain without any proof: the structural escape pass,
+    then PRESERVE_SAMPLES seeded points, for every word."""
+    witness = structural_witness(w, d)
     if witness is not None:
         return PreservationVerdict(False, witness)
     pts = sample_points(d, PRESERVE_SAMPLES, np.random.default_rng(sampler_seed))

@@ -194,6 +194,18 @@ def test_scene_errors_exit_1(tmp_path):
     assert code == 1 and out == ""
 
 
+def test_non_finite_scene_term_exits_1(tmp_path):
+    # json.loads accepts the NaN literal; the polynomial refuses it
+    scene = {"words": {"w": {"n": 2, "steps": [
+        {"type": "overshear", "axis": 2, "f": [], "g": [
+            {"exponents": [1, 0], "re": float("nan"), "im": 0.0}]}]}}}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(scene), encoding="utf-8")
+    code, out, err = run("eval", "--word", "w", "--point", "1,0;1,0", scene=str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_dimension_mismatch_exits_1():
     code, out, _ = run("eval", "--word", "id", "--point", "1,0")
     assert code == 1 and out == ""

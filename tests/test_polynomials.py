@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hologroup import Poly
+from hologroup import NonFinite, Poly
 from oracles import naive_poly_eval
 
 
@@ -33,6 +33,8 @@ def test_invalid_terms_rejected():
         Poly(2, {(1, -1): 1.0})
     with pytest.raises(ValueError):
         Poly(0)
+    with pytest.raises(NonFinite):
+        Poly(2, {(1, 0): complex(float("nan"), 0.0)})
 
 
 def test_zero_constant_coordinate():

@@ -29,6 +29,10 @@ def test_make_contour_examples():
         make_contour(C21, 1, (1.0, 1.0), 0.0)
     with pytest.raises(DimensionMismatch):
         make_contour(C21, 1, (1.0, 1.0, 1.0), 1.0)
+    with pytest.raises(NonFinite):
+        make_contour(C21, 1, (1.0, 1.0), float("inf"))
+    with pytest.raises(NonFinite):
+        make_contour(C21, 1, (1.0, float("nan")), 1.0)
 
 
 def test_contour_points_lie_on_circle():

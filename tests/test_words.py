@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hologroup import (DimensionMismatch, Diagonal, Inversion, Linear,
+from hologroup import (DimensionMismatch, Diagonal, Inversion, Linear, NonFinite,
                        NonInvertibleStep, Overshear, Permutation, Poly,
                        SingularPoint, Word, compose, eval_word,
                        eval_word_batch, eval_word_batch_masked, invert_word,
@@ -115,6 +115,19 @@ def test_step_constructor_invariants():
     # row scaling must not rescue a genuinely singular matrix
     with pytest.raises(NonInvertibleStep):
         Linear(np.array([[1e30, 1e30], [1.0, 1.0]], dtype=complex))
+
+
+def test_non_finite_step_data_is_refused():
+    # NaN used to pass check_invertible, whose |det| <= TAU_DET test is
+    # false for NaN, and an infinite multiplier was taken as nonzero
+    with pytest.raises(NonFinite):
+        Diagonal((float("inf"), 1.0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NonFinite):
+            Linear(np.array([[1.0, bad], [0.0, 1.0]], dtype=complex))
+    # 1 / 1e-320 overflows, so the inverse of this step is refused too
+    with pytest.raises(NonFinite):
+        Diagonal((1e-320, 1.0)).inverse()
 
 
 def test_compose_is_concatenation_and_identity_law():
