@@ -1,18 +1,13 @@
 """The three domain classes, membership, Stein flags, and preservation checks.
 
 A domain is C^n, the punctured space C^n \\ {0}, or C^n minus a nonempty
-union of coordinate hyperplanes {z_i = 0}. Membership is exact: a
-coordinate is "nonzero" iff it differs from floating-point zero.
+union of coordinate hyperplanes {z_i = 0}; the first two have an empty
+`deleted` set. Membership is exact: a coordinate is "nonzero" iff it
+differs from floating-point zero.
 
-`word_preserves_domain` classifies each step of a word once: a step that
-maps the domain bijectively onto itself is an automorphism
-(`_automorphism`), any other step is odd. A word without odd steps
-preserves the domain by proof, and no point is evaluated. A word with
-one odd step does not preserve it, by proof, once that step has a solved
-escape point in the domain; the witness is that point pulled back
-through the steps before it, checked to lie in the domain. Words with
-more odd steps have each solved point verified end to end, then face a
-seeded sampling pass, so True is a sampled verdict for them.
+`word_preserves_domain` classifies each step of a word once, with
+`_escapes`, which states the rule of every generator; its docstring says
+how the classes of the steps decide the verdict.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint
-from .words import Inversion, Linear, Overshear, Permutation, Word
+from .words import Diagonal, Inversion, Linear, Overshear, Permutation, Word
 from .words import eval_word, eval_word_batch_masked, invert_word
 
 # seeded domain points a word faces once no structural rule rejects it
@@ -33,6 +28,7 @@ PRESERVE_SAMPLES = 256
 @dataclass(frozen=True)
 class FullSpace:
     n: int
+    deleted = frozenset()
 
     def __post_init__(self):
         if self.n < 1:
@@ -44,6 +40,7 @@ class Punctured:
     """C^n with the origin removed."""
 
     n: int
+    deleted = frozenset()
 
     def __post_init__(self):
         if self.n < 1:
@@ -83,11 +80,6 @@ class PreservationVerdict:
     witness: Optional[np.ndarray]
 
 
-def _check_dim(d: DomainSpec, z: np.ndarray):
-    if z.shape[-1] != d.n:
-        raise DimensionMismatch(f"point has {z.shape[-1]} coordinates, domain has {d.n}")
-
-
 def contains(d: DomainSpec, z) -> bool:
     """Exact membership test (no tolerance on the zero comparisons)."""
     return bool(contains_batch(d, np.reshape(z, (1, -1)))[0])
@@ -95,12 +87,11 @@ def contains(d: DomainSpec, z) -> bool:
 
 def contains_batch(d: DomainSpec, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=np.complex128)
-    _check_dim(d, pts)
-    if isinstance(d, FullSpace):
-        return np.ones(pts.shape[0], dtype=bool)
+    if pts.shape[-1] != d.n:
+        raise DimensionMismatch(f"point has {pts.shape[-1]} coordinates, domain has {d.n}")
     if isinstance(d, Punctured):
         return np.any(pts != 0, axis=1)
-    cols = np.array(sorted(d.deleted)) - 1
+    cols = np.array(sorted(d.deleted), dtype=np.intp) - 1
     return np.all(pts[:, cols] != 0, axis=1)
 
 
@@ -132,107 +123,102 @@ def sample_points(d: DomainSpec, count: int, rng: np.random.Generator) -> np.nda
 FILLERS = (1.0 + 0.0j, 1.3 + 0.0j, 0.7 + 0.4j, -0.9 + 0.6j)
 
 
-def _automorphism(step, d: DomainSpec) -> bool:
-    """True only when the step maps d bijectively onto d.
-
-    Inversion is an automorphism only of a complement, on a deleted
-    axis. Every other step is an automorphism of C^n, and of
-    C^n \\ {0} when it fixes the origin (an overshear needs f(0) = 0).
-    On a complement a step must map the deleted coordinates among
-    themselves: a diagonal step; an overshear on a free axis, or on a
-    deleted axis with f = 0; a permutation of the deleted set onto
-    itself; a linear map whose deleted rows each have one nonzero
-    entry, in a deleted column. The rule is exact for one step once
-    C \\ {0} is read as the complement of {z1 = 0}, as
-    `word_preserves_domain` reads it.
-    """
-    if isinstance(step, Inversion):
-        return isinstance(d, HyperplaneComplement) and step.axis in d.deleted
-    if isinstance(d, FullSpace):
-        return True
-    if isinstance(d, Punctured):
-        return not isinstance(step, Overshear) or step.f.constant_term == 0
-    if isinstance(step, Overshear):
-        return step.axis not in d.deleted or step.f.is_zero
-    if isinstance(step, Permutation):
-        return {step.perm[i - 1] for i in d.deleted} == d.deleted
-    if isinstance(step, Linear):
-        return all(_row_stays_deleted(step.matrix[i - 1], d) for i in d.deleted)
-    return True
-
-
-def _row_stays_deleted(row: np.ndarray, d: HyperplaneComplement) -> bool:
-    """True when the row has one nonzero entry, in a deleted column."""
-    support = np.flatnonzero(row)
-    return len(support) == 1 and support[0] + 1 in d.deleted
-
-
-def _point_with(n: int, axis: int, value: complex, filler: complex) -> np.ndarray:
-    z = np.full(n, filler, dtype=np.complex128)
-    z[axis - 1] = value
-    return z
-
-
-def _step_escapes(step, d: DomainSpec):
-    """Solved points that the odd step sends out of d or onto a zero it
-    inverts; the caller drops those that miss d.
-
-    Only odd steps come here, so a permutation or linear step acts on a
-    complement, and an overshear either moves the origin of C^n \\ {0}
-    or acts on a deleted axis with f != 0.
-    """
+def _solutions(d: DomainSpec, solves: list, fillers: tuple, generic: bool):
+    """For each (coordinate j, solver) pair: the points with constant
+    coordinates `fillers`, with z_j set to 0 and then to solve(z), kept
+    when finite and in d. When none is kept and `generic`, the same is
+    done at one point with pairwise distinct, nonzero coordinates, for
+    equations that vanish wherever all coordinates agree."""
     n = d.n
-    if isinstance(step, (Inversion, Permutation)):
-        # zero a coordinate that the step inverts, or moves to a deleted slot
-        axes = [step.axis] if isinstance(step, Inversion) else [
-            j for j, img in enumerate(step.perm, start=1)
-            if j not in d.deleted and img in d.deleted]
-        for j in axes:
-            for filler in FILLERS:
-                yield _point_with(n, j, 0.0, filler)
-    elif isinstance(step, Linear):
-        # a deleted row that is not one entry in a deleted column: solve
-        # w_i = 0 for its first free coordinate, else its last deleted one
-        for i in sorted(d.deleted):
-            row = step.matrix[i - 1]
-            if _row_stays_deleted(row, d):
-                continue
-            support = np.flatnonzero(row)
-            free = [j for j in support if j + 1 not in d.deleted]
-            j0 = free[0] if free else support[-1]
-            for filler in FILLERS:
-                z = _point_with(n, j0 + 1, 0.0, filler)
-                z[j0] = -(row @ z) / row[j0]
+    for j, solve in solves:
+        kept = False
+        for c in fillers + (None,):  # None stands for the distinct point
+            if c is not None:
+                z = np.full(n, c, dtype=np.complex128)
+            elif generic and not kept:
+                z = np.sqrt(np.arange(2, n + 2)) * np.exp(1j * np.arange(1, n + 1))
+            else:
+                break
+            z[j] = 0.0
+            z[j] = solve(z)
+            if np.isfinite(z).all() and contains(d, z):
+                kept = True
                 yield z
-    elif isinstance(d, Punctured):
-        # f(0) != 0: the unique preimage of the origin
-        z = np.zeros(n, dtype=np.complex128)
-        z[step.axis - 1] = -step.f.constant_term * np.exp(-step.g.constant_term)
-        yield z
-    else:
-        # solve f(z') + exp(g(z')) * z_axis = 0 for z_axis
-        for filler in FILLERS:
-            z = np.full(n, filler, dtype=np.complex128)
-            z[step.axis - 1] = -step.f(z) * np.exp(-step.g(z))
-            yield z
 
 
-def _pullbacks(w: Word, k: int, d: DomainSpec):
-    """The finite solved points of d for the odd step k, pulled back
-    through the steps before it; a prefix that cannot be inverted gives
-    none."""
+def _escapes(step, d: DomainSpec):
+    """None when the step maps d bijectively onto d; otherwise a lazy
+    iterator over its solved points in d, which it sends out of d or onto
+    a zero it inverts.
+
+    A step must map the deleted coordinates among themselves, and on
+    C^n \\ {0} fix the origin; C^n and C^n \\ {0} have no deleted axes.
+    The rules are exact for one step once C \\ {0} is read as the
+    complement of {z1 = 0}, as `word_preserves_domain` reads it:
+    - Diagonal: always.
+    - Inversion: on a deleted axis; else it escapes where its
+      coordinate is 0.
+    - Permutation: of the deleted set onto itself; else it escapes where
+      a free coordinate that it moves to a deleted slot is 0.
+    - Linear: when each deleted row has one nonzero entry, in a deleted
+      column; else w_i = 0 is solved, for each other deleted row i, in
+      its first free coordinate, else in its last deleted one.
+    - Overshear on C^n \\ {0}: when f(0) = 0; else it escapes at the
+      unique preimage of the origin. Elsewhere: on a free axis, or with
+      f = 0; else f(z') + exp(g(z')) * z_axis = 0 is solved for z_axis.
+    Each equation is solved at the points FILLERS (an overshear on
+    C^n \\ {0} at the origin); a linear or overshear one that none of
+    them solves in d is then solved at one generic point (`_solutions`).
+    """
+    deleted = d.deleted
+    if isinstance(step, Diagonal):
+        return None
+    if isinstance(step, Inversion):
+        if step.axis in deleted:
+            return None
+        return _solutions(d, [(step.axis - 1, lambda z: 0.0)], FILLERS, False)
+    if isinstance(step, Permutation):
+        solves = [(j - 1, lambda z: 0.0) for j, img in enumerate(step.perm, start=1)
+                  if img in deleted and j not in deleted]
+        return _solutions(d, solves, FILLERS, False) if solves else None
+    if isinstance(step, Linear):
+        solves = []
+        for i in sorted(deleted):
+            row = step.matrix[i - 1]
+            support = np.flatnonzero(row)
+            if len(support) == 1 and support[0] + 1 in deleted:
+                continue
+            free = [j for j in support if j + 1 not in deleted]
+            j0 = free[0] if free else support[-1]
+            solves.append((j0, lambda z, row=row, j0=j0: -(row @ z) / row[j0]))
+        return _solutions(d, solves, FILLERS, True) if solves else None
+    if isinstance(d, Punctured):  # an overshear, from here on
+        f0, g0 = step.f.constant_term, step.g.constant_term
+        if f0 == 0:
+            return None
+        return _solutions(d, [(step.axis - 1, lambda z: -f0 * np.exp(-g0))], (0.0,), False)
+    if step.axis not in deleted or step.f.is_zero:
+        return None
+    return _solutions(d, [(step.axis - 1, lambda z: -step.f(z) * np.exp(-step.g(z)))],
+                      FILLERS, True)
+
+
+def _pullbacks(w: Word, k: int, points):
+    """The solved points of the odd step k, pulled back through the steps
+    before it, where the pull-back is finite. A prefix that cannot be
+    inverted is refused with NonFinite."""
     try:
         back = invert_word(Word(w.n, w.steps[:k]))
-    except (NonInvertibleStep, NonFinite):
-        return
-    for local in _step_escapes(w.steps[k], d):
-        if np.all(np.isfinite(local)) and contains(d, local):
-            try:
-                z = eval_word(back, local)
-            except SingularPoint:
-                continue
-            if np.all(np.isfinite(z)):
-                yield z
+    except (NonInvertibleStep, NonFinite) as exc:
+        raise NonFinite(f"preservation check: the steps before step {k + 1} "
+                        f"({type(w.steps[k]).__name__}) cannot be inverted: {exc}") from exc
+    for local in points:
+        try:
+            z = eval_word(back, local)
+        except SingularPoint:
+            continue
+        if np.isfinite(z).all():
+            yield z
 
 
 def _leaves(w: Word, d: DomainSpec, z: np.ndarray) -> bool:
@@ -258,6 +244,8 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
       computed in floating point, that lies in the domain; it is not
       evaluated again, and rounding may keep its floating-point image
       inside the domain.
+    - An odd step whose prefix A cannot be inverted (a step of A^-1
+      is singular or not finite) is refused with NonFinite.
     - Otherwise (more odd steps, or no solved point in the domain):
       each pulled-back solved point is verified end to end; on
       C^n \\ {0} a word without inversions is then tested at the
@@ -268,11 +256,12 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
     if w.n != d.n:
         raise DimensionMismatch(f"word dimension {w.n} != domain dimension {d.n}")
     d = HyperplaneComplement(1, {1}) if d == Punctured(1) else d
-    odd = [k for k, step in enumerate(w.steps) if not _automorphism(step, d)]
+    odd = [(k, points) for k, step in enumerate(w.steps)
+           if (points := _escapes(step, d)) is not None]
     if not odd:
         return PreservationVerdict(True, None)
-    for k in odd:
-        for z in _pullbacks(w, k, d):
+    for k, points in odd:
+        for z in _pullbacks(w, k, points):
             if contains(d, z) and (len(odd) == 1 or _leaves(w, d, z)):
                 return PreservationVerdict(False, z)
     if isinstance(d, Punctured) and not any(isinstance(s, Inversion) for s in w.steps):

@@ -9,11 +9,13 @@ elimination, never floating point.
 `commutes_with_torus` and `extract_diagonal` are the two halves of the
 dichotomy this package relies on: a word commutes with every torus
 rotation exactly when it is a diagonal map, and in that case its
-diagonal is recoverable from a single orbit ratio. A word whose every
-step is exactly diagonal (a `Diagonal`, a `Linear` with zero
-off-diagonal entries, an `Overshear` with f = 0 and constant g) is
-decided by proof: it commutes, and its diagonal is the product of the
-steps' multipliers. Every other word is sampled.
+diagonal is recoverable from a single orbit ratio. A word is exactly
+diagonal when every step is a coordinate permutation followed by a
+diagonal map (a `Diagonal`, a `Permutation`, a `Linear` with one nonzero
+entry per row, an `Overshear` with f = 0 and constant g) and the
+permutations compose to the identity. Such a word is decided by proof:
+it commutes, and its diagonal is the product of the steps' multipliers.
+Every other word is sampled.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import (DimensionMismatch, DomainNotPreserved, NonFinite, NotDiagonal,
                      NotUnimodular)
 from .domains import DomainSpec, sample_points, word_preserves_domain
-from .words import Diagonal, Linear, Overshear, Word, eval_word_batch
+from .words import Diagonal, Linear, Overshear, Permutation, Word, eval_word_batch
 
 COMMUTE_TOL = 1e-10
 DIAG_RATIO_TOL = 1e-9
@@ -131,32 +133,38 @@ class CentralizerVerdict:
     witness: Optional[CentralizerWitness]
 
 
-def _step_multipliers(step, n: int) -> Optional[np.ndarray]:
-    """lam when the step is exactly z -> lam * z, else None."""
+def _step_multipliers(step, n: int) -> Optional[tuple]:
+    """(lam, src) when the step is exactly z -> (lam_i * z_src[i])_i, a
+    coordinate permutation followed by a diagonal map; else None."""
     if isinstance(step, Diagonal):
-        return np.array(step.lam)
-    if isinstance(step, Linear):
-        diag = np.diag(step.matrix)
-        return diag.copy() if np.array_equal(step.matrix, np.diag(diag)) else None
+        return np.array(step.lam), np.arange(n)
+    if isinstance(step, Permutation):
+        return np.ones(n, dtype=np.complex128), np.argsort(step.perm)
+    if isinstance(step, Linear) and np.all(np.count_nonzero(step.matrix, axis=1) == 1):
+        src = np.argmax(step.matrix != 0, axis=1)
+        return step.matrix[np.arange(n), src], src
     if isinstance(step, Overshear) and step.f.is_zero \
             and set(step.g.terms) <= {(0,) * n}:
         lam = np.ones(n, dtype=np.complex128)
         lam[step.axis - 1] = np.exp(step.g.constant_term)
-        return lam
+        return lam, np.arange(n)
     return None
 
 
 def _exact_diagonal(w: Word, what: str) -> Optional[np.ndarray]:
-    """The product, in step order, of the multipliers of a word whose every
-    step is exactly diagonal; None for any other word. A product that is
-    not finite raises NonFinite."""
-    lam = np.ones(w.n, dtype=np.complex128)
+    """The product, in step order, of the multipliers of a word whose
+    steps are permutations followed by diagonal maps, carried along the
+    permutations, once these compose to the identity; None for any other
+    word. A product that is not finite raises NonFinite."""
+    lam, src = np.ones(w.n, dtype=np.complex128), np.arange(w.n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for step in w.steps:
             mult = _step_multipliers(step, w.n)
             if mult is None:
                 return None
-            lam = lam * mult
+            lam, src = lam[mult[1]] * mult[0], src[mult[1]]
+    if not np.array_equal(src, np.arange(w.n)):
+        return None
     if not np.all(np.isfinite(lam)):
         raise NonFinite(f"{what}: the diagonal multipliers multiply to {lam}, "
                         f"which is not finite")
@@ -167,8 +175,8 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
     """Test w(t(z)) = t(w(z)) over 64 seeded rotations and 64 seeded points.
 
     The word must preserve the domain; torus orbits never leave it, so
-    both sides are always defined. A word whose every step is exactly
-    diagonal commutes by proof, without sampling, once its multipliers
+    both sides are always defined. An exactly diagonal word (see the
+    module docstring) commutes by proof, without sampling, once its multipliers
     multiply to a finite diagonal (else NonFinite). For any
     other word the verdict is the max deviation in
     sup norm over the full 64x64 grid, compared against 1e-10, with the
@@ -206,8 +214,8 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
 def extract_diagonal(w: Word, d: DomainSpec, seed: int) -> np.ndarray:
     """Recover lambda from a word assumed to commute with the torus.
 
-    A word whose every step is exactly diagonal gives the exact product
-    of its multipliers, in step order; a product that is not finite, or
+    An exactly diagonal word (see the module docstring) gives the exact
+    product of its multipliers, in step order; a product that is not finite, or
     has a zero entry, raises NonFinite. For any other word,
     lambda_j = w_j(p) / p_j at one seeded base point with every
     |p_j| in [0.5, 1.5]; then two verifications back the assumption up:

@@ -8,13 +8,16 @@ import time
 import pytest
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "scenes", "demo.json")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def run(*args, scene=DEMO):
     argv = [sys.executable, "-m", "hologroup", *args]
     if scene is not None:
         argv += ["--scene", scene]
-    proc = subprocess.run(argv, capture_output=True, text=True)
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(argv, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -34,6 +37,10 @@ def aux_scene(tmp_path_factory):
             "spike": {"n": 2, "steps": [{"type": "overshear", "axis": 1, "f": [],
                                          "g": [{"exponents": [0, 0], "re": 800.0,
                                                 "im": 0.0}]}]},
+            # undefined on {z2 = 0}; the inverse of its first step overflows
+            "tiny_inv": {"n": 2, "steps": [{"type": "diagonal",
+                                            "lambda": [[1e-320, 0.0], [1.0, 0.0]]},
+                                           {"type": "inversion", "axis": 2}]},
         },
         "contours": {
             "good": {"axis": 1, "p": [[1.0, 0.0], [1.0, 0.0]], "R": 1.0},
@@ -236,6 +243,7 @@ def test_math_errors_exit_2(aux_scene):
         (["winding-index", "--word", "spike", "--contour", "good"], "NonFinite",
          aux_scene),
         (["centralizer", "--word", "spike", "--seed", "3"], "NonFinite", aux_scene),
+        (["preserves", "--word", "tiny_inv"], "NonFinite", aux_scene),
     ]
     for argv, name, scene in cases:
         code, out, err = run(*argv, scene=scene)
@@ -293,10 +301,19 @@ DEMO_GOLDEN = [
     (["classify"], '{"kind":"complement","is_stein":true}'),
     (["preserves", "--word", "inv1"], '{"preserves":true,"witness":null}'),
     (["validate-exponents", "--matrix", "m_shear"], '{"det":1}'),
+    (["preserves", "--word", "swap"], '{"preserves":false,"witness":[[1.0,0.0],[0.0,0.0]]}'),
+    (["centralizer", "--word", "shear"],
+     '{"commutes":false,"witness":{"theta":[3.4845589853632135,0.40097564589827117],'
+     '"z":[[1.7610168620744406,-0.81202456754381369],[0.92934435816108729,0.86978956773764049]],'
+     '"deviation":3.876803592371374}}'),
 ]
+# a line is named by its subcommand; a later line for the same one adds its word
+GOLDEN_IDS = []
+for argv, _ in DEMO_GOLDEN:
+    GOLDEN_IDS.append(" ".join(argv[:3]) if argv[0] in GOLDEN_IDS else argv[0])
 
 
-@pytest.mark.parametrize("argv,expected", DEMO_GOLDEN, ids=[a[0] for a, _ in DEMO_GOLDEN])
+@pytest.mark.parametrize("argv,expected", DEMO_GOLDEN, ids=GOLDEN_IDS)
 def test_demo_scene_golden(argv, expected, capsys):
     from hologroup import cli
     assert cli.main([*argv, "--scene", DEMO]) == 0

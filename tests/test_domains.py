@@ -8,13 +8,17 @@ from hologroup import (DimensionMismatch, Diagonal, FullSpace,
                        Permutation, Poly, Punctured, Word, classify_domain,
                        contains, contains_batch, domains, eval_word, invert_word,
                        sample_points, word_preserves_domain)
-from hologroup.domains import _automorphism
+from hologroup.domains import _escapes
 from oracles import automorphism, preserves_sampled
 from wordgen import automorphism_step, automorphism_word, random_diagonal, random_step
 
 
 def comp(n, deleted):
     return HyperplaneComplement(n, frozenset(deleted))
+
+
+def _automorphism(step, d):
+    return _escapes(step, d) is None
 
 
 def test_membership_examples():
@@ -152,27 +156,37 @@ def test_one_odd_step_verdicts_are_proved(monkeypatch):
     assert v.preserves and v.witness is None
 
 
-def test_overflowing_prefix_inverse_is_skipped():
+def test_prefix_that_cannot_be_inverted_is_refused():
     # the inverse of the prefix overflows (1 / 1e-320), so no solved point
-    # can be pulled back, and the pass moves on instead of refusing. The
-    # verdict then rests on sampling, which misses the escape set {z2 = 0},
-    # but no longer carries the non-finite witness (inf, 0) it used to
+    # can be pulled back; sampling would miss the escape set {z2 = 0} and
+    # report True, so the verdict is refused and names the odd step
     w = Word(2, (Diagonal((1e-320, 1.0)), Inversion(2)))
     with pytest.raises(NonFinite):
         invert_word(Word(2, w.steps[:1]))
-    v = word_preserves_domain(w, comp(2, {1}), 42)
-    assert v.witness is None or np.all(np.isfinite(v.witness))
+    with pytest.raises(NonFinite, match=r"before step 2 \(Inversion\)"):
+        word_preserves_domain(w, comp(2, {1}), 42)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="f = z1 - z2 vanishes at every constant filler point, "
-                          "so no escape is solved and sampling misses the hyperplane "
-                          "z3 = z2 - z1")
 def test_escape_of_overshear_vanishing_on_the_diagonal():
+    # f = z1 - z2 vanishes at every constant filler point, so the escape
+    # z3 = z2 - z1 is solved at the point with distinct coordinates
     z1, z2 = Poly.coordinate(3, 1), Poly.coordinate(3, 2)
     f = Poly(3, {**z1.terms, **(-z2).terms})
     w = Word(3, (Overshear(3, f, Poly.zero(3)),))
-    assert not word_preserves_domain(w, comp(3, {3}), 42).preserves
+    d = comp(3, {3})
+    v = word_preserves_domain(w, d, 42)
+    assert not v.preserves
+    assert contains(d, v.witness) and not contains(d, eval_word(w, v.witness))
+
+
+def test_escape_of_linear_row_summing_to_zero():
+    # the entries of the first row sum to 0, so w1 = 0 has only the
+    # solution z3 = 0 at every constant filler point
+    w = Word(3, (Linear([[1, -1, 1], [0, 1, 0], [0, 0, 1]]),))
+    d = comp(3, {1, 2, 3})
+    v = word_preserves_domain(w, d, 42)
+    assert not v.preserves
+    assert contains(d, v.witness) and not contains(d, eval_word(w, v.witness))
 
 
 def test_permutation_must_fix_deleted_set():

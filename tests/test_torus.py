@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hologroup import (Diagonal, DimensionMismatch, DomainNotPreserved,
                        ExponentMatrix, FullSpace, HyperplaneComplement,
                        Inversion, Linear, NonFinite, NotDiagonal, NotUnimodular, Overshear,
-                       Poly, TorusElement, Word, apply_torus, commutes_with_torus,
+                       Permutation, Poly, TorusElement, Word, apply_torus, commutes_with_torus,
                        compose, extract_diagonal, integer_det,
                        validate_exponent_matrix)
 from oracles import det2, extract_diagonal_sampled
@@ -15,6 +15,17 @@ from wordgen import exact_diagonal_word, offender_word, pure_diagonal_word, rand
 
 def torus(a):
     return ExponentMatrix(len(a), tuple(tuple(r) for r in a))
+
+
+def monomial(step) -> bool:
+    """True when the step is a coordinate permutation followed by a
+    diagonal map."""
+    if isinstance(step, (Diagonal, Permutation)):
+        return True
+    if isinstance(step, Linear):
+        return bool(np.all(np.count_nonzero(step.matrix, axis=1) == 1))
+    return (isinstance(step, Overshear) and step.f.is_zero
+            and all(not any(e) for e in step.g.terms))
 
 
 def test_apply_torus_examples():
@@ -206,6 +217,23 @@ def test_underflowing_diagonal_commutes():
             extract_diagonal(w, d, 42)
 
 
+def test_permutations_that_cancel_are_decided_exactly():
+    # two swaps undo each other, so the word is exactly diagonal; sampling
+    # judged it by absolute tolerances: not commuting at 1e6 (deviation
+    # about 5e-10 against 1e-10), and NotDiagonal from extraction at 1e8
+    d = FullSpace(2)
+    swap = Permutation((2, 1))
+    verdict = commutes_with_torus(Word(2, (Diagonal((1e6, 1)), swap, swap)), d, 42)
+    assert verdict.commutes and verdict.witness is None
+    lam = extract_diagonal(Word(2, (Diagonal((1e8, 1)), swap, swap)), d, 42)
+    assert lam.tolist() == [1e8, 1.0]
+    flip = Linear([[0, 2], [3j, 0]])
+    assert extract_diagonal(Word(2, (flip, Diagonal((5, 7)), flip)), d, 42).tolist() == [
+        42j, 30j]
+    with pytest.raises(NotDiagonal):  # one swap is left: sampled, as before
+        extract_diagonal(Word(2, (Diagonal((1e8, 1)), swap)), d, 42)
+
+
 def test_exactly_diagonal_steps_multiply():
     w = Word(2, (Linear(np.diag([2.0, 1j])), Diagonal((3.0, 2.0)),
                  Overshear(2, Poly.zero(2), Poly.constant(2, np.log(5.0)))))
@@ -240,4 +268,12 @@ def test_other_words_keep_the_sampled_extraction(n, seed):
             extract_diagonal(w, FullSpace(n), seed)
         assert str(got.value) == str(exc)
         return
-    assert np.array_equal(extract_diagonal(w, FullSpace(n), seed), want)
+    got = extract_diagonal(w, FullSpace(n), seed)
+    if all(monomial(step) for step in w.steps):
+        # the offending permutation is undone by the rest of the word, which
+        # is then diagonal by proof (the sampled pass agrees, so no other
+        # composite permutation is left): compared as in
+        # test_exact_extraction_matches_sampled
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(got))
+    else:
+        assert np.array_equal(got, want)
