@@ -20,8 +20,7 @@ from .homotopy import (SIN_BUMP, BumpFunction, CertificationReport, HomotopyPath
                        continuity_modulus, path_at, path_det, path_target,
                        sample_polydisc, transposition_matrix)
 from .polynomials import Poly
-from .torus import (CentralizerVerdict, CentralizerWitness, ExponentMatrix,
-                    TorusElement, apply_torus, commutes_with_torus,
+from .torus import (CentralizerVerdict, CentralizerWitness, commutes_with_torus,
                     extract_diagonal, integer_det, validate_exponent_matrix)
 from .winding import (ContourSpec, IndexResult, contour_points,
                       in_negative_component, make_contour, winding_index)
@@ -51,9 +50,8 @@ __all__ = [
     "PreservationVerdict", "contains", "contains_batch", "classify_domain",
     "sample_points", "word_preserves_domain",
     # torus
-    "ExponentMatrix", "TorusElement", "apply_torus", "integer_det",
-    "validate_exponent_matrix", "CentralizerVerdict", "CentralizerWitness",
-    "commutes_with_torus", "extract_diagonal",
+    "integer_det", "validate_exponent_matrix", "CentralizerVerdict",
+    "CentralizerWitness", "commutes_with_torus", "extract_diagonal",
     # winding
     "ContourSpec", "IndexResult", "make_contour", "contour_points",
     "winding_index", "in_negative_component",

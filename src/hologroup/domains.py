@@ -122,6 +122,13 @@ def sample_points(d: DomainSpec, count: int, rng: np.random.Generator) -> np.nda
 # the constant coordinates of the points at which odd steps are solved
 FILLERS = (1.0 + 0.0j, 1.3 + 0.0j, 0.7 + 0.4j, -0.9 + 0.6j)
 
+# On C^n \ {0}, behind an odd step, a pulled-back point z with max|z_i|
+# at most this share of its solved point's max|p_i| proves nothing: it
+# may be the origin in exact arithmetic, moved off it by rounding (as in
+# a o u o u^-1, where u moves the origin). Behind automorphisms alone,
+# which fix the origin, z is nonzero in exact arithmetic.
+ORIGIN_MARGIN = 1e-12
+
 
 def _solutions(d: DomainSpec, solves: list, fillers: tuple, generic: bool):
     """For each (coordinate j, solver) pair: the points with constant
@@ -204,21 +211,21 @@ def _escapes(step, d: DomainSpec):
 
 
 def _pullbacks(w: Word, k: int, points):
-    """The solved points of the odd step k, pulled back through the steps
-    before it, where the pull-back is finite. A prefix that cannot be
+    """Each solved point p of the odd step k with its pull-back z through
+    the steps before it, where z is finite. A prefix that cannot be
     inverted is refused with NonFinite."""
     try:
         back = invert_word(Word(w.n, w.steps[:k]))
     except (NonInvertibleStep, NonFinite) as exc:
         raise NonFinite(f"preservation check: the steps before step {k + 1} "
                         f"({type(w.steps[k]).__name__}) cannot be inverted: {exc}") from exc
-    for local in points:
+    for p in points:
         try:
-            z = eval_word(back, local)
+            z = eval_word(back, p)
         except SingularPoint:
             continue
         if np.isfinite(z).all():
-            yield z
+            yield p, z
 
 
 def _leaves(w: Word, d: DomainSpec, z: np.ndarray) -> bool:
@@ -232,26 +239,34 @@ def _leaves(w: Word, d: DomainSpec, z: np.ndarray) -> bool:
 def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> PreservationVerdict:
     """Check that the word maps the domain into itself.
 
-    C \\ {0} is read as the complement of {z1 = 0}. The steps are
-    classified once, and the verdict is decided as follows:
+    C \\ {0} is read as the complement of {z1 = 0}. Each step is
+    classified once; a step that does not map d bijectively onto d is
+    odd. A word without odd steps preserves d by proof, and no point is
+    evaluated. An odd step whose prefix cannot be inverted (a step of
+    its inverse is singular or not finite) is refused with NonFinite.
 
-    - No odd step (every step is an automorphism): True by proof; no
-      point is evaluated.
-    - One odd step S, in the word B o S o A: False by proof once S has
-      a solved escape point p in the domain. A^-1(p) lies in the
-      domain, and B maps the domain one-to-one onto itself, so it cannot
-      bring S's image back. The witness is the first pull-back A^-1(p),
-      computed in floating point, that lies in the domain; it is not
-      evaluated again, and rounding may keep its floating-point image
-      inside the domain.
-    - An odd step whose prefix A cannot be inverted (a step of A^-1
-      is singular or not finite) is refused with NonFinite.
-    - Otherwise (more odd steps, or no solved point in the domain):
-      each pulled-back solved point is verified end to end; on
-      C^n \\ {0} a word without inversions is then tested at the
-      preimage of the origin; last, PRESERVE_SAMPLES seeded domain
-      points are tried. The first escaping point is the witness, and a
-      True from this branch is sampled, not proved.
+    Otherwise the odd steps are taken in order. Each solved point p of
+    an odd step k is pulled back through the steps before k, to z. A z
+    in d proves False, with witness z, when both of these hold:
+    (a) nothing after k can undo the escape: k is the last odd step, or
+        k is an `Inversion`, so the word is undefined at z;
+    (b) nothing before k can have moved the exact pull-back off d: no
+        odd step precedes k, or d has no deleted axes; on C^n \\ {0}
+        behind an odd step, z must also be clear of the origin (see
+        ORIGIN_MARGIN).
+    The witness is not evaluated again, and rounding may keep its
+    floating-point image inside d. Any other z in d is the witness only
+    when the word, evaluated end to end, sends it out of d or onto a zero
+    it inverts. Last, PRESERVE_SAMPLES seeded points of d are tried; the
+    first escaping one is the witness, and a True from them is sampled,
+    not proved.
+
+    On C^n this is the closed form "preserves iff the word has no
+    inversion"; on C^n \\ {0} with n >= 2 it is "no inversion, and
+    w(0) = 0" up to rounding, since the last odd step's pull-back is then
+    w^-1(0). `commutes_with_torus` runs this check first, so it refuses
+    with DomainNotPreserved the words that this rule proves not to
+    preserve d, even where sampling used to let them through.
     """
     if w.n != d.n:
         raise DimensionMismatch(f"word dimension {w.n} != domain dimension {d.n}")
@@ -260,21 +275,16 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
            if (points := _escapes(step, d)) is not None]
     if not odd:
         return PreservationVerdict(True, None)
-    for k, points in odd:
-        for z in _pullbacks(w, k, points):
-            if contains(d, z) and (len(odd) == 1 or _leaves(w, d, z)):
+    for i, (k, points) in enumerate(odd):
+        proof = ((k == odd[-1][0] or isinstance(w.steps[k], Inversion))  # (a)
+                 and (i == 0 or not d.deleted))  # (b)
+        for p, z in _pullbacks(w, k, points):
+            if not contains(d, z):
+                continue
+            rounded = (i > 0 and isinstance(d, Punctured)
+                       and np.abs(z).max() <= ORIGIN_MARGIN * np.abs(p).max())
+            if proof and not rounded or _leaves(w, d, z):
                 return PreservationVerdict(False, z)
-    if isinstance(d, Punctured) and not any(isinstance(s, Inversion) for s in w.steps):
-        # composite rule: a word without inversions preserves C^n \ {0}
-        # iff it fixes 0
-        origin = np.zeros(w.n, dtype=np.complex128)
-        try:
-            if np.any(eval_word(w, origin) != 0):
-                z = eval_word(invert_word(w), origin)
-                if contains(d, z) and _leaves(w, d, z):
-                    return PreservationVerdict(False, z)
-        except (NonInvertibleStep, NonFinite):
-            pass
     rng = np.random.default_rng(sampler_seed)
     pts = sample_points(d, PRESERVE_SAMPLES, rng)
     images, valid = eval_word_batch_masked(w, pts)

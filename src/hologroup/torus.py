@@ -1,10 +1,10 @@
-"""Torus rotations, their integer linearizations, and centralizer tests.
+"""Torus rotations: exponent matrices and centralizer tests.
 
 The standard torus acts by independent coordinate rotations
-z_j -> e^{i theta_j} z_j. A linearized action twists the angles by an
-integer matrix of determinant +1 or -1; that determinant condition is
-exact arithmetic, so it is decided with fraction-free integer
-elimination, never floating point.
+z_j -> e^{i theta_j} z_j. An integer matrix that twists the angles must
+have determinant +1 or -1; `validate_exponent_matrix` decides that in
+exact arithmetic, with fraction-free integer elimination, never floating
+point.
 
 `commutes_with_torus` and `extract_diagonal` are the two halves of the
 dichotomy this package relies on: a word commutes with every torus
@@ -72,52 +72,6 @@ def validate_exponent_matrix(a: Sequence[Sequence[int]]) -> int:
     if det not in (1, -1):
         raise NotUnimodular(det)
     return det
-
-
-@dataclass(frozen=True)
-class ExponentMatrix:
-    """Integer angle-mixing matrix with determinant +1 or -1."""
-
-    n: int
-    a: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.a)
-        object.__setattr__(self, "a", rows)
-        if len(rows) != self.n or any(len(row) != self.n for row in rows):
-            raise DimensionMismatch(f"expected a {self.n}x{self.n} matrix")
-        validate_exponent_matrix(rows)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.a, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class TorusElement:
-    """Angles, in radians, of one coordinatewise rotation."""
-
-    theta: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
-
-    @property
-    def n(self) -> int:
-        return len(self.theta)
-
-    @property
-    def angles(self) -> np.ndarray:
-        return np.array(self.theta, dtype=np.float64)
-
-
-def apply_torus(a: ExponentMatrix, t: TorusElement, z) -> np.ndarray:
-    """Image of z under the linearized rotation z_j -> e^{i(a.theta)_j} z_j."""
-    z = np.asarray(z, dtype=np.complex128)
-    if t.n != a.n or z.shape != (a.n,):
-        raise DimensionMismatch(
-            f"matrix is {a.n}x{a.n}, angles have length {t.n}, point has shape {z.shape}")
-    return np.exp(1j * (a.array @ t.angles)) * z
 
 
 @dataclass(frozen=True, eq=False)

@@ -85,15 +85,16 @@ def _profile(w: Word, c: ContourSpec, thetas: np.ndarray) -> np.ndarray:
     return values
 
 
-def winding_index(w: Word, c: ContourSpec, max_samples: int = MAX_SAMPLES) -> IndexResult:
+def winding_index(w: Word, c: ContourSpec) -> IndexResult:
     """Winding number of the restricted output coordinate around 0.
 
     Starts from 64 uniform angle samples (the 2*pi knot reuses the
     first value, closing the loop exactly) and bisects every interval
     whose argument increment reaches pi/2, so each increment determines
-    the continuous argument branch unambiguously. The accumulated
-    increments divided by 2*pi round to the reported integer; a
-    non-finite sum (the word overflowed on the contour) raises NonFinite.
+    the continuous argument branch unambiguously, up to MAX_SAMPLES
+    samples in all (then BudgetExhausted). The accumulated increments
+    divided by 2*pi round to the reported integer; a non-finite sum (the
+    word overflowed on the contour) raises NonFinite.
     """
     if w.n != c.domain.n:
         raise DimensionMismatch(f"word dimension {w.n} != contour dimension {c.domain.n}")
@@ -107,9 +108,9 @@ def winding_index(w: Word, c: ContourSpec, max_samples: int = MAX_SAMPLES) -> In
         coarse = np.flatnonzero(np.abs(increments) >= REFINE_ANGLE)
         if coarse.size == 0:
             break
-        if used + coarse.size > max_samples:
+        if used + coarse.size > MAX_SAMPLES:
             raise BudgetExhausted(
-                f"argument tracking did not converge within {max_samples} samples")
+                f"argument tracking did not converge within {MAX_SAMPLES} samples")
         mids = 0.5 * (thetas[coarse] + thetas[coarse + 1])
         thetas = np.insert(thetas, coarse + 1, mids)
         values = np.insert(values, coarse + 1, _profile(w, c, mids))

@@ -14,7 +14,7 @@ import pytest
 
 from hologroup import (Diagonal, FullSpace, HyperplaneComplement, Inversion,
                        Overshear, OvershearPath, Poly, Punctured,
-                       TorusElement, TranspositionPath, Word, apply_torus,
+                       TranspositionPath, Word,
                        certify_path, classify_domain, commutes_with_torus,
                        contains, continuity_modulus, eval_word,
                        eval_word_batch,
@@ -181,18 +181,7 @@ def test_criterion_7_exact_unimodularity():
                         ok = ok and det in (1, -1) and got == det
                     except NotUnimodular as err:
                         ok = ok and det not in (1, -1) and err.det == det
-    rng = np.random.default_rng(42)
-    from hologroup import ExponentMatrix
-    mat = ExponentMatrix(2, ((2, 1), (1, 1)))
-    for _ in range(100):
-        t1 = TorusElement(tuple(rng.uniform(0, 2 * np.pi, 2)))
-        t2 = TorusElement(tuple(rng.uniform(0, 2 * np.pi, 2)))
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        lhs = apply_torus(mat, t1, apply_torus(mat, t2, z))
-        rhs = apply_torus(mat, TorusElement(tuple(np.add(t1.theta, t2.theta))), z)
-        ok = ok and float(np.max(np.abs(lhs - rhs))) < 1e-12
-    _report(7, "unimodularity matches brute force on all 625 small matrices "
-            "and the torus group law holds", ok)
+    _report(7, "unimodularity matches brute force on all 625 small matrices", ok)
 
 
 def test_criterion_8_domain_contract():

@@ -3,18 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hologroup import (Diagonal, DimensionMismatch, DomainNotPreserved,
-                       ExponentMatrix, FullSpace, HyperplaneComplement,
-                       Inversion, Linear, NonFinite, NotDiagonal, NotUnimodular, Overshear,
-                       Permutation, Poly, TorusElement, Word, apply_torus, commutes_with_torus,
-                       compose, extract_diagonal, integer_det,
+from hologroup import (Diagonal, DomainNotPreserved, FullSpace,
+                       HyperplaneComplement, Inversion, Linear, NonFinite, NotDiagonal,
+                       NotUnimodular, Overshear, Permutation, Poly, Word,
+                       commutes_with_torus, compose, extract_diagonal, integer_det,
                        validate_exponent_matrix)
 from oracles import det2, extract_diagonal_sampled
 from wordgen import exact_diagonal_word, offender_word, pure_diagonal_word, random_word
-
-
-def torus(a):
-    return ExponentMatrix(len(a), tuple(tuple(r) for r in a))
 
 
 def monomial(step) -> bool:
@@ -26,41 +21,6 @@ def monomial(step) -> bool:
         return bool(np.all(np.count_nonzero(step.matrix, axis=1) == 1))
     return (isinstance(step, Overshear) and step.f.is_zero
             and all(not any(e) for e in step.g.terms))
-
-
-def test_apply_torus_examples():
-    ident = torus([[1, 0], [0, 1]])
-    assert np.allclose(apply_torus(ident, TorusElement((0.0, 0.0)), [1, 2]), [1, 2])
-    assert np.allclose(apply_torus(ident, TorusElement((np.pi, 0.0)), [1, 2]),
-                       [-1, 2], atol=1e-12)
-    mix = torus([[1, 1], [0, 1]])
-    got = apply_torus(mix, TorusElement((np.pi, np.pi)), [1, 1])
-    assert np.allclose(got, [1, -1], atol=1e-12)
-
-
-def test_apply_torus_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        apply_torus(torus([[1, 0], [0, 1]]), TorusElement((0.0,)), [1, 2])
-
-
-def test_torus_coefficients_have_unit_modulus():
-    rng = np.random.default_rng(1)
-    a = torus([[1, 2], [1, 1]])
-    t = TorusElement(tuple(rng.uniform(0, 2 * np.pi, 2)))
-    z = np.ones(2, dtype=complex)
-    assert np.allclose(np.abs(apply_torus(a, t, z)), 1.0)
-
-
-def test_group_law():
-    rng = np.random.default_rng(2)
-    a = torus([[2, 1], [1, 1]])
-    for _ in range(50):
-        t1 = TorusElement(tuple(rng.uniform(0, 2 * np.pi, 2)))
-        t2 = TorusElement(tuple(rng.uniform(0, 2 * np.pi, 2)))
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        lhs = apply_torus(a, t1, apply_torus(a, t2, z))
-        rhs = apply_torus(a, TorusElement(tuple(np.add(t1.theta, t2.theta))), z)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_validate_examples():
@@ -94,13 +54,6 @@ def test_integer_det_is_exact_on_large_entries():
     assert validate_exponent_matrix(m) == 1
     assert integer_det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
     assert integer_det([[0, 0], [0, 5]]) == 0
-
-
-def test_exponent_matrix_type_checks_determinant():
-    with pytest.raises(NotUnimodular):
-        torus([[1, 1], [1, 1]])
-    with pytest.raises(DimensionMismatch):
-        ExponentMatrix(3, ((1, 0), (0, 1)))
 
 
 def test_diagonal_words_commute():

@@ -5,7 +5,7 @@ from hologroup import (BudgetExhausted, Diagonal, DimensionMismatch,
                        FullSpace, HyperplaneComplement, InvalidAxis,
                        Inversion, NonFinite, OutOfRange, OutsideDomain, Overshear, Poly,
                        Word, ZeroOnContour, contour_points, eval_word,
-                       in_negative_component, make_contour, winding_index)
+                       in_negative_component, make_contour, winding, winding_index)
 from oracles import quadrature_winding
 from wordgen import diag_inversion_word
 
@@ -122,11 +122,12 @@ def test_refinement_activates_near_cancellation():
     assert abs(res.raw - q) < 1e-3
 
 
-def test_budget_exhausted_is_honest():
+def test_budget_exhausted_is_honest(monkeypatch):
     f = Poly.constant(2, 0.999)
     w = Word(2, (Overshear(1, f, Poly.zero(2)),))
+    monkeypatch.setattr(winding, "MAX_SAMPLES", 66)
     with pytest.raises(BudgetExhausted):
-        winding_index(w, contour(), max_samples=66)
+        winding_index(w, contour())
 
 
 def test_zero_on_contour():

@@ -11,7 +11,8 @@ or grows past magnitude 20 at any step boundary.
 import numpy as np
 
 from hologroup import (Diagonal, HyperplaneComplement, Inversion, Linear, Overshear,
-                       Permutation, Poly, Punctured, Word, eval_word_batch_masked)
+                       Permutation, Poly, Punctured, Word, eval_word_batch_masked,
+                       invert_word)
 
 
 def nonzero_scalar(rng, lo: float = 0.3, hi: float = 2.0) -> complex:
@@ -188,7 +189,7 @@ def admissible_mask(word: Word, pts: np.ndarray, floor: float = 0.05,
 
 def admissible_points(word: Word, rng, count: int, n: int) -> np.ndarray:
     """Points whose forward and backward orbits stay numerically tame."""
-    from hologroup import compose, invert_word
+    from hologroup import compose
     round_trip = compose(word, invert_word(word))
     out = []
     for _ in range(60):
@@ -198,3 +199,24 @@ def admissible_points(word: Word, rng, count: int, n: int) -> np.ndarray:
         if len(out) >= count:
             return np.array(out)
     raise AssertionError(f"could not find {count} admissible points for {word}")
+
+
+def exact_repair_word(rng, d) -> Word:
+    """a, then u, then u^-1, then b, as one word that preserves d. u is
+    1-2 overshears or permutations, whose inverses are exact, so the word
+    is a then b in exact arithmetic, while each step of u and u^-1 may
+    leave d. a and b are 0-2 automorphisms of d: overshears, permutations
+    or inversions on deleted axes."""
+    def ends():
+        steps, count = [], int(rng.integers(0, 3))
+        while len(steps) < count:
+            step = automorphism_step(rng, d)
+            if not isinstance(step, (Diagonal, Linear)):
+                steps.append(step)
+        return tuple(steps)
+
+    a = ends()
+    u = Word(d.n, tuple(random_overshear(rng, d.n) if rng.integers(0, 2)
+                        else random_permutation(rng, d.n)
+                        for _ in range(int(rng.integers(1, 3)))))
+    return Word(d.n, a + u.steps + invert_word(u).steps + ends())
