@@ -122,12 +122,10 @@ def sample_points(d: DomainSpec, count: int, rng: np.random.Generator) -> np.nda
 # the constant coordinates of the points at which odd steps are solved
 FILLERS = (1.0 + 0.0j, 1.3 + 0.0j, 0.7 + 0.4j, -0.9 + 0.6j)
 
-# On C^n \ {0}, behind an odd step, a pulled-back point z with max|z_i|
-# at most this share of its solved point's max|p_i| proves nothing: it
-# may be the origin in exact arithmetic, moved off it by rounding (as in
-# a o u o u^-1, where u moves the origin). Behind automorphisms alone,
-# which fix the origin, z is nonzero in exact arithmetic.
-ORIGIN_MARGIN = 1e-12
+# The relative error allowed for each step of a pull-back evaluated in
+# floating point, on top of the error it carries in: a step rounds a few
+# times, by 2^-53 each, so this leaves room for some thousand roundings.
+ROUNDING = 2.0 ** -40
 
 
 def _solutions(d: DomainSpec, solves: list, fillers: tuple, generic: bool):
@@ -211,9 +209,10 @@ def _escapes(step, d: DomainSpec):
 
 
 def _pullbacks(w: Word, k: int, points):
-    """Each solved point p of the odd step k with its pull-back z through
-    the steps before it, where z is finite. A prefix that cannot be
-    inverted is refused with NonFinite."""
+    """Each solved point of the odd step k, pulled back through the steps
+    before it to a finite z, with a callable that bounds |z - z*| per
+    coordinate, z* being the exact pull-back (`_rounding_bound`). A
+    prefix that cannot be inverted is refused with NonFinite."""
     try:
         back = invert_word(Word(w.n, w.steps[:k]))
     except (NonInvertibleStep, NonFinite) as exc:
@@ -225,7 +224,44 @@ def _pullbacks(w: Word, k: int, points):
         except SingularPoint:
             continue
         if np.isfinite(z).all():
-            yield p, z
+            yield z, lambda p=p: _rounding_bound(back, p)
+
+
+def _majorant(step, m: np.ndarray) -> np.ndarray:
+    """The step with each coefficient replaced by its modulus, at the
+    nonnegative point m. It bounds the moduli of the step's image, and of
+    the change of each term, on the polydisc |z_i| <= m_i; not for an
+    inversion."""
+    if isinstance(step, Permutation):
+        return step.apply_batch(m[None], False, None)[0][0]
+    if isinstance(step, Overshear):
+        f, g = (sum(abs(c) * np.prod(m ** np.array(e)) for e, c in poly)
+                for poly in (step.f, step.g))
+        out = m.copy()
+        out[step.axis - 1] = f + np.exp(g) * m[step.axis - 1]
+        return out
+    matrix = np.diag(step.lam) if isinstance(step, Diagonal) else step.matrix
+    return np.abs(matrix) @ m
+
+
+def _rounding_bound(back: Word, p: np.ndarray) -> np.ndarray:
+    """A bound on |eval_word(back, p) - back(p*)|, coordinate by coordinate,
+    where p* is p before rounding. Through each step F it grows from r to
+    t |F|(t (|x| + r)) - |F|(|x|) with t = 1 + ROUNDING, |F| the majorant
+    and x the computed point: the exact argument lies in the polydisc
+    |x| + r, and F's own rounding stays within ROUNDING of its terms. NaN
+    (from an overflowing majorant) bounds nothing."""
+    x, r, t = p, ROUNDING * np.abs(p), 1.0 + ROUNDING
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in back.steps:
+            m = np.abs(x)
+            if isinstance(step, Inversion):
+                a, r = step.axis - 1, r.copy()
+                r[a] = t / (m[a] - t * r[a]) - 1.0 / m[a] if m[a] > t * r[a] else np.inf
+            else:
+                r = t * _majorant(step, t * (m + r)) - _majorant(step, m)
+            x = step.apply_batch(x[None], False, None)[0][0]
+    return r
 
 
 def _leaves(w: Word, d: DomainSpec, z: np.ndarray) -> bool:
@@ -252,8 +288,9 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
         k is an `Inversion`, so the word is undefined at z;
     (b) nothing before k can have moved the exact pull-back off d: no
         odd step precedes k, or d has no deleted axes; on C^n \\ {0}
-        behind an odd step, z must also be clear of the origin (see
-        ORIGIN_MARGIN).
+        behind an odd step, some |z_i| must also exceed the bound on its
+        rounding error (`_rounding_bound`), so that the exact pull-back
+        is not the origin.
     The witness is not evaluated again, and rounding may keep its
     floating-point image inside d. Any other z in d is the witness only
     when the word, evaluated end to end, sends it out of d or onto a zero
@@ -263,10 +300,9 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
 
     On C^n this is the closed form "preserves iff the word has no
     inversion"; on C^n \\ {0} with n >= 2 it is "no inversion, and
-    w(0) = 0" up to rounding, since the last odd step's pull-back is then
-    w^-1(0). `commutes_with_torus` runs this check first, so it refuses
-    with DomainNotPreserved the words that this rule proves not to
-    preserve d, even where sampling used to let them through.
+    w(0) = 0" wherever the rounding bound tells w^-1(0), the last odd
+    step's pull-back, from 0. `commutes_with_torus` runs this check
+    first and refuses with DomainNotPreserved when it is False.
     """
     if w.n != d.n:
         raise DimensionMismatch(f"word dimension {w.n} != domain dimension {d.n}")
@@ -276,14 +312,13 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
     if not odd:
         return PreservationVerdict(True, None)
     for i, (k, points) in enumerate(odd):
-        proof = ((k == odd[-1][0] or isinstance(w.steps[k], Inversion))  # (a)
-                 and (i == 0 or not d.deleted))  # (b)
-        for p, z in _pullbacks(w, k, points):
+        lasting = k == odd[-1][0] or isinstance(w.steps[k], Inversion)  # (a)
+        for z, bound in _pullbacks(w, k, points):
             if not contains(d, z):
                 continue
-            rounded = (i > 0 and isinstance(d, Punctured)
-                       and np.abs(z).max() <= ORIGIN_MARGIN * np.abs(p).max())
-            if proof and not rounded or _leaves(w, d, z):
+            proved = lasting and (i == 0 or not d.deleted and (  # (b)
+                not isinstance(d, Punctured) or (np.abs(z) > bound()).any()))
+            if proved or _leaves(w, d, z):
                 return PreservationVerdict(False, z)
     rng = np.random.default_rng(sampler_seed)
     pts = sample_points(d, PRESERVE_SAMPLES, rng)

@@ -161,8 +161,8 @@ def test_one_odd_step_verdicts_are_proved(monkeypatch):
 
 def test_origin_preimage_behind_an_origin_mover_is_proved(monkeypatch):
     # both overshears move the origin; the end-to-end image of the
-    # preimage of 0 rounds to 1e-16 instead of 0, so the sampler used to
-    # decide, and it reported True
+    # preimage of 0 rounds to 1e-16 instead of 0, so only the pull-back
+    # rule sees the escape; the sampler misses it
     monkeypatch.setattr(domains, "sample_points", no_sampling)
     w = Word(2, (Overshear(1, Poly.constant(2, 0.5), Poly(2, {(0, 1): 0.2})),
                  Overshear(2, Poly(2, {(0, 0): 0.7, (1, 0): 1.0}), Poly.zero(2))))
@@ -176,7 +176,7 @@ def test_origin_preimage_behind_an_origin_mover_is_proved(monkeypatch):
 def test_inversion_behind_another_odd_step_is_proved(monkeypatch):
     # the first inversion leaves the word undefined where the rotated z1
     # is 0, whatever follows it; rounding in the rotation misses that zero,
-    # and the second inversion undoes the first, so sampling said True
+    # and the second inversion undoes the first, so sampling misses it
     monkeypatch.setattr(domains, "sample_points", no_sampling)
     w = Word(2, (Linear([[0.6, 0.8], [-0.8, 0.6]]), Inversion(1), Inversion(1)))
     for d in (FullSpace(2), Punctured(2)):
@@ -211,6 +211,24 @@ def test_identity_is_not_reported_to_leave_a_complement():
     for seed in (1, 42):
         assert word_preserves_domain(w, d, seed).preserves
     commutes_with_torus(w, d, 1)  # refused with DomainNotPreserved today
+
+
+def test_large_cancellation_behind_an_odd_step_is_not_proved():
+    # u then u^-1 is exactly the identity; the pull-back of the last odd
+    # step's solved point (1, 0) is the origin, but 1e6 e^z1 e^-z1 - 1e6
+    # leaves 1.2e-10 in z2; only the rounding bound carried through the
+    # pull-back tells that from an escape
+    z1 = Poly.coordinate(2, 1)
+    u = Word(2, (Overshear(1, Poly.constant(2, 1.0), Poly.zero(2)),
+                 Overshear(2, z1.scale(1e6), Poly.zero(2)),
+                 Overshear(2, Poly.zero(2), z1)))
+    w = compose(u, invert_word(u))
+    z = eval_word(invert_word(Word(2, w.steps[:-1])), [1.0, 0.0])
+    assert z[0] == 0 and np.abs(z[1]) > 1e-10
+    for seed in (1, 42):
+        v = word_preserves_domain(w, Punctured(2), seed)
+        assert v.preserves and v.witness is None
+    commutes_with_torus(w, Punctured(2), 1)  # not refused with DomainNotPreserved
 
 
 def test_prefix_that_cannot_be_inverted_is_refused():
@@ -396,18 +414,24 @@ def test_two_odd_steps_keep_the_sampled_verdict(d, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(DOMAINS), st.integers(0, 2 ** 32 - 1))
-@example(Punctured(2), 41)
-@example(Punctured(3), 365)
+@example(Punctured(2), 68)
+@example(Punctured(3), 357)
+@example(Punctured(2), 92)
+@example(Punctured(2), 1081)
+@example(comp(3, {2}), 3898503)
 def test_exactly_undone_steps_keep_the_sampled_verdict(d, seed):
     # u then u^-1 may each leave d, but the word preserves it; on
-    # C^n \ {0} the origin pulled back through them is 0 up to rounding
-    # (max|z_i| is 1.2e-16 and 3.9e-17 for the two examples), which must
-    # not count as a proved escape
+    # C^n \ {0} the origin pulled back through them is 0 up to rounding,
+    # which must not count as a proved escape: max|z_i| is 1.6e-16 and
+    # 5.7e-17 for the first two examples, and 1.6e-9 and 0.17 for the
+    # last two, whose u^-1 cancels values scaled by 10^6. So a False is
+    # the oracle's, witness and all. A True is right, also where the
+    # oracle's sampler reads a rounded-off deleted coordinate as 0 (the
+    # last example, whose steps are all automorphisms of d)
     rng = np.random.default_rng(seed)
     w = exact_repair_word(rng, d)
     got, want = word_preserves_domain(w, d, seed), preserves_sampled(w, d, seed)
-    assert got.preserves == want.preserves
-    if want.witness is None:
+    if got.preserves:
         assert got.witness is None
     else:
-        assert np.array_equal(got.witness, want.witness)
+        assert not want.preserves and np.array_equal(got.witness, want.witness)

@@ -203,10 +203,13 @@ def admissible_points(word: Word, rng, count: int, n: int) -> np.ndarray:
 
 def exact_repair_word(rng, d) -> Word:
     """a, then u, then u^-1, then b, as one word that preserves d. u is
-    1-2 overshears or permutations, whose inverses are exact, so the word
+    made of overshears or permutations, whose inverses are exact, so the word
     is a then b in exact arithmetic, while each step of u and u^-1 may
-    leave d. a and b are 0-2 automorphisms of d: overshears, permutations
-    or inversions on deleted axes."""
+    leave d. u has 1-3 steps, and the nonconstant terms of an overshear's
+    f are scaled by 10^0..10^6, so that u^-1 may cancel large values and
+    leave rounding errors far above the point that u moves the origin
+    to. a and b are 0-2 automorphisms of d: overshears, permutations or
+    inversions on deleted axes."""
     def ends():
         steps, count = [], int(rng.integers(0, 3))
         while len(steps) < count:
@@ -215,8 +218,13 @@ def exact_repair_word(rng, d) -> Word:
                 steps.append(step)
         return tuple(steps)
 
+    def undone():
+        if rng.integers(0, 2):
+            return random_permutation(rng, d.n)
+        o, s = random_overshear(rng, d.n), 10.0 ** int(rng.integers(0, 7))
+        f = Poly(d.n, {e: c * s if any(e) else c for e, c in o.f.terms.items()})
+        return Overshear(o.axis, f, o.g)
+
     a = ends()
-    u = Word(d.n, tuple(random_overshear(rng, d.n) if rng.integers(0, 2)
-                        else random_permutation(rng, d.n)
-                        for _ in range(int(rng.integers(1, 3)))))
+    u = Word(d.n, tuple(undone() for _ in range(int(rng.integers(1, 4)))))
     return Word(d.n, a + u.steps + invert_word(u).steps + ends())
