@@ -8,8 +8,8 @@ SceneError, DimensionMismatch), 2 on every other HoloError (singular
 points, non-unimodular matrices, zeros on contours, non-finite values,
 and the like), which also emits an {"error": ...} document on stdout.
 
-Randomized procedures take --seed (default 42) and identical
-invocations produce byte-identical output.
+Randomized procedures take --seed, a non-negative integer (default 42),
+and identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -58,6 +58,17 @@ def _parse_point(text: str) -> np.ndarray:
     return np.array(coords, dtype=np.complex128)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds its generators with non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: not an integer") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hologroup",
                      description="Automorphism words, winding indices, homotopy "
@@ -100,27 +111,27 @@ def build_parser() -> _Parser:
     p.add_argument("--path", required=True)
     p.add_argument("--grid", type=int, default=1001)
     p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
 
     p = cmd("continuity", "modulus of continuity of a path at time step --t")
     p.add_argument("--path", required=True)
     p.add_argument("--t", type=float, required=True, help="time grid spacing dt")
     p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
 
     p = cmd("centralizer", "does the word commute with all torus rotations")
     p.add_argument("--word", required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
 
     p = cmd("extract-diagonal", "recover the diagonal of a torus-commuting word")
     p.add_argument("--word", required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
 
     cmd("classify", "domain kind and Stein flag")
 
     p = cmd("preserves", "does the word map the scene domain into itself")
     p.add_argument("--word", required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
 
     p = cmd("validate-exponents", "exact unimodularity check of an integer matrix")
     p.add_argument("--matrix", required=True)

@@ -115,7 +115,7 @@ def winding_index(w: Word, c: ContourSpec) -> IndexResult:
         thetas = np.insert(thetas, coarse + 1, mids)
         values = np.insert(values, coarse + 1, _profile(w, c, mids))
         used += coarse.size
-    raw = float(np.sum(np.angle(values[1:] / values[:-1])) / (2.0 * np.pi))
+    raw = float(np.sum(increments) / (2.0 * np.pi))
     if not math.isfinite(raw):
         raise NonFinite(f"the accumulated winding is {raw}: the output coordinate "
                         "is not finite on the contour")

@@ -86,8 +86,12 @@ class Overshear:
     def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
         a = self.axis - 1
         fv, gv = _kernels.poly_eval(*self._tables, cur)
-        hv = np.exp(gv)
         out = cur.copy()
+        if self.g.is_zero:
+            # exp(0) = 1; fv is never -0.0, so fv + z rounds as fv + 1 * z
+            out[:, a] = fv + cur[:, a]
+            return out, (1.0 if jac else None)
+        hv = np.exp(gv)
         out[:, a] = fv + hv * cur[:, a]
         return out, (hv if jac else None)
 

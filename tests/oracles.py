@@ -9,20 +9,26 @@ The homotopy checks are redone the plain way, one word per grid time.
 Domain preservation and diagonal extraction are redone by sampling
 alone, for every word, as the library did before it decided some words
 by proof; the structural escape pass that preservation ran first is
-kept here as its own copy, with its own step classification.
+kept here as its own copy, with its own step classification. The
+sampled centralizer grid is kept as the one broadcast over (64, 64, n)
+arrays that it was before it went coordinate by coordinate.
 """
+
+import math
 
 import numpy as np
 
-from hologroup import (CertificationReport, FullSpace, HyperplaneComplement, Inversion,
-                       Linear, NonFinite, NonInvertibleStep, NotDiagonal, Overshear,
-                       Permutation, PreservationVerdict, Punctured, SingularPoint, Word,
+from hologroup import (CentralizerVerdict, CentralizerWitness, CertificationReport,
+                       FullSpace, HyperplaneComplement, Inversion, Linear, NonFinite,
+                       NonInvertibleStep, NotDiagonal, Overshear, Permutation,
+                       PreservationVerdict, Punctured, SingularPoint, Word,
                        contains, contains_batch, eval_word, eval_word_batch,
                        eval_word_batch_masked, invert_word, jacobian_det_batch, path_at,
                        path_target, sample_points, sample_polydisc)
 from hologroup.domains import PRESERVE_SAMPLES
 from hologroup.homotopy import CERTIFY_POINTS, DEFAULT_CERTIFY_SEED
-from hologroup.torus import DIAG_DEPENDENCE_TOL, DIAG_PROBE_STEP, DIAG_RATIO_TOL
+from hologroup.torus import (COMMUTE_TOL, DIAG_DEPENDENCE_TOL, DIAG_PROBE_STEP,
+                             DIAG_RATIO_TOL)
 from hologroup.winding import ContourSpec, contour_points
 
 
@@ -297,3 +303,26 @@ def extract_diagonal_sampled(w: Word, seed: int) -> np.ndarray:
         raise NotDiagonal("an output coordinate depends on a foreign input coordinate",
                           point=pts[bad[0]])
     return lam
+
+
+def commutes_with_torus_sampled(w: Word, d, seed: int) -> CentralizerVerdict:
+    """The sampled half of commutes_with_torus as one broadcast over
+    (64, 64, n) arrays; the caller checks that w preserves d and is not
+    exactly diagonal."""
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(64, w.n))
+    pts = sample_points(d, 64, rng)
+    coeffs = np.exp(1j * thetas)
+    rotated = (coeffs[:, None, :] * pts[None, :, :]).reshape(-1, w.n)
+    w_of_tz = eval_word_batch(w, rotated).reshape(64, 64, w.n)
+    t_of_wz = coeffs[:, None, :] * eval_word_batch(w, pts)[None, :, :]
+    dev = np.max(np.abs(w_of_tz - t_of_wz), axis=2)
+    worst = float(dev.max())
+    if not math.isfinite(worst):
+        i, j = np.unravel_index(int(np.flatnonzero(~np.isfinite(dev))[0]), dev.shape)
+        raise NonFinite(f"centralizer check: the deviation |w(t(z)) - t(w(z))| is "
+                        f"{dev[i, j]} at theta {thetas[i]}, z {pts[j]}")
+    if worst < COMMUTE_TOL:
+        return CentralizerVerdict(True, None)
+    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    return CentralizerVerdict(False, CentralizerWitness(thetas[i], pts[j], worst))

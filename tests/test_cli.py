@@ -37,6 +37,12 @@ def aux_scene(tmp_path_factory):
             "spike": {"n": 2, "steps": [{"type": "overshear", "axis": 1, "f": [],
                                          "g": [{"exponents": [0, 0], "re": 800.0,
                                                 "im": 0.0}]}]},
+            # z1 -> z1 + 1 -> z1: two odd steps, so preservation is sampled
+            "there_and_back": {"n": 2, "steps": [
+                {"type": "overshear", "axis": 1, "g": [],
+                 "f": [{"exponents": [0, 0], "re": 1.0, "im": 0.0}]},
+                {"type": "overshear", "axis": 1, "g": [],
+                 "f": [{"exponents": [0, 0], "re": -1.0, "im": 0.0}]}]},
             # undefined on {z2 = 0}; the inverse of its first step overflows
             "tiny_inv": {"n": 2, "steps": [{"type": "diagonal",
                                             "lambda": [[1e-320, 0.0], [1.0, 0.0]]},
@@ -186,6 +192,27 @@ def test_usage_errors_exit_1():
         assert code == 1, argv
         assert out == ""
         assert err != ""
+
+
+# each of these ended in numpy's "expected non-negative integer" traceback
+NEGATIVE_SEEDS = [
+    (["centralizer", "--word", "shear", "--seed", "-1"], DEMO),
+    (["extract-diagonal", "--word", "shear", "--seed", "-1"], DEMO),
+    (["homotopy-certify", "--path", "swap_path", "--seed", "-1"], DEMO),
+    (["continuity", "--path", "swap_path", "--t", "0.5", "--seed", "-2"], DEMO),
+    (["preserves", "--word", "there_and_back", "--seed", "-1"], None),
+]
+
+
+@pytest.mark.parametrize("argv,scene", NEGATIVE_SEEDS,
+                         ids=[a[0] for a, _ in NEGATIVE_SEEDS])
+def test_negative_seed_is_a_usage_error(argv, scene, aux_scene, capsys):
+    from hologroup import cli
+    assert cli.main([*argv, "--scene", scene or aux_scene]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error:") and "non-negative" in err
+    assert err.count("\n") == 1
 
 
 def test_scene_errors_exit_1(tmp_path):

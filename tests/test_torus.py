@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from hologroup import (Diagonal, DomainNotPreserved, FullSpace,
                        HyperplaneComplement, Inversion, Linear, NonFinite, NotDiagonal,
-                       NotUnimodular, Overshear, Permutation, Poly, Word,
+                       NotUnimodular, Overshear, Permutation, Poly, Punctured, Word,
                        commutes_with_torus, compose, extract_diagonal, integer_det,
                        validate_exponent_matrix)
-from oracles import det2, extract_diagonal_sampled
-from wordgen import exact_diagonal_word, offender_word, pure_diagonal_word, random_word
+from hologroup.torus import _exact_diagonal
+from oracles import commutes_with_torus_sampled, det2, extract_diagonal_sampled
+from wordgen import (automorphism_word, exact_diagonal_word, offender_word,
+                     pure_diagonal_word, random_word)
 
 
 def monomial(step) -> bool:
@@ -140,6 +142,73 @@ def test_verdict_deterministic():
     assert a.witness.deviation == b.witness.deviation
     assert np.array_equal(a.witness.theta, b.witness.theta)
     assert np.array_equal(a.witness.z, b.witness.z)
+
+
+def _same_verdict(w, d, seed) -> bool:
+    """Check commutes_with_torus bit for bit against the broadcast oracle:
+    the verdict, the witness bytes and deviation, or the NonFinite message.
+    False, with nothing checked, for a word that never reaches the grid."""
+    try:
+        if _exact_diagonal(w, "") is not None:
+            return False
+    except NonFinite:
+        return False
+    try:
+        got = commutes_with_torus(w, d, seed)
+    except DomainNotPreserved:
+        return False
+    except NonFinite as exc:
+        with pytest.raises(NonFinite) as want:
+            commutes_with_torus_sampled(w, d, seed)
+        assert str(exc) == str(want.value)
+        return True
+    want = commutes_with_torus_sampled(w, d, seed)
+    assert got.commutes == want.commutes
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        assert got.witness.theta.tobytes() == want.witness.theta.tobytes()
+        assert got.witness.z.tobytes() == want.witness.z.tobytes()
+        assert got.witness.deviation == want.witness.deviation  # > 0, finite
+    return True
+
+
+def _random_domain(rng, n: int, kind: int):
+    if kind == 0:
+        return FullSpace(n)
+    if kind == 1:
+        return Punctured(n)
+    deleted = rng.choice(np.arange(1, n + 1), int(rng.integers(1, n + 1)), replace=False)
+    return HyperplaneComplement(n, frozenset(int(a) for a in deleted))
+
+
+def test_sampled_grid_matches_the_broadcast_oracle():
+    # n = 1..3 on all three domain kinds: random words (Linear steps,
+    # inversions), offenders, and automorphisms of the domain (inversions
+    # on deleted axes); 1,000 of them reach the sampled grid
+    rng = np.random.default_rng(2024)
+    sampled = 0
+    for i in range(4000):
+        n = 1 + i % 3
+        d = _random_domain(rng, n, (i // 3) % 3)
+        family = (i // 9) % 3
+        if family == 1 and n > 1:
+            w = offender_word(rng, n)
+        elif family == 2:
+            w = automorphism_word(rng, d)
+        else:
+            w = random_word(rng, n)
+        sampled += _same_verdict(w, d, int(rng.integers(0, 2 ** 31)))
+        if sampled == 1000:
+            break
+    assert sampled == 1000
+    # overflowing multipliers: both refuse, with the same message
+    big = (Overshear(2, Poly.zero(2), Poly(2, {(1, 0): 800.0})),
+           Overshear(2, Poly.coordinate(2, 1), Poly.constant(2, 800.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in big:
+            with pytest.raises(NonFinite, match="centralizer check"):
+                commutes_with_torus(Word(2, (step,)), FullSpace(2), 3)
+            assert _same_verdict(Word(2, (step,)), FullSpace(2), 3)
 
 
 def test_large_diagonals_are_decided_exactly():

@@ -8,8 +8,9 @@ from hologroup import (DimensionMismatch, Diagonal, Inversion, Linear, NonFinite
                        SingularPoint, Word, compose, eval_word,
                        eval_word_batch, eval_word_batch_masked, invert_word,
                        jacobian_det, jacobian_det_batch)
+from hologroup import _kernels
 from oracles import fd_jacobian_det, permutation_sign_bruteforce
-from wordgen import admissible_points, random_word
+from wordgen import admissible_points, point_batch, random_overshear, random_word
 
 
 def z1(n=2):
@@ -263,3 +264,43 @@ def test_masked_double_inversion_does_not_divide_invalid_rows():
     assert valid.tolist() == [False, True]
     assert np.isnan(images[0, 0]) and images[0, 1] == 1.0
     assert images[1].tolist() == [2.0, 1.0]
+
+
+def _exp_path_pass(word, pts):
+    """Images and Jacobian determinants with every overshear multiplying
+    by exp(g), also where g = 0."""
+    cur, det = pts, np.ones(len(pts), dtype=np.complex128)
+    for step in word.steps:
+        if isinstance(step, Overshear):
+            fv, gv = _kernels.poly_eval(*step._tables, cur)
+            hv = np.exp(gv)
+            out = cur.copy()
+            out[:, step.axis - 1] = fv + hv * cur[:, step.axis - 1]
+            cur, d = out, hv
+        else:
+            cur, d = step.apply_batch(cur, True, None)
+        det *= d
+    return cur, det
+
+
+def test_translations_skip_the_exp_bit_for_bit():
+    # an overshear with g = 0 adds f to z_axis with no exp(0) = 1 factor;
+    # images and determinants keep every bit, signed zeros included
+    rng = np.random.default_rng(5)
+    signed_zeros = [complex(-0.0, -0.5), complex(0.0, -0.0), complex(-0.0, -0.0),
+                    complex(-0.0, 0.0), complex(0.5, -0.0)]
+    translations = 0
+    for i in range(300):
+        n = 1 + i % 3
+        a = random_word(rng, n, allow_inversion=False)
+        b = random_word(rng, n, allow_inversion=False)
+        o = random_overshear(rng, n)
+        t = Overshear(o.axis, o.f, Poly.zero(n))
+        w = compose(compose(a, invert_word(b)), Word(n, (t,)))
+        translations += sum(isinstance(s, Overshear) and s.g.is_zero for s in w.steps)
+        pts = point_batch(rng, 64, n)
+        pts[:len(signed_zeros), 0] = signed_zeros
+        want, want_det = _exp_path_pass(w, pts)
+        assert eval_word_batch(w, pts).tobytes() == want.tobytes()
+        assert jacobian_det_batch(w, pts).tobytes() == want_det.tobytes()
+    assert translations > 300
