@@ -14,8 +14,9 @@ monomials that can be dropped once it is built. It depends only on the
 exponent table and is cached on the table's shape and bytes. In that
 order the descendants of a monomial are contiguous, so dropping each
 monomial after its last child keeps O(P * degree) values alive, not
-O(P * terms). Each call first copies every coordinate that more than
-one monomial multiplies by into a contiguous column.
+O(P * terms). A coordinate that more than one monomial multiplies by is
+read as a contiguous column: as it comes when the batch is column-major,
+as the word pass keeps it, else from one copy per call.
 
 `coeffs` is (T,), giving (P,), or (T, R), giving (R, P): R polynomials
 over one exponent table, as for an overshear's f and g. Terms are added
@@ -82,7 +83,7 @@ def _plan_of(exps: np.ndarray) -> tuple:
 def _monomials(used: tuple, steps: tuple, pts: np.ndarray):
     """Yield (rows, values at pts) for each non-constant monomial that is a
     term, in plan order, each built from its parent."""
-    cols = [pts[:, v].copy() if shared else pts[:, v] for v, shared in used]
+    cols = [np.ascontiguousarray(pts[:, v]) if shared else pts[:, v] for v, shared in used]
     values = [None] * len(steps)
     for k, (parent, v, rows, drop) in enumerate(steps):
         m = cols[v] if parent < 0 else values[parent] * cols[v]

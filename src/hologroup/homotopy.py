@@ -20,13 +20,15 @@ errors, a global lower bound on |det| over a t-grid, worst inverse
 residual, and a modulus of continuity in t.
 
 Both checks walk their time grid in blocks of BLOCK_TIMES times and
-evaluate each block in closed form as (T, P, n) arrays, without
-building a Word per time. For an overshear path the data f and g are
-evaluated at the scaled coefficients (1-t) c term by term from monomial
-columns built once per call; since neither reads the axis coordinate,
-the inverse at time t is exp(-(1-t) g) * (w - (1-t) f) on the same
-values. For a transposition path the block is a stack of matrices with
-batched products, determinants and inverses. The results equal those
+evaluate each block in closed form, without building a Word per time,
+as (T, P, k) arrays of the k coordinates that the path moves. For an
+overshear path that is its axis alone, since every other coordinate of
+an image is the point's own, and the data f and g are evaluated at the
+scaled coefficients (1-t) c term by term from monomial columns built
+once per call; since neither reads the axis coordinate, the inverse at
+time t is exp(-(1-t) g) * (w - (1-t) f) on the same values. For a
+transposition path the block is a stack of matrices with batched
+products, determinants and inverses. The results equal those
 of evaluating path_at(path, t) at each time, and `tests/oracles.py`
 keeps that per-time algorithm to check it. Grids are capped at
 MAX_GRID_TIMES times (BudgetExhausted), and a time whose |det|,
@@ -199,13 +201,22 @@ def _blocks(times: np.ndarray):
     return (times[i:i + BLOCK_TIMES] for i in range(0, len(times), BLOCK_TIMES))
 
 
+def _moving(path: HomotopyPath) -> slice:
+    """The coordinates that the evaluator of `path` returns: the overshear
+    axis, or all n for a transposition."""
+    if isinstance(path, OvershearPath):
+        return slice(path.target.axis - 1, path.target.axis)
+    return slice(None)
+
+
 def _evaluator(path: HomotopyPath, pts: np.ndarray):
     """Return evaluate(times, certify) -> (images, dets, residuals).
 
-    images is (T, P, n): the path at each of a block of times, applied to
-    the (P, n) points. With `certify`, dets and residuals are (T,): per
-    time, the least |det| of the Jacobian over the points and the largest
-    |inverse(image) - point|; else both are None.
+    images is (T, P, k): the coordinates `_moving(path)` of the path at
+    each of a block of times, applied to the (P, n) points. With
+    `certify`, dets and residuals are (T,): per time, the least |det| of
+    the Jacobian over the points and the largest |inverse(image) -
+    point|; else both are None.
     """
     if isinstance(path, OvershearPath):
         s = path.target.axis - 1
@@ -217,12 +228,10 @@ def _evaluator(path: HomotopyPath, pts: np.ndarray):
             fv, gv = f(1.0 - times), g(1.0 - times)
             hv = np.exp(gv)
             ws = fv + hv * zs
-            images = np.broadcast_to(pts, (len(times),) + pts.shape).copy()
-            images[:, :, s] = ws
             if not certify:
-                return images, None, None
+                return ws[:, :, None], None, None
             back = np.exp(-gv) * (ws - fv)
-            return images, np.min(np.abs(hv), axis=1), np.max(np.abs(back - zs), axis=1)
+            return ws[:, :, None], np.min(np.abs(hv), axis=1), np.max(np.abs(back - zs), axis=1)
         return evaluate
 
     def evaluate(times, certify):
@@ -269,8 +278,9 @@ def certify_path(path: HomotopyPath, grid_size: int, sample_radius: float,
         min_det = np.minimum.reduce(_finite(dets, times, "|det|"), initial=min_det)
         max_resid = np.maximum.reduce(_finite(resids, times, "the inverse residual"),
                                       initial=max_resid)
-    err0 = float(np.max(np.abs(first - eval_word_batch(path_target(path), pts))))
-    err1 = float(np.max(np.abs(images[-1] - pts)))
+    moving = _moving(path)
+    err0 = float(np.max(np.abs(first - eval_word_batch(path_target(path), pts)[:, moving])))
+    err1 = float(np.max(np.abs(images[-1] - pts[:, moving])))
     return CertificationReport(err0, err1, float(min_det), float(max_resid))
 
 

@@ -150,11 +150,12 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(64, w.n))
     pts = sample_points(d, 64, rng)
-    # row i * 64 + j is rotation i applied to point j; each coordinate is
-    # one contiguous 64x64 block, since numpy is slow along a last axis of n
+    # row i * 64 + j is rotation i applied to point j; the grid is
+    # column-major, as the word pass keeps it, so each coordinate is one
+    # contiguous 64x64 block, since numpy is slow along a last axis of n
     coeffs_t = np.ascontiguousarray(np.exp(1j * thetas).T)
     pts_t = np.ascontiguousarray(pts.T)
-    rotated = np.empty((64 * 64, w.n), dtype=np.complex128)
+    rotated = np.empty((64 * 64, w.n), dtype=np.complex128, order="F")
     for c in range(w.n):
         rotated[:, c] = np.multiply.outer(coeffs_t[c], pts_t[c]).ravel()
     images = eval_word_batch(w, rotated)

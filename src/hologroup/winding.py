@@ -71,7 +71,8 @@ def make_contour(d, axis: int, p, R: float) -> ContourSpec:
 
 
 def contour_points(c: ContourSpec, thetas: np.ndarray) -> np.ndarray:
-    pts = np.broadcast_to(c.base, (len(thetas), c.domain.n)).copy()
+    # column-major, as the word pass takes it
+    pts = np.broadcast_to(c.base, (len(thetas), c.domain.n)).copy(order="F")
     pts[:, c.axis - 1] = c.R * np.exp(1j * np.asarray(thetas, dtype=np.float64))
     return pts
 

@@ -16,12 +16,18 @@ f and g are polynomials that must not involve the overshear axis, so
 the multiplier exp(g) is entire and nowhere zero by construction.
 All step and word values are immutable; every operation is pure.
 
-Every step has one evaluation method, `apply_batch(cur, jac, valid)`,
-which returns the image of a (P, n) batch as a new array, plus the
-step's Jacobian determinant (an array or a scalar) when `jac` is true,
-else None. `valid` matters only to Inversion: when it is None a zero
+Every step has one evaluation method, `apply_batch(cur, jac, valid)`.
+It takes a column-major (P, n) batch, in which each coordinate is one
+contiguous column, and returns the image as a new column-major array,
+plus the step's Jacobian determinant (an array or a scalar) when `jac`
+is true, else None. numpy works on a contiguous column several times
+faster than on a strided one, and every step reads or writes whole
+coordinates. `valid` matters only to Inversion: when it is None a zero
 coordinate raises SingularPoint, otherwise the singular rows get NaN
-and are cleared in `valid`. `_word_pass` chains the steps once.
+and are cleared in `valid`. `_word_pass` puts its input in that layout
+once and chains the steps. Overflow, 0 * inf and division by zero
+inside the pass give inf or NaN without a warning; callers that refuse
+them check the values.
 """
 
 from __future__ import annotations
@@ -42,10 +48,11 @@ TAU_DET = 1e-12
 
 
 def _as_batch(pts) -> np.ndarray:
+    """pts as a column-major (P, n) complex batch, copied only if it is not one."""
     pts = np.asarray(pts, dtype=np.complex128)
     if pts.ndim != 2:
         raise ValueError(f"expected a (P, n) batch of points, got shape {pts.shape}")
-    return pts
+    return np.asfortranarray(pts)
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,7 @@ class Overshear:
     def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
         a = self.axis - 1
         fv, gv = _kernels.poly_eval(*self._tables, cur)
-        out = cur.copy()
+        out = cur.copy(order="K")
         if self.g.is_zero:
             # exp(0) = 1; fv is never -0.0, so fv + z rounds as fv + 1 * z
             out[:, a] = fv + cur[:, a]
@@ -140,10 +147,13 @@ class Permutation:
                 sign = -sign
         return sign
 
+    @cached_property
+    def _sources(self) -> np.ndarray:
+        """The 0-based coordinate that moves to each slot."""
+        return np.argsort(self.perm)
+
     def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
-        out = np.empty_like(cur)
-        out[:, np.array(self.perm) - 1] = cur
-        return out, (complex(self.sign) if jac else None)
+        return cur[:, self._sources], (complex(self.sign) if jac else None)
 
     def inverse(self) -> tuple:
         inv = [0] * len(self.perm)
@@ -214,7 +224,7 @@ class Linear:
         return self.matrix.shape[0]
 
     def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
-        return cur @ self.matrix.T, (self._det if jac else None)
+        return np.asfortranarray(cur @ self.matrix.T), (self._det if jac else None)
 
     def inverse(self) -> tuple:
         try:
@@ -250,7 +260,7 @@ class Inversion:
                 raise SingularPoint(f"inversion of coordinate {self.axis} at value 0")
             valid &= ~zero
             col = np.where(skip, 1.0, col)
-        out = cur.copy()
+        out = cur.copy(order="K")
         out[:, a] = 1.0 / col
         if singular:
             out[skip, a] = np.where(zero, np.nan, cur[:, a])[skip]
@@ -306,7 +316,8 @@ def eval_word(word: Word, z) -> np.ndarray:
 
 
 def _word_pass(word: Word, pts, jac: bool = False, masked: bool = False):
-    """The one evaluation pass: (images, det, valid) on a (P, n) batch.
+    """The one evaluation pass: (images, det, valid) on a (P, n) batch,
+    with the images column-major.
 
     det is the Jacobian determinant when `jac`, valid the mask of rows
     that met no singular inversion when `masked`; each is None otherwise.
@@ -319,11 +330,12 @@ def _word_pass(word: Word, pts, jac: bool = False, masked: bool = False):
     det = np.ones(cur.shape[0], dtype=np.complex128) if jac else None
     valid = np.ones(cur.shape[0], dtype=bool) if masked else None
     if not word.steps:
-        cur = cur.copy()  # steps return new arrays; the identity must too
-    for step in word.steps:
-        cur, d = step.apply_batch(cur, jac, valid)
-        if jac:
-            det *= d
+        cur = cur.copy(order="F")  # steps return new arrays; the identity must too
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in word.steps:
+            cur, d = step.apply_batch(cur, jac, valid)
+            if jac:
+                det *= d
     return cur, det, valid
 
 

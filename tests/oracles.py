@@ -11,7 +11,9 @@ alone, for every word, as the library did before it decided some words
 by proof; the structural escape pass that preservation ran first is
 kept here as its own copy, with its own step classification. The
 sampled centralizer grid is kept as the one broadcast over (64, 64, n)
-arrays that it was before it went coordinate by coordinate.
+arrays that it was before it went coordinate by coordinate. The word
+pass is kept as it was before it went column-major: each step works on
+the batch in whatever layout it comes, a C-ordered one from every copy.
 """
 
 import math
@@ -19,12 +21,14 @@ import math
 import numpy as np
 
 from hologroup import (CentralizerVerdict, CentralizerWitness, CertificationReport,
-                       FullSpace, HyperplaneComplement, Inversion, Linear, NonFinite,
+                       Diagonal, FullSpace, HyperplaneComplement, Inversion, Linear,
+                       NonFinite,
                        NonInvertibleStep, NotDiagonal, Overshear, Permutation,
                        PreservationVerdict, Punctured, SingularPoint, Word,
                        contains, contains_batch, eval_word, eval_word_batch,
                        eval_word_batch_masked, invert_word, jacobian_det_batch, path_at,
                        path_target, sample_points, sample_polydisc)
+from hologroup import _kernels
 from hologroup.domains import PRESERVE_SAMPLES
 from hologroup.homotopy import CERTIFY_POINTS, DEFAULT_CERTIFY_SEED
 from hologroup.torus import (COMMUTE_TOL, DIAG_DEPENDENCE_TOL, DIAG_PROBE_STEP,
@@ -98,6 +102,59 @@ def naive_poly_eval(terms: dict, z) -> complex:
             val *= zj ** e
         total += val
     return total
+
+
+def _row_major_step(step, cur, jac: bool, valid):
+    """One step's apply_batch as it was before the pass went column-major."""
+    if isinstance(step, Overshear):
+        a = step.axis - 1
+        fv, gv = _kernels.poly_eval(*step._tables, cur)
+        out = cur.copy()
+        if step.g.is_zero:
+            out[:, a] = fv + cur[:, a]
+            return out, (1.0 if jac else None)
+        hv = np.exp(gv)
+        out[:, a] = fv + hv * cur[:, a]
+        return out, (hv if jac else None)
+    if isinstance(step, Permutation):
+        out = np.empty_like(cur)
+        out[:, np.array(step.perm) - 1] = cur
+        return out, (complex(step.sign) if jac else None)
+    if isinstance(step, Diagonal):
+        det = complex(np.prod(np.array(step.lam))) if jac else None
+        return cur * np.array(step.lam), det
+    if isinstance(step, Linear):
+        return cur @ step.matrix.T, (step._det if jac else None)
+    a = step.axis - 1
+    col = cur[:, a]
+    zero = col == 0
+    skip = zero if valid is None else zero | ~valid
+    singular = skip.any()
+    if singular:
+        if valid is None:
+            raise SingularPoint(f"inversion of coordinate {step.axis} at value 0")
+        valid &= ~zero
+        col = np.where(skip, 1.0, col)
+    out = cur.copy()
+    out[:, a] = 1.0 / col
+    if singular:
+        out[skip, a] = np.where(zero, np.nan, cur[:, a])[skip]
+    return out, (-1.0 / col ** 2 if jac else None)
+
+
+def word_pass_row_major(word: Word, pts, jac: bool = False, masked: bool = False):
+    """(images, det, valid) of the word on a (P, n) batch, by the pass as
+    it was before it went column-major; see words._word_pass."""
+    cur = np.asarray(pts, dtype=np.complex128)
+    det = np.ones(cur.shape[0], dtype=np.complex128) if jac else None
+    valid = np.ones(cur.shape[0], dtype=bool) if masked else None
+    if not word.steps:
+        cur = cur.copy()
+    for step in word.steps:
+        cur, d = _row_major_step(step, cur, jac, valid)
+        if jac:
+            det *= d
+    return cur, det, valid
 
 
 def certify_path_per_time(path, grid_size: int, sample_radius: float,

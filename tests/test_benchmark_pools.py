@@ -1,6 +1,8 @@
 """Every verdict of the benchmark's small pools passes its reference check,
 or fails only as a known defect predicts for its input; a preservation
-verdict must pass outright, whatever its input is tolerated. The pools are
+verdict must pass outright, whatever its input is tolerated. Every item of
+the `cli` pool passes outright, run in this process through `cli.main`
+rather than one process each. The pools are
 built from `benchmarks/layers/workloads.py`, loaded by path; `run.py` is
 not imported, since importing it pins the process to one CPU."""
 
@@ -37,3 +39,18 @@ def test_small_pool_has_no_unpredicted_failure(workload):
         if key is not None and (outright or key not in item.tolerated):
             unpredicted.append(f"{item.family}:{key}")
     assert unpredicted == []
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_cli_pool_passes_in_process(seed):
+    wl = load_workloads()
+    items = wl.build("cli", seed, ROOT)
+    assert [item.family for item in items] == list(wl.CLI_COMMANDS)
+    failed = []
+    for item in items:
+        result = wl.run_cli_inprocess(item.argv)
+        key = item.check(result)
+        if key is not None:
+            failed.append(f"{item.family}:{key}")
+        assert item.check(item.plant(result)) is not None, item.family  # a live judge
+    assert failed == []

@@ -148,3 +148,16 @@ def test_monomials_are_dropped_after_their_last_child():
         live -= set(drop)
     assert not live
     assert peak <= 6
+
+
+def test_column_major_points_give_the_same_bits():
+    # the word pass hands the kernel column-major batches, whose shared
+    # columns it reads without a copy; the values must not change
+    rng = np.random.default_rng(19)
+    for table in (SWEEP, GAP, _random_case(rng)[0]):
+        pts = rng.normal(size=(257, 3)) + 1j * rng.normal(size=(257, 3))
+        coeffs = rng.normal(size=(len(table), 2)) + 1j * rng.normal(size=(len(table), 2))
+        for c in (coeffs, coeffs[:, 0]):
+            want = _kernels.poly_eval(table, c, pts)
+            got = _kernels.poly_eval(table, c, np.asfortranarray(pts))
+            assert _bits(got).tolist() == _bits(want).tolist()

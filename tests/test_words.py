@@ -9,7 +9,7 @@ from hologroup import (DimensionMismatch, Diagonal, Inversion, Linear, NonFinite
                        eval_word_batch, eval_word_batch_masked, invert_word,
                        jacobian_det, jacobian_det_batch)
 from hologroup import _kernels
-from oracles import fd_jacobian_det, permutation_sign_bruteforce
+from oracles import fd_jacobian_det, permutation_sign_bruteforce, word_pass_row_major
 from wordgen import admissible_points, point_batch, random_overshear, random_word
 
 
@@ -264,6 +264,64 @@ def test_masked_double_inversion_does_not_divide_invalid_rows():
     assert valid.tolist() == [False, True]
     assert np.isnan(images[0, 0]) and images[0, 1] == 1.0
     assert images[1].tolist() == [2.0, 1.0]
+
+
+def test_overflow_in_the_pass_warns_no_library_caller():
+    # the multiplier exp(800 z2) and the monomial z2^400 overflow, and the
+    # inversion then divides by the non-finite coordinate; the values go
+    # non-finite in silence and are left to the callers' NonFinite checks
+    f = Poly(2, {(0, 400): 1.0})
+    g = Poly(2, {(0, 1): 800.0})
+    w = Word(2, (Overshear(1, f, g), Inversion(1)))
+    pts = np.array([[1.0 + 1j, 4.0], [2.0, 3.0 + 0.5j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        images = eval_word_batch(w, pts)
+        dets = jacobian_det_batch(w, pts)
+        masked, valid = eval_word_batch_masked(w, pts)
+    with np.errstate(all="ignore"):
+        want, want_det, _ = word_pass_row_major(w, pts, jac=True)
+    assert not np.isfinite(images[:, 0]).any() and not np.isfinite(dets).all()
+    assert images.tobytes() == want.tobytes() == masked.tobytes()
+    assert dets.tobytes() == want_det.tobytes()
+    assert valid.all()
+
+
+def _layouts(pts):
+    """pts as a C-ordered array, a column-major one and a strided view."""
+    wide = np.zeros((2 * len(pts), pts.shape[1] + 1), dtype=np.complex128)
+    wide[::2, 1:] = pts
+    return pts.copy(), np.asfortranarray(pts), wide[::2, 1:]
+
+
+def _bytes(*arrays):
+    return [None if a is None else a.tobytes() for a in arrays]
+
+
+def test_column_major_pass_equals_the_row_major_oracle():
+    rng = np.random.default_rng(23)
+    for i in range(400):
+        n = 1 + i % 3
+        w = random_word(rng, n, max_steps=6)
+        pts = point_batch(rng, 1 + 40 * (i % 4), n)
+        pts[::7, int(rng.integers(0, n))] = 0.0  # rows singular at an inversion
+        for x in _layouts(pts):
+            before = x.copy()
+            want, want_det, want_valid = word_pass_row_major(w, x, jac=True, masked=True)
+            images, valid = eval_word_batch_masked(w, x)
+            assert _bytes(images, valid) == _bytes(want, want_valid)
+            try:
+                want_strict, want_det = word_pass_row_major(w, x, jac=True)[:2]
+            except SingularPoint as exc:
+                for run in (eval_word_batch, jacobian_det_batch):
+                    with pytest.raises(SingularPoint, match=str(exc)):
+                        run(w, x)
+            else:
+                assert _bytes(eval_word_batch(w, x)) == _bytes(want_strict)
+                assert _bytes(jacobian_det_batch(w, x)) == _bytes(want_det)
+            same = eval_word_batch(Word.identity(n), x)
+            assert not np.shares_memory(same, x) and same.tobytes() == x.tobytes()
+            assert x.tobytes() == before.tobytes()
 
 
 def _exp_path_pass(word, pts):
