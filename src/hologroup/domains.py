@@ -227,13 +227,20 @@ def _pullbacks(w: Word, k: int, points):
             yield z, lambda p=p: _rounding_bound(back, p)
 
 
+def _apply(step, x: np.ndarray) -> np.ndarray:
+    """The step's image of the single point x, of x's dtype."""
+    image = np.array(x[None])
+    step.apply_batch(image, np.empty((step.work_rows, 1), dtype=x.dtype), False, None)
+    return image[0]
+
+
 def _majorant(step, m: np.ndarray) -> np.ndarray:
     """The step with each coefficient replaced by its modulus, at the
     nonnegative point m. It bounds the moduli of the step's image, and of
     the change of each term, on the polydisc |z_i| <= m_i; not for an
     inversion."""
     if isinstance(step, Permutation):
-        return step.apply_batch(m[None], False, None)[0][0]
+        return _apply(step, m)
     if isinstance(step, Overshear):
         f, g = (sum(abs(c) * np.prod(m ** np.array(e)) for e, c in poly)
                 for poly in (step.f, step.g))
@@ -260,7 +267,7 @@ def _rounding_bound(back: Word, p: np.ndarray) -> np.ndarray:
                 r[a] = t / (m[a] - t * r[a]) - 1.0 / m[a] if m[a] > t * r[a] else np.inf
             else:
                 r = t * _majorant(step, t * (m + r)) - _majorant(step, m)
-            x = step.apply_batch(x[None], False, None)[0][0]
+            x = _apply(step, x)
     return r
 
 

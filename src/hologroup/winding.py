@@ -30,6 +30,7 @@ MAX_SAMPLES = 2 ** 20
 ZERO_TOL = 1e-13
 # bisect any interval whose argument increment reaches a quarter turn
 REFINE_ANGLE = np.pi / 2
+_NOT_FINITE = "the accumulated winding is {}: the output coordinate is not finite on the contour"
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,11 @@ def contour_points(c: ContourSpec, thetas: np.ndarray) -> np.ndarray:
 
 def _profile(w: Word, c: ContourSpec, thetas: np.ndarray) -> np.ndarray:
     values = eval_word_batch(w, contour_points(c, thetas))[:, c.axis - 1]
-    if np.any(np.abs(values) < ZERO_TOL):
+    moduli = np.abs(values)
+    # NaN or inf, refused before the increments divide it
+    if not moduli.max() < np.inf:
+        raise NonFinite(_NOT_FINITE.format(np.nan))
+    if moduli.min() < ZERO_TOL:
         raise ZeroOnContour(
             "output coordinate vanishes on the contour; "
             "the word is not an automorphism of this domain")
@@ -94,8 +99,8 @@ def winding_index(w: Word, c: ContourSpec) -> IndexResult:
     whose argument increment reaches pi/2, so each increment determines
     the continuous argument branch unambiguously, up to MAX_SAMPLES
     samples in all (then BudgetExhausted). The accumulated increments
-    divided by 2*pi round to the reported integer; a non-finite sum (the
-    word overflowed on the contour) raises NonFinite.
+    divided by 2*pi round to the reported integer. A non-finite sample
+    (the word overflowed on the contour) or sum raises NonFinite.
     """
     if w.n != c.domain.n:
         raise DimensionMismatch(f"word dimension {w.n} != contour dimension {c.domain.n}")
@@ -118,8 +123,7 @@ def winding_index(w: Word, c: ContourSpec) -> IndexResult:
         used += coarse.size
     raw = float(np.sum(increments) / (2.0 * np.pi))
     if not math.isfinite(raw):
-        raise NonFinite(f"the accumulated winding is {raw}: the output coordinate "
-                        "is not finite on the contour")
+        raise NonFinite(_NOT_FINITE.format(raw))
     return IndexResult(index=int(round(raw)), raw=raw, samples_used=used)
 
 

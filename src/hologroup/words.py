@@ -14,20 +14,31 @@ identity. Generators:
 
 f and g are polynomials that must not involve the overshear axis, so
 the multiplier exp(g) is entire and nowhere zero by construction.
-All step and word values are immutable; every operation is pure.
+All step and word values are immutable, and every operation is pure:
+only `apply_batch` writes, into memory that the pass calling it owns.
 
-Every step has one evaluation method, `apply_batch(cur, jac, valid)`.
-It takes a column-major (P, n) batch, in which each coordinate is one
-contiguous column, and returns the image as a new column-major array,
-plus the step's Jacobian determinant (an array or a scalar) when `jac`
-is true, else None. numpy works on a contiguous column several times
+Every step has one evaluation method, `apply_batch(cur, work, jac,
+valid)`. `cur` is a column-major (P, n) batch, in which each coordinate
+is one contiguous column; the step overwrites it with its image and
+returns its Jacobian determinant (an array or a scalar) when `jac` is
+true, else None. numpy works on a contiguous column several times
 faster than on a strided one, and every step reads or writes whole
-coordinates. `valid` matters only to Inversion: when it is None a zero
-coordinate raises SingularPoint, otherwise the singular rows get NaN
-and are cleared in `valid`. `_word_pass` puts its input in that layout
-once and chains the steps. Overflow, 0 * inf and division by zero
-inside the pass give inf or NaN without a warning; callers that refuse
-them check the values.
+coordinates. `work` is a C-ordered (step.work_rows, P) scratch array
+that the step may overwrite; a determinant the step returns may live
+in it, until the next step. `valid` matters only to Inversion: when it
+is None a zero coordinate raises SingularPoint, otherwise the singular
+rows get NaN and are cleared in `valid`.
+
+`_word_pass` owns the memory of one pass: it copies its input once into
+the column-major array it returns, sizes one `work` array for the
+largest need among the steps, and hands both to every step in turn.
+Of the steps only Inversion allocates arrays of P values (its zero
+mask, determinant and singular rows), so a wide pass reuses the same
+pages from step to step instead of faulting in new ones. Each pass returns new arrays that
+share no memory with its input, with an earlier result or with any
+buffer a later pass writes; nothing outlives the call. Overflow, 0 * inf
+and division by zero inside the pass give inf or NaN without a warning;
+callers that refuse them check the values.
 """
 
 from __future__ import annotations
@@ -48,11 +59,11 @@ TAU_DET = 1e-12
 
 
 def _as_batch(pts) -> np.ndarray:
-    """pts as a column-major (P, n) complex batch, copied only if it is not one."""
-    pts = np.asarray(pts, dtype=np.complex128)
+    """A new column-major (P, n) complex copy of pts."""
+    pts = np.array(pts, dtype=np.complex128, order="F")
     if pts.ndim != 2:
         raise ValueError(f"expected a (P, n) batch of points, got shape {pts.shape}")
-    return np.asfortranarray(pts)
+    return pts
 
 
 @dataclass(frozen=True)
@@ -90,17 +101,24 @@ class Overshear:
                           dtype=np.complex128).reshape(len(union), 2)
         return exps, coeffs
 
-    def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
-        a = self.axis - 1
-        fv, gv = _kernels.poly_eval(*self._tables, cur)
-        out = cur.copy(order="K")
+    @cached_property
+    def work_rows(self) -> int:
+        """f and g, then the kernel's rows, the first of which then takes
+        exp(g) * z_axis."""
+        return 2 + _kernels.work_rows(self._tables[0])
+
+    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool,
+                    valid: Optional[np.ndarray]):
+        _kernels.poly_eval(*self._tables, cur, out=work[:2], work=work[2:])
+        fv, gv, z = work[0], work[1], cur[:, self.axis - 1]
         if self.g.is_zero:
-            # exp(0) = 1; fv is never -0.0, so fv + z rounds as fv + 1 * z
-            out[:, a] = fv + cur[:, a]
-            return out, (1.0 if jac else None)
-        hv = np.exp(gv)
-        out[:, a] = fv + hv * cur[:, a]
-        return out, (hv if jac else None)
+            # exp(0) = 1; fv is never -0.0, so fv + z rounds as fv + 1 * z. A
+            # complex add rounds each part once, so writing over z keeps its bits
+            np.add(fv, z, out=z)
+            return 1.0 if jac else None
+        hv = np.exp(gv, out=gv)
+        np.add(fv, np.multiply(hv, z, out=work[2]), out=z)
+        return hv if jac else None
 
     def inverse(self) -> tuple:
         # (y - f) * exp(-g) is not overshear-shaped in one step unless
@@ -147,13 +165,19 @@ class Permutation:
                 sign = -sign
         return sign
 
-    @cached_property
-    def _sources(self) -> np.ndarray:
-        """The 0-based coordinate that moves to each slot."""
-        return np.argsort(self.perm)
+    work_rows = dim  # the image, one row per coordinate
 
-    def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
-        return cur[:, self._sources], (complex(self.sign) if jac else None)
+    @cached_property
+    def _sources(self) -> list:
+        """The 0-based coordinate that moves to each slot."""
+        return np.argsort(self.perm).tolist()
+
+    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool,
+                    valid: Optional[np.ndarray]):
+        for j, source in enumerate(self._sources):
+            work[j] = cur[:, source]
+        cur[...] = work[:len(self.perm)].T
+        return complex(self.sign) if jac else None
 
     def inverse(self) -> tuple:
         inv = [0] * len(self.perm)
@@ -180,9 +204,18 @@ class Diagonal:
     def dim(self) -> Optional[int]:
         return len(self.lam)
 
-    def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
-        det = complex(np.prod(np.array(self.lam))) if jac else None
-        return cur * np.array(self.lam), det
+    work_rows = dim  # the image, one row per coordinate
+
+    @cached_property
+    def _multipliers(self) -> np.ndarray:
+        return np.array(self.lam)
+
+    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool,
+                    valid: Optional[np.ndarray]):
+        image = work[:len(self.lam)].T
+        np.multiply(cur, self._multipliers, out=image)
+        cur[...] = image
+        return complex(np.prod(self._multipliers)) if jac else None
 
     def inverse(self) -> tuple:
         return (Diagonal(tuple(1.0 / v for v in self.lam)),)
@@ -223,8 +256,16 @@ class Linear:
     def dim(self) -> Optional[int]:
         return self.matrix.shape[0]
 
-    def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
-        return np.asfortranarray(cur @ self.matrix.T), (self._det if jac else None)
+    work_rows = dim  # the image, one row per coordinate
+
+    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool,
+                    valid: Optional[np.ndarray]):
+        # the product rounds as `cur @ A.T` does only when it is written
+        # row-major, so it goes to `work` as a (P, n) array and is copied back
+        image = work[:cur.shape[1]].reshape(cur.shape)
+        np.matmul(cur, self.matrix.T, out=image)
+        cur[...] = image
+        return self._det if jac else None
 
     def inverse(self) -> tuple:
         try:
@@ -244,11 +285,14 @@ class Inversion:
         if self.axis < 1:
             raise ValueError("axis must be a positive coordinate index")
 
+    work_rows = 1  # the reciprocals
+
     @property
     def dim(self) -> Optional[int]:
         return None  # compatible with any n >= axis
 
-    def apply_batch(self, cur: np.ndarray, jac: bool, valid: Optional[np.ndarray]):
+    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool,
+                    valid: Optional[np.ndarray]):
         a = self.axis - 1
         col = cur[:, a]
         zero = col == 0
@@ -259,12 +303,14 @@ class Inversion:
             if valid is None:
                 raise SingularPoint(f"inversion of coordinate {self.axis} at value 0")
             valid &= ~zero
+            keep = np.where(zero, np.nan, cur[:, a])[skip]
             col = np.where(skip, 1.0, col)
-        out = cur.copy(order="K")
-        out[:, a] = 1.0 / col
+        det = -1.0 / col ** 2 if jac else None
+        np.divide(1.0, col, out=work[0])
+        cur[:, a] = work[0]
         if singular:
-            out[skip, a] = np.where(zero, np.nan, cur[:, a])[skip]
-        return out, (-1.0 / col ** 2 if jac else None)
+            cur[skip, a] = keep
+        return det
 
     def inverse(self) -> tuple:
         return (self,)
@@ -324,19 +370,23 @@ def _word_pass(word: Word, pts, jac: bool = False, masked: bool = False):
     Without `masked` the first inversion that meets zero raises. Images
     and det are meaningful only on valid rows.
     """
-    cur = _as_batch(pts)
-    if cur.shape[1] != word.n:
-        raise DimensionMismatch(f"points have {cur.shape[1]} coordinates, word has {word.n}")
-    det = np.ones(cur.shape[0], dtype=np.complex128) if jac else None
-    valid = np.ones(cur.shape[0], dtype=bool) if masked else None
+    images = _as_batch(pts)
+    if images.shape[1] != word.n:
+        raise DimensionMismatch(f"points have {images.shape[1]} coordinates, word has {word.n}")
+    det = np.ones(images.shape[0], dtype=np.complex128) if jac else None
+    valid = np.ones(images.shape[0], dtype=bool) if masked else None
     if not word.steps:
-        cur = cur.copy(order="F")  # steps return new arrays; the identity must too
+        return images, det, valid
+    rows = 0
+    for step in word.steps:
+        rows = max(rows, step.work_rows)
+    work = np.empty((rows, images.shape[0]), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in word.steps:
-            cur, d = step.apply_batch(cur, jac, valid)
+            d = step.apply_batch(images, work, jac, valid)
             if jac:
                 det *= d
-    return cur, det, valid
+    return images, det, valid
 
 
 def eval_word_batch(word: Word, pts) -> np.ndarray:

@@ -13,7 +13,9 @@ kept here as its own copy, with its own step classification. The
 sampled centralizer grid is kept as the one broadcast over (64, 64, n)
 arrays that it was before it went coordinate by coordinate. The word
 pass is kept as it was before it went column-major: each step works on
-the batch in whatever layout it comes, a C-ordered one from every copy.
+the batch in whatever layout it comes, a C-ordered one from every copy,
+and returns a new array. The polynomial kernel is kept as it was before
+it built its monomials in reused slots: one new array per monomial.
 """
 
 import math
@@ -102,6 +104,34 @@ def naive_poly_eval(terms: dict, z) -> complex:
             val *= zj ** e
         total += val
     return total
+
+
+def poly_eval_fresh(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """_kernels.poly_eval as it was before it built its monomials in reused
+    slots: each monomial is a new array, dropped after its last child."""
+    const, used, steps, _ = _kernels._plan_of(exps)
+    cs = coeffs.tolist() if coeffs.ndim == 2 else [[c] for c in coeffs.tolist()]
+    out = np.zeros((coeffs.shape[1] if coeffs.ndim == 2 else 1, pts.shape[0]),
+                   dtype=np.complex128)
+    rows_out = list(out)
+    for t in const:
+        for o, c in zip(rows_out, cs[t]):
+            if c:
+                o += c
+    cols = [np.ascontiguousarray(pts[:, v]) if shared else pts[:, v] for v, shared in used]
+    values = [None] * len(steps)
+    tmp = np.empty(pts.shape[0], dtype=np.complex128)
+    for k, (parent, v, rows, drop, _) in enumerate(steps):
+        m = cols[v] if parent < 0 else values[parent] * cols[v]
+        values[k] = m
+        for d in drop:
+            values[d] = None
+        for t in rows:
+            for o, c in zip(rows_out, cs[t]):
+                if c:
+                    np.multiply(c, m, out=tmp)
+                    o += tmp
+    return out if coeffs.ndim == 2 else out[0]
 
 
 def _row_major_step(step, cur, jac: bool, valid):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 
 from hologroup import _kernels
+from oracles import poly_eval_fresh
 
 
 def _random_case(rng, n_terms=6, n_vars=3, n_pts=200):
@@ -31,6 +32,8 @@ def _table(terms, n_vars=3):
 SWEEP = _table(sorted(e for e in itertools.product(range(5), [0], range(5)) if sum(e) <= 4))
 # z1 z3^3 + z2^4: the tree parents z1 z3^2, z1 z3, z1, z2^3, ... are not terms
 GAP = _table([(0, 4, 0), (1, 0, 3)])
+# every monomial of degree <= 6 in 3 variables: 84 terms
+DEGREE_6 = _table([e for e in itertools.product(range(7), repeat=3) if sum(e) <= 6])
 
 
 def test_numpy_backend_matches_naive_sum():
@@ -136,18 +139,23 @@ def test_points_are_not_mutated():
 
 
 def test_monomials_are_dropped_after_their_last_child():
-    # every monomial of degree <= 6 in 3 variables: 84 terms, but the
-    # tree walk never holds more than a few columns at once
-    exps = _table([e for e in itertools.product(range(7), repeat=3) if sum(e) <= 6])
-    _, _, steps = _kernels._plan_of(exps)
-    live, peak = set(), 0
-    for k, (parent, _, _, drop) in enumerate(steps):
+    # 84 terms, but the tree walk never holds more than a few columns at
+    # once, in slots that no two live monomials share and no child takes
+    # from its parent
+    _, _, steps, slots = _kernels._plan_of(DEGREE_6)
+    live, peak = {}, 0
+    for k, (parent, _, _, drop, slot) in enumerate(steps):
         assert parent < k and (parent < 0 or parent in live)
-        live.add(k)
+        assert (slot < 0) == (parent < 0) and slot < slots
+        assert parent < 0 or slot != live[parent]
+        assert slot < 0 or slot not in live.values()
+        live[k] = slot
         peak = max(peak, len(live))
-        live -= set(drop)
+        for d in drop:
+            del live[d]
     assert not live
     assert peak <= 6
+    assert slots <= 6
 
 
 def test_column_major_points_give_the_same_bits():
@@ -161,3 +169,21 @@ def test_column_major_points_give_the_same_bits():
             want = _kernels.poly_eval(table, c, pts)
             got = _kernels.poly_eval(table, c, np.asfortranarray(pts))
             assert _bits(got).tolist() == _bits(want).tolist()
+
+
+def test_slots_give_the_bits_of_new_monomials():
+    # monomials built in reused slots, into buffers the caller hands or
+    # not, equal the allocating builder bit for bit
+    rng = np.random.default_rng(29)
+    for table in (SWEEP, GAP, DEGREE_6):
+        coeffs = rng.normal(size=(len(table), 2)) + 1j * rng.normal(size=(len(table), 2))
+        coeffs[1::3, 1] = 0.0
+        for size in (1, 2, 257, 16384):
+            pts = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
+            for c in (np.ascontiguousarray(coeffs[:, 0]), coeffs):
+                want = poly_eval_fresh(table, c, pts)
+                assert _bits(_kernels.poly_eval(table, c, pts)).tolist() == _bits(want).tolist()
+                out = np.full(want.shape, np.nan, dtype=np.complex128)
+                work = np.full((_kernels.work_rows(table), size), np.nan, dtype=np.complex128)
+                got = _kernels.poly_eval(table, c, np.asfortranarray(pts), out=out, work=work)
+                assert got is out and _bits(got).tolist() == _bits(want).tolist()

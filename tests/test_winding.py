@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,18 @@ def test_overflowing_multiplier_is_refused():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFinite, match="accumulated winding is nan"):
             winding_index(w, contour())
+
+
+def test_non_finite_samples_are_refused_before_they_are_divided():
+    # z2^400 and exp(800 z2) overflow at z2 = 4, so every sample of the
+    # inverted coordinate is NaN; the increments used to divide them, with
+    # a RuntimeWarning, before the sum was refused
+    f, g = Poly(2, {(0, 400): 1.0}), Poly(2, {(0, 1): 800.0})
+    w = Word(2, (Overshear(1, f, g), Inversion(1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="accumulated winding is nan"):
+            winding_index(w, contour(p=(1.0, 4.0)))
 
 
 def test_word_dimension_checked():

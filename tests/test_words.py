@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ from hologroup import (DimensionMismatch, Diagonal, Inversion, Linear, NonFinite
                        jacobian_det, jacobian_det_batch)
 from hologroup import _kernels
 from oracles import fd_jacobian_det, permutation_sign_bruteforce, word_pass_row_major
-from wordgen import admissible_points, point_batch, random_overshear, random_word
+from wordgen import (admissible_points, point_batch, random_diagonal, random_linear,
+                     random_overshear, random_permutation, random_word)
 
 
 def z1(n=2):
@@ -324,6 +326,49 @@ def test_column_major_pass_equals_the_row_major_oracle():
             assert x.tobytes() == before.tobytes()
 
 
+def _fifteen_term_word(rng):
+    """A word on C^3 shaped like the wide-batch benchmark's: four overshears
+    whose f and g have every monomial of degree <= 4 in the two other
+    coordinates (15 terms), each followed by a Linear, Diagonal or
+    Permutation mixer."""
+    mixers = (random_linear, random_diagonal,
+              lambda rng, n: random_permutation(rng, n, nontrivial=True))
+    steps = []
+    for i in range(4):
+        others = [v for v in range(3) if v != i % 3]
+
+        def poly(scale):
+            terms = {}
+            for e in itertools.product(range(5), repeat=2):
+                if sum(e) <= 4:
+                    exps = [0, 0, 0]
+                    exps[others[0]], exps[others[1]] = e
+                    terms[tuple(exps)] = scale * complex(rng.normal(), rng.normal())
+            return Poly(3, terms)
+        steps += [Overshear(1 + i % 3, poly(0.03), poly(0.01)), mixers[i % 3](rng, 3)]
+    return Word(3, tuple(steps))
+
+
+def test_wide_batch_pass_equals_the_row_major_oracle_and_owns_its_results():
+    # at 16384 points every step writes into the pass's own buffers; the
+    # bits are the row-major oracle's, and no result is a buffer that a
+    # later pass writes into
+    rng = np.random.default_rng(31)
+    w = _fifteen_term_word(rng)
+    pts = 0.9 * point_batch(rng, 16384, 3, lo=0.0, hi=1.0)
+    images = None
+    for word in (w, invert_word(w)):
+        x = pts if images is None else images
+        want, want_det, _ = word_pass_row_major(word, x, jac=True)
+        images, dets = eval_word_batch(word, x), jacobian_det_batch(word, x)
+        assert _bytes(images, dets) == _bytes(want, want_det)
+        kept = _bytes(images, dets)
+        again, again_dets = eval_word_batch(word, x), jacobian_det_batch(word, x)
+        assert not np.shares_memory(images, again) and not np.shares_memory(dets, again_dets)
+        assert _bytes(images, dets) == kept == _bytes(again, again_dets)
+    assert np.max(np.abs(images - pts)) < 1e-9
+
+
 def _exp_path_pass(word, pts):
     """Images and Jacobian determinants with every overshear multiplying
     by exp(g), also where g = 0."""
@@ -336,7 +381,9 @@ def _exp_path_pass(word, pts):
             out[:, step.axis - 1] = fv + hv * cur[:, step.axis - 1]
             cur, d = out, hv
         else:
-            cur, d = step.apply_batch(cur, True, None)
+            cur = cur.copy()
+            work = np.empty((step.work_rows, len(cur)), dtype=np.complex128)
+            d = step.apply_batch(cur, work, True, None)
         det *= d
     return cur, det
 
