@@ -20,10 +20,9 @@ stays near the degree, not the number of terms (4 for all 84
 monomials of degree <= 6 in 3 variables). A monomial never takes the
 slot of its parent, which it is the product of. The caller may hand
 that array in as `work`, and the (R, P) values as `out`, so that a word
-pass allocates neither per step. A coordinate that more than one
-monomial multiplies by is read as a contiguous column: as it comes when
-the batch is column-major, as the word pass keeps it, else from one
-copy per call.
+pass allocates neither per step. Coordinates are read as they come,
+contiguous in the word pass's column-major batch. scaled_poly_evaluator
+builds in the same slots and copies its term monomials out of them.
 
 `coeffs` is (T,), giving (P,), or (T, R), giving (R, P): R polynomials
 over one exponent table, as for an overshear's f and g. Terms are added
@@ -35,7 +34,6 @@ coeffs[:, r] alone bit for bit, and a term absent from f never adds
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -48,12 +46,10 @@ def _parent(e: tuple) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _plan(shape: tuple, raw: bytes) -> tuple:
-    """(constant rows, used, steps, slots) for a (T, V) int64 exponent
-    table. `used` lists (coordinate, whether more than one step multiplies
-    by it); step k is (parent step or -1, position of its coordinate in
-    `used`, rows, steps to drop after step k, slot of its values or -1
-    for a coordinate read as it is); `slots` is how many slots the steps
-    use."""
+    """(constant rows, steps, slots) for a (T, V) int64 exponent table.
+    Step k is (parent step or -1, the coordinate it multiplies by, rows,
+    steps to drop after step k, slot of its values or -1 for a coordinate
+    read as it is); `slots` is how many slots the steps use."""
     exps = np.frombuffer(raw, dtype=np.int64).reshape(shape)
     if exps.size and exps.min() < 0:
         raise ValueError("negative exponent in the exponent table")
@@ -68,9 +64,6 @@ def _plan(shape: tuple, raw: bytes) -> tuple:
     order = sorted(needed)
     index = {e: k for k, e in enumerate(order)}
     links = [(index.get(p, -1), v) for p, v in map(_parent, order)]
-    reads = Counter(v for _, v in links)
-    used = sorted(reads)
-    position = {v: i for i, v in enumerate(used)}
     last = list(range(len(order)))
     for k, (parent, _) in enumerate(links):
         if parent >= 0:
@@ -88,10 +81,9 @@ def _plan(shape: tuple, raw: bytes) -> tuple:
             else:
                 slot[k], slots = slots, slots + 1
         free.extend(slot[d] for d in drops[k] if slot[d] >= 0)
-    steps = tuple((parent, position[v], tuple(rows.get(e, ())), tuple(drop), s)
+    steps = tuple((parent, v, tuple(rows.get(e, ())), tuple(drop), s)
                   for e, (parent, v), drop, s in zip(order, links, drops, slot))
-    return (tuple(rows.get((0,) * shape[1], ())),
-            tuple((v, reads[v] > 1) for v in used), steps, slots)
+    return tuple(rows.get((0,) * shape[1], ())), steps, slots
 
 
 def _plan_of(exps: np.ndarray) -> tuple:
@@ -99,30 +91,24 @@ def _plan_of(exps: np.ndarray) -> tuple:
     return _plan(exps.shape, exps.tobytes())
 
 
-def _monomials(used: tuple, steps: tuple, pts: np.ndarray, work=None):
+def _monomials(steps: tuple, pts: np.ndarray, work: np.ndarray):
     """Yield (rows, values at pts) for each non-constant monomial that is a
-    term, in plan order, each built from its parent: into its slot's row
-    of `work`, where its values last until the next monomial is built, or
-    without `work` into a new array."""
-    cols = [np.ascontiguousarray(pts[:, v]) if shared else pts[:, v] for v, shared in used]
+    term, in plan order, each built from its parent into its slot's row of
+    `work`, where its values last until the next monomial is built."""
     values = [None] * len(steps)
-    for k, (parent, v, rows, drop, slot) in enumerate(steps):
+    for k, (parent, v, rows, _, slot) in enumerate(steps):
         if parent < 0:
-            m = cols[v]
-        elif work is None:
-            m = values[parent] * cols[v]
+            m = pts[:, v]
         else:
-            m = np.multiply(values[parent], cols[v], out=work[slot])
+            m = np.multiply(values[parent], pts[:, v], out=work[slot])
         values[k] = m
-        for d in drop:
-            values[d] = None
         if rows:
             yield rows, m
 
 
 def work_rows(exps: np.ndarray) -> int:
     """How many rows of P values poly_eval builds its monomials in."""
-    return _plan_of(exps)[3] + 1
+    return _plan_of(exps)[2] + 1
 
 
 def poly_eval(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray,
@@ -136,7 +122,7 @@ def poly_eval(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray,
     rows of P values that the monomials are built in. Neither may share
     memory with pts or with each other.
     """
-    const, used, steps, slots = _plan_of(exps)
+    const, steps, slots = _plan_of(exps)
     cs = coeffs.tolist() if coeffs.ndim == 2 else [[c] for c in coeffs.tolist()]
     shape = (coeffs.shape[1], pts.shape[0]) if coeffs.ndim == 2 else (pts.shape[0],)
     if out is None:
@@ -152,7 +138,7 @@ def poly_eval(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray,
     if work is None:
         work = np.empty((slots + 1, pts.shape[0]), dtype=np.complex128)
     tmp = work[slots]
-    for rows, m in _monomials(used, steps, pts, work):
+    for rows, m in _monomials(steps, pts, work):
         for t in rows:
             for o, c in zip(rows_out, cs[t]):
                 if c:
@@ -162,28 +148,33 @@ def poly_eval(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray,
 
 
 def scaled_poly_evaluator(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray):
-    """Return scales -> (S, P) values at `pts` of the polynomials whose
-    coefficients are scales[i] * coeffs.
+    """Return scales -> the values at `pts` of the polynomials whose
+    coefficients are scales[i] * coeffs: (S, P) for (T,) coeffs, (R, S, P)
+    for (T, R).
 
-    Row i equals poly_eval on those coefficients bit for bit wherever
-    the monomials are finite: the monomials come from the same builder,
-    each term is its scaled coefficient times its monomial, and the
-    terms are added in the same order. The monomials depend only on
-    `pts` and are built once, here.
+    Row i of column r equals poly_eval on scales[i] * coeffs[:, r] bit for
+    bit wherever the monomials are finite: same builder, same zero skips,
+    each term its scaled coefficient times its monomial, added in the same
+    order. The columns share the monomials, which are built once, here.
     """
-    const, used, steps, _ = _plan_of(exps)
-    terms = [(t, None) for t in const]
-    terms += [(t, m) for rows, m in _monomials(used, steps, pts) for t in rows]
+    const, steps, slots = _plan_of(exps)
+    cs = (coeffs if coeffs.ndim == 2 else coeffs[:, None]).tolist()
+    work = np.empty((slots, pts.shape[0]), dtype=np.complex128)
+    terms = [(const, None)] + [(rows, m.copy()) for rows, m in _monomials(steps, pts, work)]
+    # each column's nonzero (coefficient, monomial) terms, in poly_eval's order
+    columns = [[(cs[t][r], m) for rows, m in terms for t in rows if cs[t][r]]
+               for r in range(coeffs.shape[1] if coeffs.ndim == 2 else 1)]
 
     def evaluate(scales: np.ndarray) -> np.ndarray:
-        out = np.zeros((scales.shape[0], pts.shape[0]), dtype=np.complex128)
-        tmp = np.empty_like(out)
-        for t, m in terms:
-            scaled = (scales * coeffs[t])[:, None]
-            if m is None:
-                out += scaled
-            else:
-                np.multiply(scaled, m, out=tmp)
-                out += tmp
-        return out
+        s = scales[:, None]
+        out = np.zeros((len(columns), scales.shape[0], pts.shape[0]), dtype=np.complex128)
+        tmp = np.empty(out.shape[1:], dtype=np.complex128)
+        for o, column in zip(out, columns):
+            for c, m in column:
+                if m is None:
+                    o += s * c
+                else:
+                    np.multiply(s * c, m, out=tmp)
+                    o += tmp
+        return out if coeffs.ndim == 2 else out[0]
     return evaluate

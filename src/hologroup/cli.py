@@ -80,8 +80,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--scene", required=True, metavar="FILE",
                        help="JSON scene file")
-        p.add_argument("--json-indent", type=int, default=None, metavar="N",
-                       help="pretty-print output with N-space indent")
         return p
 
     p = cmd("eval", "evaluate a word at a point")
@@ -222,7 +220,7 @@ def main(argv: Optional[list] = None) -> int:
         # overflow and invalid values are refused by the NonFinite checks
         # and the encoder; numpy's own warnings would only add noise to stderr
         with np.errstate(all="ignore"):
-            text = serialize.dumps(_dispatch(args), indent=args.json_indent)
+            text = serialize.dumps(_dispatch(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -235,7 +233,7 @@ def main(argv: Optional[list] = None) -> int:
             payload["det"] = exc.det
         else:
             payload["message"] = str(exc)
-        print(serialize.dumps(payload, indent=getattr(args, "json_indent", None)))
+        print(serialize.dumps(payload))
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text)

@@ -23,15 +23,15 @@ Both checks walk their time grid in blocks of BLOCK_TIMES times and
 evaluate each block in closed form, without building a Word per time,
 as (T, P, k) arrays of the k coordinates that the path moves. For an
 overshear path that is its axis alone, since every other coordinate of
-an image is the point's own, and the data f and g are evaluated at the
-scaled coefficients (1-t) c term by term from monomial columns built
-once per call; since neither reads the axis coordinate, the inverse at
-time t is exp(-(1-t) g) * (w - (1-t) f) on the same values. For a
-transposition path the block is a stack of matrices with batched
-products, determinants and inverses. The results equal those
-of evaluating path_at(path, t) at each time, and `tests/oracles.py`
-keeps that per-time algorithm to check it. Grids are capped at
-MAX_GRID_TIMES times (BudgetExhausted), and a time whose |det|,
+an image is the point's own, and f and g are evaluated together from
+the step's own table at the scaled coefficients (1-t) c term by term,
+sharing monomials built once per call; since neither reads the axis
+coordinate, the inverse at time t is exp(-(1-t) g) * (w - (1-t) f) on
+the same values. For a transposition path the block is a stack of
+matrices with batched products, determinants and inverses. The results
+equal those of evaluating path_at(path, t) at each time, and
+`tests/oracles.py` keeps that per-time algorithm to check it. Grids are
+capped at MAX_GRID_TIMES times (BudgetExhausted), and a time whose |det|,
 residual or jump is not finite (exp((1-t) g) overflowed) is refused
 with NonFinite rather than reported as a finite-looking extremum.
 """
@@ -43,6 +43,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._kernels import scaled_poly_evaluator
 from .errors import BudgetExhausted, NonFinite, OutOfRange
 from .words import (Linear, Overshear, Permutation, Word, check_invertible,
                     eval_word_batch)
@@ -184,9 +185,9 @@ def _sample(path: HomotopyPath, radius: float, seed: int) -> np.ndarray:
 
 
 def _check_budget(count, what: str):
+    # no count in the message: it may overflow a float or run to 300 digits
     if count > MAX_GRID_TIMES:
-        raise BudgetExhausted(f"{what} has {count:.0f} times, over the budget "
-                              f"of {MAX_GRID_TIMES}")
+        raise BudgetExhausted(f"{what} is over the budget of {MAX_GRID_TIMES} times")
 
 
 def _finite(values: np.ndarray, times: np.ndarray, what: str) -> np.ndarray:
@@ -220,12 +221,11 @@ def _evaluator(path: HomotopyPath, pts: np.ndarray):
     """
     if isinstance(path, OvershearPath):
         s = path.target.axis - 1
-        f = path.target.f.scaled_evaluator(pts)
-        g = path.target.g.scaled_evaluator(pts)
+        fg = scaled_poly_evaluator(*path.target._tables, pts)
         zs = pts[:, s]
 
         def evaluate(times, certify):
-            fv, gv = f(1.0 - times), g(1.0 - times)
+            fv, gv = fg(1.0 - times)
             hv = np.exp(gv)
             ws = fv + hv * zs
             if not certify:

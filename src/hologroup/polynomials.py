@@ -109,15 +109,6 @@ class Poly:
         exps, coeffs = self._arrays
         return _kernels.poly_eval(exps, coeffs, pts)
 
-    def scaled_evaluator(self, pts: np.ndarray):
-        """Return scales -> (S, P) values of self.scale(s) at `pts` for each s.
-
-        Each row equals `self.scale(s).eval_batch(pts)` up to the sign of
-        zeros; the monomials at `pts` are built once, here.
-        """
-        exps, coeffs = self._arrays
-        return _kernels.scaled_poly_evaluator(exps, coeffs, pts)
-
     def __call__(self, z) -> complex:
         z = np.asarray(z, dtype=np.complex128).reshape(1, -1)
         return complex(self.eval_batch(z)[0])

@@ -18,7 +18,10 @@ Parsing failures raise SceneError with a message naming the offending
 field, a constructor's complaint about the parsed values included
 (`_scene_errors`); mathematical validity of exponent matrices is
 deliberately not checked here, so that the unimodularity verdict stays
-an operation result rather than a file-loading side effect.
+an operation result rather than a file-loading side effect. The numbers
+that size the work are bounded here, at the scene boundary: a word,
+domain, path or exponent matrix has at most MAX_DIMENSION coordinates,
+and a polynomial term a total degree of at most MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -36,6 +39,12 @@ from .homotopy import BumpFunction, HomotopyPath, OvershearPath, TranspositionPa
 from .polynomials import Poly
 from .words import Diagonal, Inversion, Linear, Overshear, Permutation, Word
 
+# A transposition path certifies (BLOCK_TIMES, n, n) blocks, 2 MB at
+# n = 64, and an exponent matrix's exact determinant costs n^3 big-integer
+# steps; a term of total degree d costs d monomials per evaluation.
+MAX_DIMENSION = 64
+MAX_DEGREE = 1000
+
 
 # ---------------------------------------------------------------------------
 # deterministic encoder
@@ -49,14 +58,14 @@ def format_float(x: float) -> str:
     return s
 
 
-def dumps(obj, indent: Optional[int] = None) -> str:
-    """Encode to JSON with pinned float formatting and stable key order."""
+def dumps(obj) -> str:
+    """Encode to compact JSON with pinned float formatting and stable key order."""
     pieces = []
-    _encode(obj, pieces, indent, 0)
+    _encode(obj, pieces)
     return "".join(pieces)
 
 
-def _encode(obj, out: list, indent: Optional[int], depth: int):
+def _encode(obj, out: list):
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
     elif obj is None:
@@ -66,43 +75,36 @@ def _encode(obj, out: list, indent: Optional[int], depth: int):
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(float(obj)))
     elif isinstance(obj, complex):
-        _encode([obj.real, obj.imag], out, indent, depth)
+        _encode([obj.real, obj.imag], out)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
-        _encode_items(obj.items(), out, indent, depth, "{", "}", keyed=True)
+        _encode_items(obj.items(), out, "{", "}", keyed=True)
     elif isinstance(obj, (list, tuple)):
-        _encode_items(obj, out, indent, depth, "[", "]", keyed=False)
+        _encode_items(obj, out, "[", "]", keyed=False)
     elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), out, indent, depth)
+        _encode(obj.tolist(), out)
     elif is_dataclass(obj) and not isinstance(obj, type):
-        _encode({f.name: getattr(obj, f.name) for f in fields(obj)}, out, indent, depth)
+        _encode({f.name: getattr(obj, f.name) for f in fields(obj)}, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _encode_items(items, out: list, indent, depth, open_ch, close_ch, keyed):
-    items = list(items)
-    if not items:
-        out.append(open_ch + close_ch)
-        return
-    pad = "" if indent is None else "\n" + " " * (indent * (depth + 1))
-    end = "" if indent is None else "\n" + " " * (indent * depth)
+def _encode_items(items, out: list, open_ch, close_ch, keyed):
     out.append(open_ch)
     for i, item in enumerate(items):
         if i:
             out.append(",")
-        out.append(pad)
         if keyed:
             key, value = item
             if not isinstance(key, str):
                 raise TypeError("JSON object keys must be strings")
             out.append(json.dumps(key))
-            out.append(":" if indent is None else ": ")
-            _encode(value, out, indent, depth + 1)
+            out.append(":")
+            _encode(value, out)
         else:
-            _encode(item, out, indent, depth + 1)
-    out.append(end + close_ch)
+            _encode(item, out)
+    out.append(close_ch)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +132,13 @@ def _as_int(v, where: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise SceneError(f"{where}: expected an integer, got {v!r}")
     return v
+
+
+def _as_dimension(v, where: str) -> int:
+    n = _as_int(v, where)
+    if n > MAX_DIMENSION:
+        raise SceneError(f"{where}: dimension {n} is over the limit of {MAX_DIMENSION}")
+    return n
 
 
 def _as_number(v, where: str) -> float:
@@ -166,6 +175,9 @@ def parse_poly(v, n_vars: int, where: str) -> Poly:
         if not isinstance(exps, list):
             raise SceneError(f"{where}: exponents must be a list")
         key = tuple(_as_int(e, where) for e in exps)
+        if sum(key) > MAX_DEGREE:
+            raise SceneError(f"{where}: a term of total degree {sum(key)} is over "
+                             f"the limit of {MAX_DEGREE}")
         coeff = complex(_as_number(_want(t, "re", where), where),
                         _as_number(_want(t, "im", where), where))
         terms[key] = terms.get(key, 0) + coeff
@@ -221,7 +233,7 @@ def word_to_json(w: Word) -> dict:
 
 
 def parse_word(v, where: str) -> Word:
-    n = _as_int(_want(v, "n", where), where)
+    n = _as_dimension(_want(v, "n", where), where)
     steps = _want(v, "steps", where)
     if not isinstance(steps, list):
         raise SceneError(f"{where}: steps must be a list")
@@ -235,7 +247,7 @@ def parse_word(v, where: str) -> Word:
 
 def parse_domain(v, where: str) -> DomainSpec:
     kind = _want(v, "kind", where)
-    n = _as_int(_want(v, "n", where), where)
+    n = _as_dimension(_want(v, "n", where), where)
     with _scene_errors(where):
         if kind == "full":
             return FullSpace(n)
@@ -279,7 +291,7 @@ def parse_bump(v, where: str) -> BumpFunction:
 
 def parse_path(v, where: str) -> HomotopyPath:
     kind = _want(v, "type", where)
-    n = _as_int(_want(v, "n", where), where)
+    n = _as_dimension(_want(v, "n", where), where)
     with _scene_errors(where):
         if kind == "overshear":
             return OvershearPath(parse_step(v, n, where), n)
@@ -299,6 +311,7 @@ def parse_exponent_matrix(v, where: str) -> list:
         n = len(rows) if isinstance(rows, list) else 0
     if not isinstance(rows, list) or not rows or len(rows) != n:
         raise SceneError(f"{where}: expected an n x n integer matrix")
+    _as_dimension(n, where)
     out = []
     for row in rows:
         if not isinstance(row, list) or len(row) != n:

@@ -109,7 +109,7 @@ def naive_poly_eval(terms: dict, z) -> complex:
 def poly_eval_fresh(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """_kernels.poly_eval as it was before it built its monomials in reused
     slots: each monomial is a new array, dropped after its last child."""
-    const, used, steps, _ = _kernels._plan_of(exps)
+    const, steps, _ = _kernels._plan_of(exps)
     cs = coeffs.tolist() if coeffs.ndim == 2 else [[c] for c in coeffs.tolist()]
     out = np.zeros((coeffs.shape[1] if coeffs.ndim == 2 else 1, pts.shape[0]),
                    dtype=np.complex128)
@@ -118,11 +118,10 @@ def poly_eval_fresh(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np
         for o, c in zip(rows_out, cs[t]):
             if c:
                 o += c
-    cols = [np.ascontiguousarray(pts[:, v]) if shared else pts[:, v] for v, shared in used]
     values = [None] * len(steps)
     tmp = np.empty(pts.shape[0], dtype=np.complex128)
     for k, (parent, v, rows, drop, _) in enumerate(steps):
-        m = cols[v] if parent < 0 else values[parent] * cols[v]
+        m = pts[:, v] if parent < 0 else values[parent] * pts[:, v]
         values[k] = m
         for d in drop:
             values[d] = None

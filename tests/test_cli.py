@@ -172,14 +172,6 @@ def test_validate_exponents():
     assert err != ""
 
 
-def test_json_indent():
-    code, out, _ = run("winding-index", "--word", "inv1", "--contour", "c0",
-                       "--json-indent", "2")
-    assert code == 0
-    assert "\n  " in out
-    assert json.loads(out) == {"index": -1, "raw": -1.0, "samples": 64}
-
-
 def test_usage_errors_exit_1():
     for argv in (
         [],                                        # no subcommand
@@ -371,3 +363,20 @@ def test_refused_before_any_work(argv, name, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["error"] == name
     assert err != ""
+
+
+# the refusal used to print the count: a 401-digit --grid ended in
+# "OverflowError: int too large to convert to float", and --t 1e-300
+# printed a 301-digit count
+@pytest.mark.parametrize("argv", [
+    ["homotopy-certify", "--path", "swap_path", "--grid", "1" + "0" * 400],
+    ["continuity", "--path", "swap_path", "--t", "1e-300"],
+], ids=["401-digit grid", "t 1e-300"])
+def test_budget_refusal_does_not_print_the_count(argv, capsys):
+    from hologroup import cli
+    assert cli.main([*argv, "--scene", DEMO]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["error"] == "BudgetExhausted"
+    assert payload["message"].endswith("is over the budget of 1000000 times")
+    assert err == f"error: {payload['message']}\n"

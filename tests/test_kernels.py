@@ -75,8 +75,8 @@ def test_columns_equal_single_column_calls():
 
 
 def test_values_do_not_depend_on_the_table():
-    # alone, f multiplies by z1 once (a strided view of the points); in the
-    # union with g = z1^2 the z1 column is shared (a contiguous copy)
+    # alone, f has the terms 1 and z1 z3; in the union with g = z1^2 the
+    # plan also builds z1^2, and f skips its zero coefficient there
     rng = np.random.default_rng(13)
     pts = rng.normal(size=(129, 3)) + 1j * rng.normal(size=(129, 3))
     f_exps = _table([(0, 0, 0), (1, 0, 1)])
@@ -108,6 +108,27 @@ def test_scaled_rows_equal_poly_eval_on_scaled_coefficients():
         assert rows.shape == (len(scales), 100)
         for s, row in zip(scales, rows):
             assert np.array_equal(_bits(row), _bits(_kernels.poly_eval(exps, s * coeffs, pts)))
+    # union-shaped (T, 2) tables, as an overshear's f and g: each column
+    # skips its zero coefficients and equals poly_eval on it alone, scaled
+    scales = np.array([0.0, 1e-300, -2.5, 1.0, 0.5])
+    for exps in (SWEEP, GAP, DEGREE_6):
+        coeffs = rng.normal(size=(len(exps), 2)) + 1j * rng.normal(size=(len(exps), 2))
+        coeffs[::2, 0] = 0.0
+        coeffs[1::3, 1] = 0.0
+        pts = 0.9 * (rng.normal(size=(100, 3)) + 1j * rng.normal(size=(100, 3)))
+        rows = _kernels.scaled_poly_evaluator(exps, coeffs, pts)(scales)
+        assert rows.shape == (2, len(scales), 100)
+        for r in range(2):
+            for s, row in zip(scales, rows[r]):
+                want = _kernels.poly_eval(exps, s * np.ascontiguousarray(coeffs[:, r]), pts)
+                assert np.array_equal(_bits(row), _bits(want))
+    # z1^400 overflows at |z1| = 10; f lacks the term, so it stays finite
+    exps = _table([(0, 0, 0), (400, 0, 0)])
+    coeffs = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
+    pts = np.array([[10.0, 1.0, 1.0]], dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, g = _kernels.scaled_poly_evaluator(exps, coeffs, pts)(np.array([1.0, 0.5]))
+    assert np.all(f == np.array([[1.0], [0.5]])) and not np.isfinite(g).any()
 
 
 def test_constant_only_polynomial():
@@ -142,7 +163,7 @@ def test_monomials_are_dropped_after_their_last_child():
     # 84 terms, but the tree walk never holds more than a few columns at
     # once, in slots that no two live monomials share and no child takes
     # from its parent
-    _, _, steps, slots = _kernels._plan_of(DEGREE_6)
+    _, steps, slots = _kernels._plan_of(DEGREE_6)
     live, peak = {}, 0
     for k, (parent, _, _, drop, slot) in enumerate(steps):
         assert parent < k and (parent < 0 or parent in live)
@@ -159,8 +180,8 @@ def test_monomials_are_dropped_after_their_last_child():
 
 
 def test_column_major_points_give_the_same_bits():
-    # the word pass hands the kernel column-major batches, whose shared
-    # columns it reads without a copy; the values must not change
+    # the word pass hands the kernel column-major batches, whose columns
+    # are contiguous; the values must not change
     rng = np.random.default_rng(19)
     for table in (SWEEP, GAP, _random_case(rng)[0]):
         pts = rng.normal(size=(257, 3)) + 1j * rng.normal(size=(257, 3))

@@ -42,13 +42,6 @@ def test_dumps_compact_and_stable():
     assert json.loads(s) == {"b": [1, -2.0, True, None], "a": {"x": "s"}}
 
 
-def test_dumps_indent_mode_parses():
-    obj = {"v": [[1.0, 0.0], [0.5, -0.25]], "empty": [], "d": {}}
-    s = dumps(obj, indent=2)
-    assert "\n" in s
-    assert json.loads(s) == obj
-
-
 def test_dumps_encodes_complex_arrays_and_records():
     assert dumps(1 - 0.5j) == "[1.0,-0.5]"
     assert dumps(np.array([[1j, -0.0], [2.5, 3]])) == \
@@ -230,11 +223,29 @@ CONSTRUCTOR_ERRORS = [
      "t: bump function must vanish at t=0 and t=1"),
     (lambda: parse_path({"type": "transposition", "n": 2, "j": 2, "k": 1}, "t"),
      "t: need 1 <= j < k <= n, got j=2, k=1, n=2"),
+    # numbers that size the work are bounded before anything is allocated:
+    # n = 3000 made homotopy-certify end in a MemoryError from np.linalg.det,
+    # n = 30000000 made extract-diagonal end in one, and an exponent of
+    # 200000 made eval take seconds
+    (lambda: parse_path({"type": "transposition", "n": 3000, "j": 1, "k": 2}, "t"),
+     "t: dimension 3000 is over the limit of 64"),
+    (lambda: parse_word({"n": 30000000, "steps": []}, "t"),
+     "t: dimension 30000000 is over the limit of 64"),
+    (lambda: parse_domain({"kind": "full", "n": 3000}, "t"),
+     "t: dimension 3000 is over the limit of 64"),
+    (lambda: parse_poly([{"exponents": [200000, 0], "re": 1.0, "im": 0.0}], 2, "t"),
+     "t: a term of total degree 200000 is over the limit of 1000"),
+    # a 400 x 400 matrix took validate-exponents 84 s
+    (lambda: parse_exponent_matrix([[int(i == j) for j in range(400)] for i in range(400)],
+                                   "t"),
+     "t: dimension 400 is over the limit of 64"),
 ]
 
 
 @pytest.mark.parametrize("parse,message", CONSTRUCTOR_ERRORS,
-                         ids=["poly", "step", "word", "domain", "bump", "path"])
+                         ids=["poly", "step", "word", "domain", "bump", "path",
+                              "path dimension", "word dimension", "domain dimension",
+                              "degree", "matrix dimension"])
 def test_constructor_errors_name_their_field(parse, message):
     with pytest.raises(SceneError) as exc:
         parse()
