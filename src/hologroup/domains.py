@@ -227,37 +227,32 @@ def _pullbacks(w: Word, k: int, points):
             yield z, lambda p=p: _rounding_bound(back, p)
 
 
-def _apply(step, x: np.ndarray) -> np.ndarray:
-    """The step's image of the single point x, of x's dtype."""
-    image = np.array(x[None])
-    step.apply_batch(image, np.empty((step.work_rows, 1), dtype=x.dtype), False, None)
-    return image[0]
-
-
 def _majorant(step, m: np.ndarray) -> np.ndarray:
     """The step with each coefficient replaced by its modulus, at the
     nonnegative point m. It bounds the moduli of the step's image, and of
     the change of each term, on the polydisc |z_i| <= m_i; not for an
     inversion."""
     if isinstance(step, Permutation):
-        return _apply(step, m)
+        return m[step._sources]
     if isinstance(step, Overshear):
         f, g = (sum(abs(c) * np.prod(m ** np.array(e)) for e, c in poly)
                 for poly in (step.f, step.g))
         out = m.copy()
         out[step.axis - 1] = f + np.exp(g) * m[step.axis - 1]
         return out
-    matrix = np.diag(step.lam) if isinstance(step, Diagonal) else step.matrix
-    return np.abs(matrix) @ m
+    if isinstance(step, Diagonal):
+        return np.abs(step._multipliers) * m
+    return np.abs(step.matrix) @ m
 
 
 def _rounding_bound(back: Word, p: np.ndarray) -> np.ndarray:
     """A bound on |eval_word(back, p) - back(p*)|, coordinate by coordinate,
     where p* is p before rounding. Through each step F it grows from r to
     t |F|(t (|x| + r)) - |F|(|x|) with t = 1 + ROUNDING, |F| the majorant
-    and x the computed point: the exact argument lies in the polydisc
-    |x| + r, and F's own rounding stays within ROUNDING of its terms. NaN
-    (from an overflowing majorant) bounds nothing."""
+    and x the computed point, which each step advances through the word
+    pass, with its bits: the exact argument lies in the polydisc |x| + r,
+    and F's own rounding stays within ROUNDING of its terms. NaN (from an
+    overflowing majorant) bounds nothing."""
     x, r, t = p, ROUNDING * np.abs(p), 1.0 + ROUNDING
     with np.errstate(over="ignore", invalid="ignore"):
         for step in back.steps:
@@ -267,7 +262,7 @@ def _rounding_bound(back: Word, p: np.ndarray) -> np.ndarray:
                 r[a] = t / (m[a] - t * r[a]) - 1.0 / m[a] if m[a] > t * r[a] else np.inf
             else:
                 r = t * _majorant(step, t * (m + r)) - _majorant(step, m)
-            x = _apply(step, x)
+            x = eval_word(Word(back.n, (step,)), x)
     return r
 
 

@@ -31,8 +31,10 @@ the same values. For a transposition path the block is a stack of
 matrices with batched products, determinants and inverses. The results
 equal those of evaluating path_at(path, t) at each time, and
 `tests/oracles.py` keeps that per-time algorithm to check it. Grids are
-capped at MAX_GRID_TIMES times (BudgetExhausted), and a time whose |det|,
-residual or jump is not finite (exp((1-t) g) overflowed) is refused
+capped at MAX_GRID_TIMES times (BudgetExhausted). Blocks are computed
+under the word pass's error state, so overflow, 0 * inf and division by
+zero give inf or NaN without a warning; a time whose |det|, residual or
+jump is then not finite (exp((1-t) g) overflowed) is refused by `_finite`
 with NonFinite rather than reported as a finite-looking extremum.
 """
 
@@ -240,9 +242,9 @@ def _evaluator(path: HomotopyPath, pts: np.ndarray):
         images = pts @ m.transpose(0, 2, 1)
         if not certify:
             return images, None, None
-        inv = np.linalg.inv(m)
-        check_invertible(inv)
-        back = images @ inv.transpose(0, 2, 1)
+        # the rows of inv(m) have m's row norms over |det|, so its row-normalised
+        # |det| is m's, which check_invertible(m) has already bounded
+        back = images @ np.linalg.inv(m).transpose(0, 2, 1)
         return images, np.abs(np.linalg.det(m)), np.max(np.abs(back - pts), axis=(1, 2))
     return evaluate
 
@@ -268,16 +270,17 @@ def certify_path(path: HomotopyPath, grid_size: int, sample_radius: float,
         raise OutOfRange(f"grid must have at least 2 points, got {grid_size}")
     _check_budget(grid_size, "the grid")
     pts = _sample(path, sample_radius, seed)
-    evaluate = _evaluator(path, pts)
     first = None
     min_det, max_resid = np.inf, 0.0
-    for times in _blocks(np.linspace(0.0, 1.0, grid_size)):
-        images, dets, resids = evaluate(times, True)
-        if first is None:
-            first = images[0]
-        min_det = np.minimum.reduce(_finite(dets, times, "|det|"), initial=min_det)
-        max_resid = np.maximum.reduce(_finite(resids, times, "the inverse residual"),
-                                      initial=max_resid)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        evaluate = _evaluator(path, pts)
+        for times in _blocks(np.linspace(0.0, 1.0, grid_size)):
+            images, dets, resids = evaluate(times, True)
+            if first is None:
+                first = images[0]
+            min_det = np.minimum.reduce(_finite(dets, times, "|det|"), initial=min_det)
+            max_resid = np.maximum.reduce(_finite(resids, times, "the inverse residual"),
+                                          initial=max_resid)
     moving = _moving(path)
     err0 = float(np.max(np.abs(first - eval_word_batch(path_target(path), pts)[:, moving])))
     err1 = float(np.max(np.abs(images[-1] - pts[:, moving])))
@@ -297,15 +300,16 @@ def continuity_modulus(path: HomotopyPath, dt: float, sample_radius: float,
     count = np.floor(1.0 / dt + 1e-9) + 1.0
     _check_budget(count, f"the grid at time step {dt}")
     pts = _sample(path, sample_radius, seed)
-    evaluate = _evaluator(path, pts)
     modulus = 0.0
     prev = None
-    for times in _blocks(np.minimum(np.arange(int(count)) * dt, 1.0)):
-        images = evaluate(times, False)[0]
-        if prev is not None:
-            images = np.concatenate((prev[None], images))
-        jumps = np.max(np.abs(np.diff(images, axis=0)), axis=(1, 2))
-        modulus = np.maximum.reduce(_finite(jumps, times[-len(jumps):], "the jump"),
-                                    initial=modulus)
-        prev = images[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        evaluate = _evaluator(path, pts)
+        for times in _blocks(np.minimum(np.arange(int(count)) * dt, 1.0)):
+            images = evaluate(times, False)[0]
+            if prev is not None:
+                images = np.concatenate((prev[None], images))
+            jumps = np.max(np.abs(np.diff(images, axis=0)), axis=(1, 2))
+            modulus = np.maximum.reduce(_finite(jumps, times[-len(jumps):], "the jump"),
+                                        initial=modulus)
+            prev = images[-1]
     return float(modulus)

@@ -303,17 +303,11 @@ def parse_path(v, where: str) -> HomotopyPath:
 
 
 def parse_exponent_matrix(v, where: str) -> list:
-    if isinstance(v, dict):
-        n = _as_int(_want(v, "n", where), where)
-        rows = _want(v, "a", where)
-    else:
-        rows = v
-        n = len(rows) if isinstance(rows, list) else 0
-    if not isinstance(rows, list) or not rows or len(rows) != n:
+    if not isinstance(v, list) or not v:
         raise SceneError(f"{where}: expected an n x n integer matrix")
-    _as_dimension(n, where)
+    n = _as_dimension(len(v), where)
     out = []
-    for row in rows:
+    for row in v:
         if not isinstance(row, list) or len(row) != n:
             raise SceneError(f"{where}: expected an n x n integer matrix")
         out.append([_as_int(x, where) for x in row])

@@ -15,7 +15,9 @@ diagonal map (a `Diagonal`, a `Permutation`, a `Linear` with one nonzero
 entry per row, an `Overshear` with f = 0 and constant g) and the
 permutations compose to the identity. Such a word is decided by proof:
 it commutes, and its diagonal is the product of the steps' multipliers.
-Every other word is sampled.
+Every other word is sampled, quietly, as the word pass is: a deviation,
+orbit ratio or probe shift that is not finite (the word overflowed) is
+refused with NonFinite, since no comparison with NaN can fail.
 """
 
 from __future__ import annotations
@@ -91,9 +93,9 @@ def _step_multipliers(step, n: int) -> Optional[tuple]:
     """(lam, src) when the step is exactly z -> (lam_i * z_src[i])_i, a
     coordinate permutation followed by a diagonal map; else None."""
     if isinstance(step, Diagonal):
-        return np.array(step.lam), np.arange(n)
+        return step._multipliers, np.arange(n)
     if isinstance(step, Permutation):
-        return np.ones(n, dtype=np.complex128), np.argsort(step.perm)
+        return np.ones(n, dtype=np.complex128), step._sources
     if isinstance(step, Linear) and np.all(np.count_nonzero(step.matrix, axis=1) == 1):
         src = np.argmax(step.matrix != 0, axis=1)
         return step.matrix[np.arange(n), src], src
@@ -139,8 +141,6 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
     the verdict is reproducible for a given seed. The grid is compared
     coordinate by coordinate, one 64x64 block each, in that same order.
     """
-    if w.n != d.n:
-        raise DimensionMismatch(f"word dimension {w.n} != domain dimension {d.n}")
     guard = word_preserves_domain(w, d, seed)
     if not guard.preserves:
         raise DomainNotPreserved(
@@ -161,9 +161,10 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
     images = eval_word_batch(w, rotated)
     wz = eval_word_batch(w, pts)
     dev = np.zeros((64, 64))
-    for c in range(w.n):
-        col = np.abs(images[:, c].reshape(64, 64) - np.multiply.outer(coeffs_t[c], wz[:, c]))
-        np.maximum(dev, col, out=dev)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for c in range(w.n):
+            col = np.abs(images[:, c].reshape(64, 64) - np.multiply.outer(coeffs_t[c], wz[:, c]))
+            np.maximum(dev, col, out=dev)
     worst = float(dev.max())
     if not math.isfinite(worst):
         i, j = np.unravel_index(int(np.flatnonzero(~np.isfinite(dev))[0]), dev.shape)
@@ -173,6 +174,15 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
         return CentralizerVerdict(True, None)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     return CentralizerVerdict(False, CentralizerWitness(thetas[i], pts[j], worst))
+
+
+def _refuse_non_finite(values: np.ndarray, pts: np.ndarray, what: str) -> None:
+    """Raise NonFinite, naming the first point, unless the values at each
+    point (a row, or one number) are finite."""
+    rows = np.flatnonzero(~np.isfinite(values.reshape(len(pts), -1)).all(axis=1))
+    if rows.size:
+        raise NonFinite(f"diagonal extraction: {what} is {values[rows[0]]} "
+                        f"at p {pts[rows[0]]}, which is not finite")
 
 
 def extract_diagonal(w: Word, d: DomainSpec, seed: int) -> np.ndarray:
@@ -186,7 +196,9 @@ def extract_diagonal(w: Word, d: DomainSpec, seed: int) -> np.ndarray:
     the same ratio at 32 further points agrees to 1e-9, and nudging any
     one coordinate moves no other output coordinate by more than 1e-10.
     Either failure raises NotDiagonal with the offending point, meaning
-    the commutation precondition held only to sampling accuracy.
+    the commutation precondition held only to sampling accuracy. A ratio,
+    or a shift of another coordinate, that is not finite (the word
+    overflowed) raises NonFinite with its point before it is compared.
     """
     if w.n != d.n:
         raise DimensionMismatch(f"word dimension {w.n} != domain dimension {d.n}")
@@ -202,9 +214,11 @@ def extract_diagonal(w: Word, d: DomainSpec, seed: int) -> np.ndarray:
     ang = rng.uniform(0.0, 2.0 * np.pi, size=(33, n))
     pts = r * np.exp(1j * ang)
     images = eval_word_batch(w, pts)
-    ratios = images / pts
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratios = images / pts
+        drift = np.abs(ratios[1:] - ratios[0])
+    _refuse_non_finite(ratios, pts, "the orbit ratio w(p) / p")
     lam = ratios[0]
-    drift = np.abs(ratios[1:] - lam[None, :])
     bad = np.flatnonzero(np.max(drift, axis=1) >= DIAG_RATIO_TOL)
     if bad.size:
         raise NotDiagonal("orbit ratio is not constant across sample points",
@@ -212,9 +226,11 @@ def extract_diagonal(w: Word, d: DomainSpec, seed: int) -> np.ndarray:
     # each output coordinate may respond only to its own input coordinate
     probes = np.repeat(pts, n, axis=0)
     probes[np.arange(33 * n), np.tile(np.arange(n), 33)] += DIAG_PROBE_STEP
-    shifts = np.abs(eval_word_batch(w, probes) - np.repeat(images, n, axis=0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        shifts = np.abs(eval_word_batch(w, probes) - np.repeat(images, n, axis=0))
     shifts = shifts.reshape(33, n, n)
     cross = np.max(np.where(np.eye(n, dtype=bool)[None, :, :], 0.0, shifts), axis=(1, 2))
+    _refuse_non_finite(cross, pts, "the largest cross shift under a nudge of p")
     bad = np.flatnonzero(cross >= DIAG_DEPENDENCE_TOL)
     if bad.size:
         raise NotDiagonal("an output coordinate depends on a foreign input coordinate",

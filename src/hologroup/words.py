@@ -46,6 +46,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -148,22 +149,10 @@ class Permutation:
     def dim(self) -> Optional[int]:
         return len(self.perm)
 
-    @property
+    @cached_property
     def sign(self) -> int:
-        seen = [False] * len(self.perm)
-        sign = 1
-        for i in range(len(self.perm)):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.perm[j] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        """-1 to the number of inversions, the pairs that perm puts out of order."""
+        return (-1) ** sum(a > b for a, b in combinations(self.perm, 2))
 
     work_rows = dim  # the image, one row per coordinate
 
@@ -180,10 +169,7 @@ class Permutation:
         return complex(self.sign) if jac else None
 
     def inverse(self) -> tuple:
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p - 1] = i + 1
-        return (Permutation(tuple(inv)),)
+        return (Permutation(tuple(source + 1 for source in self._sources)),)
 
 
 @dataclass(frozen=True)
@@ -208,7 +194,9 @@ class Diagonal:
 
     @cached_property
     def _multipliers(self) -> np.ndarray:
-        return np.array(self.lam)
+        lam = np.array(self.lam)
+        lam.setflags(write=False)
+        return lam
 
     def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool,
                     valid: Optional[np.ndarray]):

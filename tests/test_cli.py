@@ -37,6 +37,12 @@ def aux_scene(tmp_path_factory):
             "spike": {"n": 2, "steps": [{"type": "overshear", "axis": 1, "f": [],
                                          "g": [{"exponents": [0, 0], "re": 800.0,
                                                 "im": 0.0}]}]},
+            # z2 -> z1 + e^800 z2: not diagonal, and its orbit ratio overflows
+            "e800": {"n": 2, "steps": [{"type": "overshear", "axis": 2,
+                                        "f": [{"exponents": [1, 0], "re": 1.0,
+                                               "im": 0.0}],
+                                        "g": [{"exponents": [0, 0], "re": 800.0,
+                                               "im": 0.0}]}]},
             # z1 -> z1 + 1 -> z1: two odd steps, so preservation is sampled
             "there_and_back": {"n": 2, "steps": [
                 {"type": "overshear", "axis": 1, "g": [],
@@ -280,6 +286,21 @@ def test_refusal_stderr_is_one_line(aux_scene, argv):
     code, out, err = run(*argv, scene=aux_scene)
     assert code == 2
     assert err == f"error: {json.loads(out)['message']}\n"
+
+
+@pytest.mark.parametrize("seed", ["3", "42"])
+def test_extraction_refuses_an_overflowing_ratio(aux_scene, seed, capsys):
+    # the library returned [1-0j, inf+nanj], and the CLI failed only in the
+    # encoder, with "cannot serialize non-finite float inf"
+    from hologroup import cli
+    assert cli.main(["extract-diagonal", "--word", "e800", "--seed", seed,
+                     "--scene", aux_scene]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["error"] == "NonFinite"
+    assert payload["message"].startswith("diagonal extraction: the orbit ratio w(p) / p is ")
+    assert payload["message"].endswith(", which is not finite")
+    assert err == f"error: {payload['message']}\n"
 
 
 @pytest.mark.skipif(shutil.which("hologroup") is None,

@@ -8,7 +8,7 @@ from hologroup import (DimensionMismatch, Diagonal, FullSpace,
                        Permutation, Poly, Punctured, Word, classify_domain,
                        commutes_with_torus, compose, contains, contains_batch, domains,
                        eval_word, invert_word, sample_points, word_preserves_domain)
-from hologroup.domains import _escapes
+from hologroup.domains import _escapes, _pullbacks
 from oracles import automorphism, preserves_sampled
 from wordgen import (automorphism_step, automorphism_word, exact_repair_word,
                      random_diagonal, random_step)
@@ -229,6 +229,25 @@ def test_large_cancellation_behind_an_odd_step_is_not_proved():
         v = word_preserves_domain(w, Punctured(2), seed)
         assert v.preserves and v.witness is None
     commutes_with_torus(w, Punctured(2), 1)  # not refused with DomainNotPreserved
+
+
+def test_rounding_bound_walks_back_through_an_inversion():
+    # the last step moves the origin, and the word sends its solved point
+    # (-1, 0) to the origin; that pull-back runs back through Inversion(1),
+    # behind an odd step, so it is proved only once the rounding bound,
+    # carried through the inversion, tells it from the origin. The
+    # inversion's own solved points drop out: exp(-g) overflows at each
+    g = Poly(2, {(0, 1): -1000 + 5000j})
+    w = Word(2, (Overshear(1, Poly.zero(2), g), Inversion(1),
+                 Overshear(1, Poly.constant(2, 1.0), Poly.zero(2))))
+    d = Punctured(2)
+    v = word_preserves_domain(w, d, 42)
+    assert not v.preserves and v.witness.tolist() == [-1, 0]
+    assert eval_word(w, v.witness).tolist() == [0, 0]
+    (z, bound), = _pullbacks(w, 2, _escapes(w.steps[2], d))
+    assert z.tolist() == [-1, 0]
+    r = bound()
+    assert np.isfinite(r[0]) and 0 < r[0] < 1e-10
 
 
 def test_prefix_that_cannot_be_inverted_is_refused():

@@ -254,8 +254,6 @@ def test_constructor_errors_name_their_field(parse, message):
 
 def test_parse_exponent_matrix_shapes():
     assert parse_exponent_matrix([[1, 1], [0, 1]], "t") == [[1, 1], [0, 1]]
-    assert parse_exponent_matrix({"n": 2, "a": [[1, 0], [0, 1]]}, "t") == \
-        [[1, 0], [0, 1]]
     # stored raw: unimodularity is checked by the operation, not the parser
     assert parse_exponent_matrix([[2, 0], [0, 1]], "t") == [[2, 0], [0, 1]]
     with pytest.raises(SceneError):
@@ -264,6 +262,9 @@ def test_parse_exponent_matrix_shapes():
         parse_exponent_matrix([[1.5, 0], [0, 1]], "t")
     with pytest.raises(SceneError):
         parse_exponent_matrix([], "t")
+    # one form only: a bare n x n list, whose row count is its size
+    with pytest.raises(SceneError, match="expected an n x n integer matrix"):
+        parse_exponent_matrix({"n": 2, "a": [[1, 0], [0, 1]]}, "t")
 
 
 def test_demo_scene_loads():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hologroup import (Diagonal, DomainNotPreserved, FullSpace,
                        HyperplaneComplement, Inversion, Linear, NonFinite, NotDiagonal,
                        NotUnimodular, Overshear, Permutation, Poly, Punctured, Word,
                        commutes_with_torus, compose, extract_diagonal, integer_det,
-                       validate_exponent_matrix)
+                       invert_word, validate_exponent_matrix)
 from hologroup.torus import _exact_diagonal
 from oracles import commutes_with_torus_sampled, det2, extract_diagonal_sampled
 from wordgen import (automorphism_word, exact_diagonal_word, offender_word,
@@ -98,9 +100,37 @@ def test_overflowing_multiplier_is_refused():
     # commutes=False with a NaN deviation
     w = Word(2, (Overshear(1, Poly.zero(2), Poly.constant(2, 800)),))
     d = HyperplaneComplement(2, frozenset({1}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFinite, match="centralizer check"):
-            commutes_with_torus(w, d, 3)
+    with pytest.raises(NonFinite, match="centralizer check"):
+        commutes_with_torus(w, d, 3)
+
+
+# z2 -> z1 + e^800 z2: not diagonal, and it overflows everywhere
+E800 = Word(2, (Overshear(2, Poly.coordinate(2, 1), Poly.constant(2, 800.0)),))
+
+
+def test_overflowing_word_is_refused_without_a_warning():
+    # extraction returned [1-0j, inf+nanj] at seeds 3 and 42, after a
+    # RuntimeWarning from the divide: a NaN drift passes ">= 1e-9"; the
+    # centralizer warned "invalid value encountered in multiply"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (1, 2, 3, 42):
+            with pytest.raises(NonFinite, match=r"^diagonal extraction: the orbit ratio "
+                                                r"w\(p\) / p is \[.*inf.*\] at p \["):
+                extract_diagonal(E800, FullSpace(2), seed)
+        with pytest.raises(NonFinite, match=r"^centralizer check: the deviation .* is nan"):
+            commutes_with_torus(E800, FullSpace(2), 3)
+
+
+def test_overflowing_probe_shift_is_refused():
+    # u u^-1 with u: z2 -> exp(532 z1) z2 is the identity and stays finite at
+    # the 33 points of seed 42 (532 Re p1 + log|p2| < 709.5), but nudging one
+    # p1 by 1e-3 overflows the middle of the word; the infinite cross shift
+    # was read as a dependence on a foreign coordinate (NotDiagonal)
+    u = Word(2, (Overshear(2, Poly.zero(2), Poly(2, {(1, 0): 532.0})),))
+    with pytest.raises(NonFinite, match="^diagonal extraction: the largest cross shift "
+                                        "under a nudge of p is inf at p "):
+        extract_diagonal(compose(u, invert_word(u)), FullSpace(2), 42)
 
 
 def test_extract_examples():
@@ -115,11 +145,22 @@ def test_extract_examples():
                                             Poly.zero(2)),)), d, 42)
 
 
-def test_extract_rejects_permutation_via_dependence_probe():
-    from hologroup import Permutation
+def test_extract_rejects_permutation_by_the_orbit_ratio():
     w = Word(2, (Permutation((2, 1)),))
-    with pytest.raises(NotDiagonal):
+    with pytest.raises(NotDiagonal, match="orbit ratio is not constant"):
         extract_diagonal(w, FullSpace(2), 42)
+
+
+def test_extract_samples_an_undone_shear():
+    # u u^-1 is not exactly diagonal, so the orbit ratio and the dependence
+    # probe decide it; both pass, with the oracle's bits
+    u = Word(2, (Overshear(2, Poly(2, {(1, 0): 1e3}), Poly.zero(2)),))
+    w = compose(compose(u, invert_word(u)), Word(2, (Diagonal((2.0, 3j)),)))
+    assert _exact_diagonal(w, "") is None
+    for seed in (1, 3, 42):
+        lam = extract_diagonal(w, FullSpace(2), seed)
+        assert lam.tobytes() == extract_diagonal_sampled(w, seed).tobytes()
+        assert np.allclose(lam, [2.0, 3j], rtol=1e-12, atol=0)
 
 
 def test_dichotomy_sample():
@@ -158,7 +199,8 @@ def _same_verdict(w, d, seed) -> bool:
     except DomainNotPreserved:
         return False
     except NonFinite as exc:
-        with pytest.raises(NonFinite) as want:
+        # the broadcast oracle, unlike the library, warns on the overflow
+        with pytest.raises(NonFinite) as want, np.errstate(over="ignore", invalid="ignore"):
             commutes_with_torus_sampled(w, d, seed)
         assert str(exc) == str(want.value)
         return True
@@ -204,11 +246,10 @@ def test_sampled_grid_matches_the_broadcast_oracle():
     # overflowing multipliers: both refuse, with the same message
     big = (Overshear(2, Poly.zero(2), Poly(2, {(1, 0): 800.0})),
            Overshear(2, Poly.coordinate(2, 1), Poly.constant(2, 800.0)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in big:
-            with pytest.raises(NonFinite, match="centralizer check"):
-                commutes_with_torus(Word(2, (step,)), FullSpace(2), 3)
-            assert _same_verdict(Word(2, (step,)), FullSpace(2), 3)
+    for step in big:
+        with pytest.raises(NonFinite, match="centralizer check"):
+            commutes_with_torus(Word(2, (step,)), FullSpace(2), 3)
+        assert _same_verdict(Word(2, (step,)), FullSpace(2), 3)
 
 
 def test_large_diagonals_are_decided_exactly():
