@@ -147,13 +147,26 @@ def _domain_or_fullspace(scene: serialize.Scene, n: int):
     return scene.domain if scene.domain is not None else FullSpace(n)
 
 
+def _finite(value, what: str, p: np.ndarray):
+    """`value`, computed at the point p, unless it is not finite (NonFinite).
+
+    `eval_word` and `jacobian_det` return an overflow as inf or NaN, since
+    the preservation check evaluates pulled-back points that may overflow;
+    an answer to print is refused here, naming what overflowed and where,
+    rather than by the encoder."""
+    if not np.isfinite(value).all():
+        raise NonFinite(f"{what} is {value} at p {p}, which is not finite")
+    return value
+
+
 def _dispatch(args):
     scene = serialize.load_scene(args.scene)
     cmd = args.command
 
     if cmd == "eval":
         w = _named(scene.words, args.word, "word")
-        return {"image": eval_word(w, _parse_point(args.point))}
+        p = _parse_point(args.point)
+        return {"image": _finite(eval_word(w, p), "the image w(p)", p)}
 
     if cmd == "compose":
         if len(args.word) != 2:
@@ -168,7 +181,8 @@ def _dispatch(args):
 
     if cmd == "jacobian":
         w = _named(scene.words, args.word, "word")
-        return {"det": jacobian_det(w, _parse_point(args.point))}
+        p = _parse_point(args.point)
+        return {"det": _finite(jacobian_det(w, p), "the Jacobian determinant", p)}
 
     if cmd in ("winding-index", "negative-component"):
         w = _named(scene.words, args.word, "word")

@@ -212,11 +212,17 @@ class Diagonal:
 def check_invertible(m: np.ndarray) -> None:
     """Raise NonInvertibleStep unless each (n, n) matrix in `m` (one, or a
     stack) has no zero row and |det| > TAU_DET with its rows scaled to unit
-    norm."""
-    norms = np.linalg.norm(m, axis=-1)
-    if (norms == 0).any():
+    norm.
+
+    Each row is first divided by its largest |entry|, which leaves the
+    row-normalised determinant as it is: the norm squares the entries,
+    which on the raw rows overflow above about 1e154 and underflow to 0
+    below about 1e-162."""
+    scales = np.abs(m).max(axis=-1)
+    if (scales == 0).any():
         raise NonInvertibleStep("linear step has a zero row")
-    if (np.abs(np.linalg.det(m / norms[..., None])) <= TAU_DET).any():
+    rows = m / scales[..., None]
+    if (np.abs(np.linalg.det(rows / np.linalg.norm(rows, axis=-1)[..., None])) <= TAU_DET).any():
         raise NonInvertibleStep("linear step is singular to tolerance")
 
 

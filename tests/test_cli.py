@@ -1,3 +1,5 @@
+import gc
+import importlib
 import json
 import os
 import shutil
@@ -9,6 +11,7 @@ import pytest
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "scenes", "demo.json")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 
 
 def run(*args, scene=DEMO):
@@ -49,6 +52,16 @@ def aux_scene(tmp_path_factory):
                  "f": [{"exponents": [0, 0], "re": 1.0, "im": 0.0}]},
                 {"type": "overshear", "axis": 1, "g": [],
                  "f": [{"exponents": [0, 0], "re": -1.0, "im": 0.0}]}]},
+            # its image and its determinant at (1, 1) overflow
+            "square_1e308": {"n": 2, "steps": [
+                {"type": "diagonal", "lambda": [[1e308, 0.0], [1.0, 0.0]]},
+                {"type": "diagonal", "lambda": [[1e308, 0.0], [1.0, 0.0]]}]},
+            # its image at (1, 1) is finite, its determinant overflows
+            "det_1e616": {"n": 2, "steps": [
+                {"type": "permutation", "perm": [2, 1]},
+                {"type": "diagonal", "lambda": [[1e308, 0.0], [1.0, 0.0]]},
+                {"type": "permutation", "perm": [2, 1]},
+                {"type": "diagonal", "lambda": [[1.0, 0.0], [1e308, 0.0]]}]},
             # undefined on {z2 = 0}; the inverse of its first step overflows
             "tiny_inv": {"n": 2, "steps": [{"type": "diagonal",
                                             "lambda": [[1e-320, 0.0], [1.0, 0.0]]},
@@ -72,15 +85,57 @@ def aux_scene(tmp_path_factory):
     return str(f)
 
 
+# one invocation pinned through both launchers: `python -m` and the script
+WINDING_ARGV = ["winding-index", "--word", "inv1", "--contour", "c0"]
+WINDING_LINE = '{"index":-1,"raw":-1.0,"samples":64}\n'
+
+
 def test_winding_index_golden():
-    code, out, err = run("winding-index", "--word", "inv1", "--contour", "c0")
+    code, out, err = run(*WINDING_ARGV)
     assert code == 0
-    assert out == '{"index":-1,"raw":-1.0,"samples":64}\n'
+    assert out == WINDING_LINE
+
+
+# a success, a HoloError and a usage error
+ENTRY_CASES = [
+    (WINDING_ARGV, 0),
+    (["validate-exponents", "--matrix", "m_bad"], 2),
+    (["eval", "--word", "id"], 1),
+]
+
+
+@pytest.mark.parametrize("argv,code", ENTRY_CASES, ids=["exit 0", "exit 2", "exit 1"])
+def test_process_entry_matches_in_process_main(argv, code, capsys):
+    # the process entry freezes the heap; cli.main must leave its caller's alone
+    from hologroup import cli
+    frozen = gc.get_freeze_count()
+    assert cli.main([*argv, "--scene", DEMO]) == code
+    assert gc.get_freeze_count() == frozen
+    out, err = capsys.readouterr()
+    assert run(*argv) == (code, out, err)
+
+
+def test_process_entry_freezes_before_main(monkeypatch):
+    from hologroup import __main__ as process
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(process, "main", lambda: calls.append("main") or 0)
+    assert process.entry() == 0
+    assert calls == ["freeze", "main"]
+
+
+def test_console_script_target_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["hologroup"]
+    module, _, name = target.partition(":")
+    from hologroup.__main__ import entry
+    assert getattr(importlib.import_module(module), name) is entry
 
 
 def test_output_is_byte_deterministic():
-    a = run("winding-index", "--word", "inv1", "--contour", "c0")
-    b = run("winding-index", "--word", "inv1", "--contour", "c0")
+    a = run(*WINDING_ARGV)
+    b = run(*WINDING_ARGV)
     assert a == b
 
 
@@ -303,14 +358,27 @@ def test_extraction_refuses_an_overflowing_ratio(aux_scene, seed, capsys):
     assert err == f"error: {payload['message']}\n"
 
 
+# both exited 2 with only the encoder's "cannot serialize non-finite float inf"
+@pytest.mark.parametrize("argv,what", [
+    (["eval", "--word", "square_1e308"], "the image w(p) is [inf+0.j  1.+0.j]"),
+    (["jacobian", "--word", "det_1e616"], "the Jacobian determinant is (inf+0j)"),
+], ids=["eval", "jacobian"])
+def test_overflow_is_refused_at_its_source(aux_scene, argv, what, capsys):
+    from hologroup import cli
+    assert cli.main([*argv, "--point", "1,0;1,0", "--scene", aux_scene]) == 2
+    out, err = capsys.readouterr()
+    message = f"{what} at p [1.+0.j 1.+0.j], which is not finite"
+    assert json.loads(out) == {"error": "NonFinite", "message": message}
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.skipif(shutil.which("hologroup") is None,
                     reason="console script not on PATH")
 def test_console_script():
-    proc = subprocess.run(["hologroup", "winding-index", "--word", "inv1",
-                           "--contour", "c0", "--scene", DEMO],
+    proc = subprocess.run(["hologroup", *WINDING_ARGV, "--scene", DEMO],
                           capture_output=True, text=True)
     assert proc.returncode == 0
-    assert proc.stdout == '{"index":-1,"raw":-1.0,"samples":64}\n'
+    assert proc.stdout == WINDING_LINE
 
 
 # stdout of one fixed invocation per subcommand on the demo scene,
@@ -346,6 +414,12 @@ DEMO_GOLDEN = [
      '{"commutes":false,"witness":{"theta":[3.4845589853632135,0.40097564589827117],'
      '"z":[[1.7610168620744406,-0.81202456754381369],[0.92934435816108729,0.86978956773764049]],'
      '"deviation":3.876803592371374}}'),
+    # the path invocations that the benchmark's cli workload runs
+    (["homotopy-certify", "--path", "shear_path"],
+     '{"endpoint_err0":0.0,"endpoint_err1":0.0,"min_abs_det":1.0,'
+     '"max_inverse_residual":3.1401849173675503e-16}'),
+    (["continuity", "--path", "swap_path", "--t", "0.001"],
+     '{"dt":0.001,"modulus":0.0083854419446615803}'),
 ]
 # a line is named by its subcommand; a later line for the same one adds its word
 GOLDEN_IDS = []

@@ -248,3 +248,11 @@ def test_overflow_is_refused():
         certify_path(path, 101, 2.0)
     with pytest.raises(NonFinite, match="jump is not finite at t = 0.01"):
         continuity_modulus(path, 0.01, 3.0)
+
+
+def test_huge_bump_is_refused_as_non_finite():
+    # the table's 1e308 overflowed the row norm of check_invertible, which
+    # read the matrix at t = 0.1 as singular (NonInvertibleStep)
+    path = swap_path(BumpFunction("table", (0.0, 1e308, 0.0)))
+    with pytest.raises(NonFinite, match=r"\|det\| is not finite at t = 0.1"):
+        certify_path(path, 11, 2.0)

@@ -120,6 +120,17 @@ def test_step_constructor_invariants():
         Linear(np.array([[1e30, 1e30], [1.0, 1.0]], dtype=complex))
 
 
+def test_row_scaling_survives_extreme_magnitudes():
+    # np.linalg.norm squares the entries: diag(1e155, 1) was refused as
+    # "singular to tolerance" and diag(1e-170, 1) as "has a zero row"
+    for d in ([1e155, 1.0], [1e-170, 1.0], [1e308, 1e-308]):
+        Linear(np.diag(d).astype(complex))
+    with pytest.raises(NonInvertibleStep, match="zero row"):
+        Linear(np.array([[1e-170, 0.0], [0.0, 0.0]], dtype=complex))
+    with pytest.raises(NonInvertibleStep, match="singular to tolerance"):
+        Linear(np.array([[1.0, 2.0], [2.0, 4.0 + 1e-14]], dtype=complex))
+
+
 def test_non_finite_step_data_is_refused():
     # NaN used to pass check_invertible, whose |det| <= TAU_DET test is
     # false for NaN, and an infinite multiplier was taken as nonzero
