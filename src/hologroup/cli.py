@@ -69,71 +69,54 @@ def _seed(text: str) -> int:
     return seed
 
 
+# each flag's argparse definition, stated once
+FLAGS = {
+    "scene": dict(required=True, metavar="FILE", help="JSON scene file"),
+    "word": dict(required=True),
+    "point": dict(required=True, metavar='"re,im;..."'),
+    "contour": dict(required=True),
+    "path": dict(required=True),
+    "grid": dict(type=int, default=1001),
+    "t": dict(type=float, required=True, help="time grid spacing dt"),
+    "radius": dict(type=float, default=2.0),
+    "seed": dict(type=_seed, default=42),
+    "matrix": dict(required=True),
+}
+
+# subcommand -> (help text, its flags after --scene), in --help order
+COMMANDS = {
+    "eval": ("evaluate a word at a point", ("word", "point")),
+    "compose": ("concatenate two words (first applied first)", ("word",)),
+    "invert": ("invert a word step by step", ("word",)),
+    "jacobian": ("Jacobian determinant of a word at a point", ("word", "point")),
+    "winding-index": ("winding number of a word along a contour", ("word", "contour")),
+    "negative-component": ("is the word in the reversed-winding class", ("word", "contour")),
+    "homotopy-certify": ("certify a path to the identity on a polydisc",
+                         ("path", "grid", "radius", "seed")),
+    "continuity": ("modulus of continuity of a path at time step --t",
+                   ("path", "t", "radius", "seed")),
+    "centralizer": ("does the word commute with all torus rotations", ("word", "seed")),
+    "extract-diagonal": ("recover the diagonal of a torus-commuting word", ("word", "seed")),
+    "classify": ("domain kind and Stein flag", ()),
+    "preserves": ("does the word map the scene domain into itself", ("word", "seed")),
+    "validate-exponents": ("exact unimodularity check of an integer matrix", ("matrix",)),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hologroup",
                      description="Automorphism words, winding indices, homotopy "
                                  "certification, and torus centralizers.")
     sub = parser.add_subparsers(dest="command", metavar="<command>",
                                 parser_class=_Parser)
-
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--scene", required=True, metavar="FILE",
-                       help="JSON scene file")
-        return p
-
-    p = cmd("eval", "evaluate a word at a point")
-    p.add_argument("--word", required=True)
-    p.add_argument("--point", required=True, metavar='"re,im;..."')
-
-    p = cmd("compose", "concatenate two words (first applied first)")
-    p.add_argument("--word", action="append", required=True,
-                   help="word name; give this flag exactly twice")
-
-    p = cmd("invert", "invert a word step by step")
-    p.add_argument("--word", required=True)
-
-    p = cmd("jacobian", "Jacobian determinant of a word at a point")
-    p.add_argument("--word", required=True)
-    p.add_argument("--point", required=True, metavar='"re,im;..."')
-
-    p = cmd("winding-index", "winding number of a word along a contour")
-    p.add_argument("--word", required=True)
-    p.add_argument("--contour", required=True)
-
-    p = cmd("negative-component", "is the word in the reversed-winding class")
-    p.add_argument("--word", required=True)
-    p.add_argument("--contour", required=True)
-
-    p = cmd("homotopy-certify", "certify a path to the identity on a polydisc")
-    p.add_argument("--path", required=True)
-    p.add_argument("--grid", type=int, default=1001)
-    p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--seed", type=_seed, default=42)
-
-    p = cmd("continuity", "modulus of continuity of a path at time step --t")
-    p.add_argument("--path", required=True)
-    p.add_argument("--t", type=float, required=True, help="time grid spacing dt")
-    p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--seed", type=_seed, default=42)
-
-    p = cmd("centralizer", "does the word commute with all torus rotations")
-    p.add_argument("--word", required=True)
-    p.add_argument("--seed", type=_seed, default=42)
-
-    p = cmd("extract-diagonal", "recover the diagonal of a torus-commuting word")
-    p.add_argument("--word", required=True)
-    p.add_argument("--seed", type=_seed, default=42)
-
-    cmd("classify", "domain kind and Stein flag")
-
-    p = cmd("preserves", "does the word map the scene domain into itself")
-    p.add_argument("--word", required=True)
-    p.add_argument("--seed", type=_seed, default=42)
-
-    p = cmd("validate-exponents", "exact unimodularity check of an integer matrix")
-    p.add_argument("--matrix", required=True)
-
+        for flag in ("scene", *flags):
+            spec = FLAGS[flag]
+            if name == "compose" and flag == "word":
+                spec = dict(spec, action="append",
+                            help="word name; give this flag exactly twice")
+            p.add_argument(f"--{flag}", **spec)
     return parser
 
 
@@ -141,10 +124,6 @@ def _named(section: dict, name: str, what: str):
     if name not in section:
         raise SceneError(f"scene has no {what} named {name!r}")
     return section[name]
-
-
-def _domain_or_fullspace(scene: serialize.Scene, n: int):
-    return scene.domain if scene.domain is not None else FullSpace(n)
 
 
 def _finite(value, what: str, p: np.ndarray):
@@ -162,67 +141,51 @@ def _finite(value, what: str, p: np.ndarray):
 def _dispatch(args):
     scene = serialize.load_scene(args.scene)
     cmd = args.command
-
-    if cmd == "eval":
-        w = _named(scene.words, args.word, "word")
-        p = _parse_point(args.point)
-        return {"image": _finite(eval_word(w, p), "the image w(p)", p)}
-
     if cmd == "compose":
         if len(args.word) != 2:
             raise UsageError("compose needs exactly two --word flags")
-        a = _named(scene.words, args.word[0], "word")
-        b = _named(scene.words, args.word[1], "word")
+        a, b = (_named(scene.words, name, "word") for name in args.word)
         return serialize.word_to_json(compose(a, b))
-
-    if cmd == "invert":
+    # each object a subcommand names is looked up, in this order, before it runs
+    if "word" in args:
         w = _named(scene.words, args.word, "word")
-        return serialize.word_to_json(invert_word(w))
-
-    if cmd == "jacobian":
-        w = _named(scene.words, args.word, "word")
+        space = scene.domain if scene.domain is not None else FullSpace(w.n)
+    if "point" in args:
         p = _parse_point(args.point)
-        return {"det": _finite(jacobian_det(w, p), "the Jacobian determinant", p)}
+    if "path" in args:
+        path = _named(scene.paths, args.path, "path")
 
+    if cmd == "eval":
+        return {"image": _finite(eval_word(w, p), "the image w(p)", p)}
+    if cmd == "invert":
+        return serialize.word_to_json(invert_word(w))
+    if cmd == "jacobian":
+        return {"det": _finite(jacobian_det(w, p), "the Jacobian determinant", p)}
     if cmd in ("winding-index", "negative-component"):
-        w = _named(scene.words, args.word, "word")
         raw = _named(scene.contours, args.contour, "contour")
         contour = make_contour(scene.domain, raw.axis, raw.p, raw.R)
         if cmd == "negative-component":
             return {"in_negative_component": in_negative_component(w, contour)}
         res = winding_index(w, contour)
         return {"index": res.index, "raw": res.raw, "samples": res.samples_used}
-
     if cmd == "homotopy-certify":
-        path = _named(scene.paths, args.path, "path")
         return certify_path(path, args.grid, args.radius, seed=args.seed)
-
     if cmd == "continuity":
-        path = _named(scene.paths, args.path, "path")
         modulus = continuity_modulus(path, args.t, args.radius, seed=args.seed)
         return {"dt": args.t, "modulus": modulus}
-
     if cmd == "centralizer":
-        w = _named(scene.words, args.word, "word")
-        return commutes_with_torus(w, _domain_or_fullspace(scene, w.n), args.seed)
-
+        return commutes_with_torus(w, space, args.seed)
     if cmd == "extract-diagonal":
-        w = _named(scene.words, args.word, "word")
-        return {"lambda": extract_diagonal(w, _domain_or_fullspace(scene, w.n), args.seed)}
-
+        return {"lambda": extract_diagonal(w, space, args.seed)}
     if cmd == "classify":
         if scene.domain is None:
             raise SceneError("scene has no domain to classify")
         return classify_domain(scene.domain)
-
     if cmd == "preserves":
-        w = _named(scene.words, args.word, "word")
-        return word_preserves_domain(w, _domain_or_fullspace(scene, w.n), args.seed)
-
+        return word_preserves_domain(w, space, args.seed)
     if cmd == "validate-exponents":
         matrix = _named(scene.exponent_matrices, args.matrix, "exponent matrix")
         return {"det": validate_exponent_matrix(matrix)}
-
     raise UsageError(f"unknown subcommand {cmd!r}")
 
 

@@ -68,7 +68,8 @@ class BumpFunction:
     Either the named default sin(pi t) or a piecewise-linear table over
     a uniform grid on [0,1]. The three defining constraints are checked
     at construction (endpoints to 1e-12, since sin(pi*1) is itself only
-    zero to roundoff).
+    zero to roundoff), after a NaN or infinite table value is refused
+    (NonFinite), since NaN would pass every comparison.
     """
 
     name: str
@@ -82,6 +83,10 @@ class BumpFunction:
             if self.table is None or len(self.table) < 3:
                 raise ValueError("a table bump needs at least 3 values")
             object.__setattr__(self, "table", tuple(float(v) for v in self.table))
+            bad = np.flatnonzero(~np.isfinite(self.table))
+            if bad.size:
+                i = int(bad[0])
+                raise NonFinite(f"bump table value {i} is {self.table[i]}, which is not finite")
         else:
             raise ValueError(f"unknown bump function {self.name!r}")
         if abs(self(0.0)) > BUMP_ENDPOINT_TOL or abs(self(1.0)) > BUMP_ENDPOINT_TOL:

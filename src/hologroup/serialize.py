@@ -21,7 +21,8 @@ deliberately not checked here, so that the unimodularity verdict stays
 an operation result rather than a file-loading side effect. The numbers
 that size the work are bounded here, at the scene boundary: a word,
 domain, path or exponent matrix has at most MAX_DIMENSION coordinates,
-and a polynomial term a total degree of at most MAX_DEGREE.
+a polynomial term a total degree of at most MAX_DEGREE, and an exponent
+matrix entry a magnitude under MAX_EXPONENT_ENTRY.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ from .words import Diagonal, Inversion, Linear, Overshear, Permutation, Word
 # steps; a term of total degree d costs d monomials per evaluation.
 MAX_DIMENSION = 64
 MAX_DEGREE = 1000
+# with 63-bit entries a 64 x 64 determinant has at most about 1,272 digits,
+# well within what Python will format as a decimal string (4,300 digits)
+MAX_EXPONENT_ENTRY = 2 ** 63
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +314,10 @@ def parse_exponent_matrix(v, where: str) -> list:
     for row in v:
         if not isinstance(row, list) or len(row) != n:
             raise SceneError(f"{where}: expected an n x n integer matrix")
-        out.append([_as_int(x, where) for x in row])
+        entries = [_as_int(x, where) for x in row]
+        if any(abs(x) >= MAX_EXPONENT_ENTRY for x in entries):
+            raise SceneError(f"{where}: an entry has magnitude 2^63 or more")
+        out.append(entries)
     return out
 
 
@@ -370,8 +377,14 @@ def load_scene(path: str) -> Scene:
             text = fh.read()
     except OSError as exc:
         raise SceneError(f"cannot read scene file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SceneError(f"scene file {path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneError(f"scene file {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past Python's digit limit, or nesting past the
+        # decoder's recursion limit
+        raise SceneError(f"scene file {path} cannot be decoded: {exc}") from exc
     return parse_scene(data)

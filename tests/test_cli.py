@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import importlib
+import io
 import json
 import os
 import shutil
@@ -9,12 +11,23 @@ import time
 
 import pytest
 
+from hologroup import cli
+
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "scenes", "demo.json")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 
 
 def run(*args, scene=DEMO):
+    """(exit code, stdout, stderr) of `cli.main` on args, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*args, "--scene", scene])
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_process(*args, scene=DEMO):
+    """As `run`, through `python -m hologroup` in a new process."""
     argv = [sys.executable, "-m", "hologroup", *args]
     if scene is not None:
         argv += ["--scene", scene]
@@ -91,7 +104,7 @@ WINDING_LINE = '{"index":-1,"raw":-1.0,"samples":64}\n'
 
 
 def test_winding_index_golden():
-    code, out, err = run(*WINDING_ARGV)
+    code, out, err = run_process(*WINDING_ARGV)
     assert code == 0
     assert out == WINDING_LINE
 
@@ -107,12 +120,11 @@ ENTRY_CASES = [
 @pytest.mark.parametrize("argv,code", ENTRY_CASES, ids=["exit 0", "exit 2", "exit 1"])
 def test_process_entry_matches_in_process_main(argv, code, capsys):
     # the process entry freezes the heap; cli.main must leave its caller's alone
-    from hologroup import cli
     frozen = gc.get_freeze_count()
     assert cli.main([*argv, "--scene", DEMO]) == code
     assert gc.get_freeze_count() == frozen
     out, err = capsys.readouterr()
-    assert run(*argv) == (code, out, err)
+    assert run_process(*argv) == (code, out, err)
 
 
 def test_process_entry_freezes_before_main(monkeypatch):
@@ -134,8 +146,9 @@ def test_console_script_target_is_the_process_entry():
 
 
 def test_output_is_byte_deterministic():
-    a = run(*WINDING_ARGV)
-    b = run(*WINDING_ARGV)
+    # two processes, so that a dependence on the hash seed would show
+    a = run_process(*WINDING_ARGV)
+    b = run_process(*WINDING_ARGV)
     assert a == b
 
 
@@ -260,7 +273,6 @@ NEGATIVE_SEEDS = [
 @pytest.mark.parametrize("argv,scene", NEGATIVE_SEEDS,
                          ids=[a[0] for a, _ in NEGATIVE_SEEDS])
 def test_negative_seed_is_a_usage_error(argv, scene, aux_scene, capsys):
-    from hologroup import cli
     assert cli.main([*argv, "--scene", scene or aux_scene]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -279,6 +291,47 @@ def test_scene_errors_exit_1(tmp_path):
     code, out, _ = run("eval", "--word", "id", "--point", "1,0;1,0",
                        scene=str(broken))
     assert code == 1 and out == ""
+    # each of these ended in a traceback: bytes that are not UTF-8, nesting
+    # past the decoder's recursion limit, an integer past Python's
+    # 4,300-digit limit for converting a decimal string
+    for name, data in [("latin1.json", b'{"words": {"\xe9": {}}}'),
+                       ("deep.json", b"[" * 200_000),
+                       ("bigint.json", b'{"exponent_matrices": {"m": [[' + b"9" * 5000
+                        + b"]]}}")]:
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run("classify", scene=str(path))
+        assert code == 1 and out == "", name
+        assert err.startswith(f"input error: scene file {path} ") and err.count("\n") == 1
+
+
+def test_oversized_exponent_entry_exits_1(tmp_path):
+    # formatting NotUnimodular's 5,001-digit determinant ended in a ValueError
+    big = 10 ** 2500
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"exponent_matrices": {"m": [[big, 0], [0, big]]}}),
+                    encoding="utf-8")
+    code, out, err = run("validate-exponents", "--matrix", "m", scene=str(path))
+    assert code == 1 and out == ""
+    assert err == ("input error: scene.exponent_matrices.m: "
+                   "an entry has magnitude 2^63 or more\n")
+
+
+# [NaN, 1, NaN] passed the bump's endpoint checks and exited 2 with "linear
+# step is singular to tolerance"; [0, NaN, 0] exited 2 with "|det| is not
+# finite at t = 0.1"
+@pytest.mark.parametrize("table,index", [([float("nan"), 1.0, float("nan")], 0),
+                                         ([0.0, float("nan"), 0.0], 1)],
+                         ids=["nan ends", "nan middle"])
+def test_non_finite_bump_exits_1(tmp_path, table, index):
+    scene = {"paths": {"p": {"type": "transposition", "n": 2, "j": 1, "k": 2,
+                             "bump": {"table": table}}}}
+    path = tmp_path / "bump.json"
+    path.write_text(json.dumps(scene), encoding="utf-8")
+    code, out, err = run("homotopy-certify", "--path", "p", "--grid", "11", scene=str(path))
+    assert code == 1 and out == ""
+    assert err == (f"input error: scene.paths.p.bump: bump table value {index} "
+                   "is nan, which is not finite\n")
 
 
 def test_non_finite_scene_term_exits_1(tmp_path):
@@ -347,7 +400,6 @@ def test_refusal_stderr_is_one_line(aux_scene, argv):
 def test_extraction_refuses_an_overflowing_ratio(aux_scene, seed, capsys):
     # the library returned [1-0j, inf+nanj], and the CLI failed only in the
     # encoder, with "cannot serialize non-finite float inf"
-    from hologroup import cli
     assert cli.main(["extract-diagonal", "--word", "e800", "--seed", seed,
                      "--scene", aux_scene]) == 2
     out, err = capsys.readouterr()
@@ -364,7 +416,6 @@ def test_extraction_refuses_an_overflowing_ratio(aux_scene, seed, capsys):
     (["jacobian", "--word", "det_1e616"], "the Jacobian determinant is (inf+0j)"),
 ], ids=["eval", "jacobian"])
 def test_overflow_is_refused_at_its_source(aux_scene, argv, what, capsys):
-    from hologroup import cli
     assert cli.main([*argv, "--point", "1,0;1,0", "--scene", aux_scene]) == 2
     out, err = capsys.readouterr()
     message = f"{what} at p [1.+0.j 1.+0.j], which is not finite"
@@ -427,9 +478,50 @@ for argv, _ in DEMO_GOLDEN:
     GOLDEN_IDS.append(" ".join(argv[:3]) if argv[0] in GOLDEN_IDS else argv[0])
 
 
+# the usage line of the top level and of each subcommand, one line each
+# on a 200-column terminal
+USAGE_LINES = {
+    None: "usage: hologroup [-h] <command> ...",
+    "eval": 'usage: hologroup eval [-h] --scene FILE --word WORD --point "re,im;..."',
+    "compose": "usage: hologroup compose [-h] --scene FILE --word WORD",
+    "invert": "usage: hologroup invert [-h] --scene FILE --word WORD",
+    "jacobian": 'usage: hologroup jacobian [-h] --scene FILE --word WORD --point "re,im;..."',
+    "winding-index":
+        "usage: hologroup winding-index [-h] --scene FILE --word WORD --contour CONTOUR",
+    "negative-component":
+        "usage: hologroup negative-component [-h] --scene FILE --word WORD --contour CONTOUR",
+    "homotopy-certify": "usage: hologroup homotopy-certify [-h] --scene FILE --path PATH "
+                        "[--grid GRID] [--radius RADIUS] [--seed SEED]",
+    "continuity": "usage: hologroup continuity [-h] --scene FILE --path PATH --t T "
+                  "[--radius RADIUS] [--seed SEED]",
+    "centralizer": "usage: hologroup centralizer [-h] --scene FILE --word WORD [--seed SEED]",
+    "extract-diagonal":
+        "usage: hologroup extract-diagonal [-h] --scene FILE --word WORD [--seed SEED]",
+    "classify": "usage: hologroup classify [-h] --scene FILE",
+    "preserves": "usage: hologroup preserves [-h] --scene FILE --word WORD [--seed SEED]",
+    "validate-exponents":
+        "usage: hologroup validate-exponents [-h] --scene FILE --matrix MATRIX",
+}
+
+
+@pytest.mark.parametrize("command,line", USAGE_LINES.items(),
+                         ids=[c or "hologroup" for c in USAGE_LINES])
+def test_usage_line(command, line, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["--help"] if command is None else [command, "--help"])
+    assert capsys.readouterr().out.split("\n")[0] == line
+
+
+def test_command_table_matches_benchmark_and_goldens():
+    from test_benchmark_pools import load_workloads
+    assert tuple(cli.COMMANDS) == load_workloads().CLI_COMMANDS
+    assert tuple(USAGE_LINES)[1:] == tuple(cli.COMMANDS)
+    assert {argv[0] for argv, _ in DEMO_GOLDEN} == set(cli.COMMANDS)
+
+
 @pytest.mark.parametrize("argv,expected", DEMO_GOLDEN, ids=GOLDEN_IDS)
 def test_demo_scene_golden(argv, expected, capsys):
-    from hologroup import cli
     assert cli.main([*argv, "--scene", DEMO]) == 0
     assert capsys.readouterr().out == expected + "\n"
 
@@ -451,7 +543,6 @@ REFUSED = [
 
 @pytest.mark.parametrize("argv,name", REFUSED, ids=[" ".join(a[3:]) for a, _ in REFUSED])
 def test_refused_before_any_work(argv, name, capsys):
-    from hologroup import cli
     start = time.perf_counter()
     assert cli.main([*argv, "--scene", DEMO]) == 2
     assert time.perf_counter() - start < 1.0
@@ -468,7 +559,6 @@ def test_refused_before_any_work(argv, name, capsys):
     ["continuity", "--path", "swap_path", "--t", "1e-300"],
 ], ids=["401-digit grid", "t 1e-300"])
 def test_budget_refusal_does_not_print_the_count(argv, capsys):
-    from hologroup import cli
     assert cli.main([*argv, "--scene", DEMO]) == 2
     out, err = capsys.readouterr()
     payload = json.loads(out)

@@ -152,6 +152,14 @@ def test_bump_validation():
         BumpFunction("cos")
 
 
+@pytest.mark.parametrize("table", [(np.nan, 1.0, np.nan), (0.0, np.nan, 0.0),
+                                   (0.0, np.inf, 0.0)], ids=["nan ends", "nan middle", "inf"])
+def test_bump_refuses_a_non_finite_table_value(table):
+    # NaN compares false, so it passed the endpoint and midpoint checks
+    with pytest.raises(NonFinite, match="bump table value"):
+        BumpFunction("table", table)
+
+
 def test_continuity_constant_path_is_zero():
     p = OvershearPath(Overshear(2, Poly.zero(2), Poly.zero(2)), 2)
     assert continuity_modulus(p, 0.01, 2.0) == 0.0

@@ -239,13 +239,22 @@ CONSTRUCTOR_ERRORS = [
     (lambda: parse_exponent_matrix([[int(i == j) for j in range(400)] for i in range(400)],
                                    "t"),
      "t: dimension 400 is over the limit of 64"),
+    # NaN compares false, so it passed the bump's endpoint checks
+    (lambda: parse_bump({"table": [0.0, float("nan"), 0.0]}, "t"),
+     "t: bump table value 1 is nan, which is not finite"),
+    # an entry of 10^2500 gave a determinant too long to format as a string
+    (lambda: parse_exponent_matrix([[2 ** 63, 0], [0, 1]], "t"),
+     "t: an entry has magnitude 2^63 or more"),
+    (lambda: parse_exponent_matrix([[1, 0], [0, -2 ** 63]], "t"),
+     "t: an entry has magnitude 2^63 or more"),
 ]
 
 
 @pytest.mark.parametrize("parse,message", CONSTRUCTOR_ERRORS,
                          ids=["poly", "step", "word", "domain", "bump", "path",
                               "path dimension", "word dimension", "domain dimension",
-                              "degree", "matrix dimension"])
+                              "degree", "matrix dimension", "bump nan",
+                              "matrix entry", "negative matrix entry"])
 def test_constructor_errors_name_their_field(parse, message):
     with pytest.raises(SceneError) as exc:
         parse()
@@ -256,6 +265,8 @@ def test_parse_exponent_matrix_shapes():
     assert parse_exponent_matrix([[1, 1], [0, 1]], "t") == [[1, 1], [0, 1]]
     # stored raw: unimodularity is checked by the operation, not the parser
     assert parse_exponent_matrix([[2, 0], [0, 1]], "t") == [[2, 0], [0, 1]]
+    top = 2 ** 63 - 1
+    assert parse_exponent_matrix([[top, 0], [0, -top]], "t") == [[top, 0], [0, -top]]
     with pytest.raises(SceneError):
         parse_exponent_matrix([[1, 0], [0]], "t")
     with pytest.raises(SceneError):
