@@ -22,7 +22,8 @@ import numpy as np
 
 from . import serialize
 from .domains import FullSpace, classify_domain, word_preserves_domain
-from .errors import DimensionMismatch, HoloError, NonFinite, NotUnimodular, SceneError
+from .errors import (DimensionMismatch, HoloError, NonFinite, NotUnimodular, SceneError,
+                     quiet, refuse_non_finite)
 from .homotopy import certify_path, continuity_modulus
 from .torus import commutes_with_torus, extract_diagonal, validate_exponent_matrix
 from .winding import in_negative_component, make_contour, winding_index
@@ -126,18 +127,6 @@ def _named(section: dict, name: str, what: str):
     return section[name]
 
 
-def _finite(value, what: str, p: np.ndarray):
-    """`value`, computed at the point p, unless it is not finite (NonFinite).
-
-    `eval_word` and `jacobian_det` return an overflow as inf or NaN, since
-    the preservation check evaluates pulled-back points that may overflow;
-    an answer to print is refused here, naming what overflowed and where,
-    rather than by the encoder."""
-    if not np.isfinite(value).all():
-        raise NonFinite(f"{what} is {value} at p {p}, which is not finite")
-    return value
-
-
 def _dispatch(args):
     scene = serialize.load_scene(args.scene)
     cmd = args.command
@@ -152,15 +141,20 @@ def _dispatch(args):
         space = scene.domain if scene.domain is not None else FullSpace(w.n)
     if "point" in args:
         p = _parse_point(args.point)
+        # `eval_word` and `jacobian_det` return an overflow as inf or NaN, since
+        # the preservation check evaluates pulled-back points that may overflow;
+        # an answer to print is refused here, naming what overflowed and where
+        at_p = lambda _: f"p {p}"
     if "path" in args:
         path = _named(scene.paths, args.path, "path")
 
     if cmd == "eval":
-        return {"image": _finite(eval_word(w, p), "the image w(p)", p)}
+        return {"image": refuse_non_finite(eval_word(w, p)[None], "the image w(p)", at_p)[0]}
     if cmd == "invert":
         return serialize.word_to_json(invert_word(w))
     if cmd == "jacobian":
-        return {"det": _finite(jacobian_det(w, p), "the Jacobian determinant", p)}
+        return {"det": refuse_non_finite(np.array([jacobian_det(w, p)]),
+                                         "the Jacobian determinant", at_p)[0]}
     if cmd in ("winding-index", "negative-component"):
         raw = _named(scene.contours, args.contour, "contour")
         contour = make_contour(scene.domain, raw.axis, raw.p, raw.R)
@@ -196,7 +190,7 @@ def main(argv: Optional[list] = None) -> int:
             raise UsageError("a subcommand is required (try --help)")
         # overflow and invalid values are refused by the NonFinite checks
         # and the encoder; numpy's own warnings would only add noise to stderr
-        with np.errstate(all="ignore"):
+        with quiet():
             text = serialize.dumps(_dispatch(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

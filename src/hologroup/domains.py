@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint
+from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint, quiet
 from .words import Diagonal, Inversion, Linear, Overshear, Permutation, Word
 from .words import eval_word, eval_word_batch_masked, invert_word
 
@@ -130,10 +130,11 @@ ROUNDING = 2.0 ** -40
 
 def _solutions(d: DomainSpec, solves: list, fillers: tuple, generic: bool):
     """For each (coordinate j, solver) pair: the points with constant
-    coordinates `fillers`, with z_j set to 0 and then to solve(z), kept
-    when finite and in d. When none is kept and `generic`, the same is
-    done at one point with pairwise distinct, nonzero coordinates, for
-    equations that vanish wherever all coordinates agree."""
+    coordinates `fillers`, with z_j set to 0 and then to solve(z), computed
+    under `quiet()`, kept when finite and in d. When none is kept and
+    `generic`, the same is done at one point with pairwise distinct,
+    nonzero coordinates, for equations that vanish wherever all
+    coordinates agree."""
     n = d.n
     for j, solve in solves:
         kept = False
@@ -145,7 +146,8 @@ def _solutions(d: DomainSpec, solves: list, fillers: tuple, generic: bool):
             else:
                 break
             z[j] = 0.0
-            z[j] = solve(z)
+            with quiet():
+                z[j] = solve(z)
             if np.isfinite(z).all() and contains(d, z):
                 kept = True
                 yield z
@@ -254,7 +256,7 @@ def _rounding_bound(back: Word, p: np.ndarray) -> np.ndarray:
     and F's own rounding stays within ROUNDING of its terms. NaN (from an
     overflowing majorant) bounds nothing."""
     x, r, t = p, ROUNDING * np.abs(p), 1.0 + ROUNDING
-    with np.errstate(over="ignore", invalid="ignore"):
+    with quiet():
         for step in back.steps:
             m = np.abs(x)
             if isinstance(step, Inversion):

@@ -6,7 +6,12 @@ DimensionMismatch are malformed input (exit 1); every other HoloError,
 NonFinite included, is a well-posed request whose mathematics fails
 (exit 2, with an {"error": ...} document on stdout). New error types
 belong here rather than as bare ValueErrors from the numeric modules.
+
+Overflow has one policy: numeric work runs under `quiet()`, and a value
+that must be finite passes `refuse_non_finite`, which names it and where.
 """
+
+import numpy as np
 
 
 class HoloError(Exception):
@@ -34,10 +39,10 @@ class NotUnimodular(HoloError):
 
 
 class NotDiagonal(HoloError):
-    """Diagonal extraction failed its multi-point consistency check."""
+    """Diagonal extraction failed its consistency check at the point it names."""
 
-    def __init__(self, message: str, point=None):
-        super().__init__(message)
+    def __init__(self, message: str, point):
+        super().__init__(f"{message} at p {point}")
         self.point = point
 
 
@@ -77,3 +82,21 @@ class DomainNotPreserved(HoloError):
 
 class SceneError(HoloError):
     """A scene file is malformed (schema, names, or dimensions)."""
+
+
+def quiet() -> np.errstate:
+    """A fresh error state that computes overflow, 0 * inf and division by
+    zero as inf or NaN, without a warning; fresh, since numpy refuses to
+    re-enter an errstate object, and the word pass nests inside others."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def refuse_non_finite(values: np.ndarray, what: str, place):
+    """`values`, unless a row of them (one number of a 1-d array) is NaN
+    or infinite: then NonFinite "`what` is V at `place(i)`, which is not
+    finite" names the first such row i and its value V."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite.reshape(len(values), -1).all(axis=1))[0])
+        raise NonFinite(f"{what} is {values[i]} at {place(i)}, which is not finite")
+    return values

@@ -32,10 +32,11 @@ matrices with batched products, determinants and inverses. The results
 equal those of evaluating path_at(path, t) at each time, and
 `tests/oracles.py` keeps that per-time algorithm to check it. Grids are
 capped at MAX_GRID_TIMES times (BudgetExhausted). Blocks are computed
-under the word pass's error state, so overflow, 0 * inf and division by
-zero give inf or NaN without a warning; a time whose |det|, residual or
-jump is then not finite (exp((1-t) g) overflowed) is refused by `_finite`
-with NonFinite rather than reported as a finite-looking extremum.
+under `errors.quiet()`, so overflow, 0 * inf and division by zero give
+inf or NaN without a warning; a time whose |det|, residual or jump is
+then not finite (exp((1-t) g) overflowed) is refused with NonFinite,
+"|det| is nan at t = 0.1, which is not finite", rather than reported as a
+finite-looking extremum.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ._kernels import scaled_poly_evaluator
-from .errors import BudgetExhausted, NonFinite, OutOfRange
+from .errors import BudgetExhausted, NonFinite, OutOfRange, quiet, refuse_non_finite
 from .words import (Linear, Overshear, Permutation, Word, check_invertible,
                     eval_word_batch)
 
@@ -197,14 +198,6 @@ def _check_budget(count, what: str):
         raise BudgetExhausted(f"{what} is over the budget of {MAX_GRID_TIMES} times")
 
 
-def _finite(values: np.ndarray, times: np.ndarray, what: str) -> np.ndarray:
-    """The per-time values, unless one is NaN or infinite (NonFinite)."""
-    if not np.isfinite(values).all():
-        t = times[np.flatnonzero(~np.isfinite(values))[0]]
-        raise NonFinite(f"{what} is not finite at t = {t}")
-    return values
-
-
 def _blocks(times: np.ndarray):
     return (times[i:i + BLOCK_TIMES] for i in range(0, len(times), BLOCK_TIMES))
 
@@ -277,15 +270,16 @@ def certify_path(path: HomotopyPath, grid_size: int, sample_radius: float,
     pts = _sample(path, sample_radius, seed)
     first = None
     min_det, max_resid = np.inf, 0.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with quiet():
         evaluate = _evaluator(path, pts)
         for times in _blocks(np.linspace(0.0, 1.0, grid_size)):
             images, dets, resids = evaluate(times, True)
             if first is None:
                 first = images[0]
-            min_det = np.minimum.reduce(_finite(dets, times, "|det|"), initial=min_det)
-            max_resid = np.maximum.reduce(_finite(resids, times, "the inverse residual"),
-                                          initial=max_resid)
+            at = lambda i: f"t = {times[i]}"
+            min_det = np.minimum.reduce(refuse_non_finite(dets, "|det|", at), initial=min_det)
+            max_resid = np.maximum.reduce(
+                refuse_non_finite(resids, "the inverse residual", at), initial=max_resid)
     moving = _moving(path)
     err0 = float(np.max(np.abs(first - eval_word_batch(path_target(path), pts)[:, moving])))
     err1 = float(np.max(np.abs(images[-1] - pts[:, moving])))
@@ -307,14 +301,16 @@ def continuity_modulus(path: HomotopyPath, dt: float, sample_radius: float,
     pts = _sample(path, sample_radius, seed)
     modulus = 0.0
     prev = None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with quiet():
         evaluate = _evaluator(path, pts)
         for times in _blocks(np.minimum(np.arange(int(count)) * dt, 1.0)):
             images = evaluate(times, False)[0]
             if prev is not None:
                 images = np.concatenate((prev[None], images))
             jumps = np.max(np.abs(np.diff(images, axis=0)), axis=(1, 2))
-            modulus = np.maximum.reduce(_finite(jumps, times[-len(jumps):], "the jump"),
-                                        initial=modulus)
+            ends = times[-len(jumps):]
+            modulus = np.maximum.reduce(
+                refuse_non_finite(jumps, "the jump", lambda i: f"t = {ends[i]}"),
+                initial=modulus)
             prev = images[-1]
     return float(modulus)

@@ -22,7 +22,9 @@ an operation result rather than a file-loading side effect. The numbers
 that size the work are bounded here, at the scene boundary: a word,
 domain, path or exponent matrix has at most MAX_DIMENSION coordinates,
 a polynomial term a total degree of at most MAX_DEGREE, and an exponent
-matrix entry a magnitude under MAX_EXPONENT_ENTRY.
+matrix entry a magnitude under MAX_EXPONENT_ENTRY. An exponent over
+MAX_DEGREE, or a dimension or axis over MAX_DIMENSION, in magnitude is
+refused by its limit alone, since its digits may run to thousands.
 """
 
 from __future__ import annotations
@@ -138,10 +140,10 @@ def _as_int(v, where: str) -> int:
     return v
 
 
-def _as_dimension(v, where: str) -> int:
+def _as_bounded(v, where: str, what: str = "an axis", limit: int = MAX_DIMENSION) -> int:
     n = _as_int(v, where)
-    if n > MAX_DIMENSION:
-        raise SceneError(f"{where}: dimension {n} is over the limit of {MAX_DIMENSION}")
+    if abs(n) > limit:
+        raise SceneError(f"{where}: {what} has magnitude over the limit of {limit}")
     return n
 
 
@@ -178,7 +180,7 @@ def parse_poly(v, n_vars: int, where: str) -> Poly:
         exps = _want(t, "exponents", where)
         if not isinstance(exps, list):
             raise SceneError(f"{where}: exponents must be a list")
-        key = tuple(_as_int(e, where) for e in exps)
+        key = tuple(_as_bounded(e, where, "an exponent", MAX_DEGREE) for e in exps)
         if sum(key) > MAX_DEGREE:
             raise SceneError(f"{where}: a term of total degree {sum(key)} is over "
                              f"the limit of {MAX_DEGREE}")
@@ -208,14 +210,14 @@ def parse_step(v, n: int, where: str):
     kind = _want(v, "type", where)
     with _scene_errors(where):
         if kind == "overshear":
-            return Overshear(_as_int(_want(v, "axis", where), where),
+            return Overshear(_as_bounded(_want(v, "axis", where), where),
                              parse_poly(_want(v, "f", where), n, where + ".f"),
                              parse_poly(_want(v, "g", where), n, where + ".g"))
         if kind == "permutation":
             perm = _want(v, "perm", where)
             if not isinstance(perm, list):
                 raise SceneError(f"{where}: perm must be a list")
-            return Permutation(tuple(_as_int(p, where) for p in perm))
+            return Permutation(tuple(_as_bounded(p, where, "a permutation entry") for p in perm))
         if kind == "diagonal":
             lam = _want(v, "lambda", where)
             if not isinstance(lam, list):
@@ -228,7 +230,7 @@ def parse_step(v, n: int, where: str):
             m = [[parse_complex(c, where) for c in row] for row in rows]
             return Linear(np.array(m, dtype=np.complex128))
         if kind == "inversion":
-            return Inversion(_as_int(_want(v, "axis", where), where))
+            return Inversion(_as_bounded(_want(v, "axis", where), where))
     raise SceneError(f"{where}: unknown step type {kind!r}")
 
 
@@ -237,7 +239,7 @@ def word_to_json(w: Word) -> dict:
 
 
 def parse_word(v, where: str) -> Word:
-    n = _as_dimension(_want(v, "n", where), where)
+    n = _as_bounded(_want(v, "n", where), where, "a dimension")
     steps = _want(v, "steps", where)
     if not isinstance(steps, list):
         raise SceneError(f"{where}: steps must be a list")
@@ -251,7 +253,7 @@ def parse_word(v, where: str) -> Word:
 
 def parse_domain(v, where: str) -> DomainSpec:
     kind = _want(v, "kind", where)
-    n = _as_dimension(_want(v, "n", where), where)
+    n = _as_bounded(_want(v, "n", where), where, "a dimension")
     with _scene_errors(where):
         if kind == "full":
             return FullSpace(n)
@@ -261,7 +263,7 @@ def parse_domain(v, where: str) -> DomainSpec:
             deleted = _want(v, "deleted", where)
             if not isinstance(deleted, list):
                 raise SceneError(f"{where}: deleted must be a list")
-            return HyperplaneComplement(n, frozenset(_as_int(i, where) for i in deleted))
+            return HyperplaneComplement(n, frozenset(_as_bounded(i, where) for i in deleted))
     raise SceneError(f"{where}: unknown domain kind {kind!r}")
 
 
@@ -275,7 +277,7 @@ class RawContour:
 
 
 def parse_contour(v, where: str) -> RawContour:
-    axis = _as_int(_want(v, "axis", where), where)
+    axis = _as_bounded(_want(v, "axis", where), where)
     p = parse_complex_vector(_want(v, "p", where), where + ".p")
     R = _as_number(_want(v, "R", where), where)
     return RawContour(axis, tuple(complex(c) for c in p), R)
@@ -295,13 +297,13 @@ def parse_bump(v, where: str) -> BumpFunction:
 
 def parse_path(v, where: str) -> HomotopyPath:
     kind = _want(v, "type", where)
-    n = _as_dimension(_want(v, "n", where), where)
+    n = _as_bounded(_want(v, "n", where), where, "a dimension")
     with _scene_errors(where):
         if kind == "overshear":
             return OvershearPath(parse_step(v, n, where), n)
         if kind == "transposition":
-            return TranspositionPath(_as_int(_want(v, "j", where), where),
-                                     _as_int(_want(v, "k", where), where),
+            return TranspositionPath(_as_bounded(_want(v, "j", where), where),
+                                     _as_bounded(_want(v, "k", where), where),
                                      n, parse_bump(v.get("bump"), where + ".bump"))
     raise SceneError(f"{where}: unknown path type {kind!r}")
 
@@ -309,7 +311,7 @@ def parse_path(v, where: str) -> HomotopyPath:
 def parse_exponent_matrix(v, where: str) -> list:
     if not isinstance(v, list) or not v:
         raise SceneError(f"{where}: expected an n x n integer matrix")
-    n = _as_dimension(len(v), where)
+    n = _as_bounded(len(v), where, "a dimension")
     out = []
     for row in v:
         if not isinstance(row, list) or len(row) != n:

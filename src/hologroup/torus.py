@@ -15,28 +15,26 @@ diagonal map (a `Diagonal`, a `Permutation`, a `Linear` with one nonzero
 entry per row, an `Overshear` with f = 0 and constant g) and the
 permutations compose to the identity. Such a word is decided by proof:
 it commutes, and its diagonal is the product of the steps' multipliers.
-Every other word is sampled, quietly, as the word pass is: a deviation,
-orbit ratio or probe shift that is not finite (the word overflowed) is
-refused with NonFinite, since no comparison with NaN can fail.
+Every other word is sampled under `errors.quiet()`, as the word pass
+is: a deviation or orbit ratio that is not finite (the word overflowed)
+is refused with NonFinite, naming its place, since no comparison with
+NaN can fail.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (DimensionMismatch, DomainNotPreserved, NonFinite, NotDiagonal,
-                     NotUnimodular)
+                     NotUnimodular, quiet, refuse_non_finite)
 from .domains import DomainSpec, sample_points, word_preserves_domain
 from .words import Diagonal, Linear, Overshear, Permutation, Word, eval_word_batch
 
 COMMUTE_TOL = 1e-10
 DIAG_RATIO_TOL = 1e-9
-DIAG_DEPENDENCE_TOL = 1e-10
-DIAG_PROBE_STEP = 1e-3
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
@@ -113,7 +111,7 @@ def _exact_diagonal(w: Word, what: str) -> Optional[np.ndarray]:
     permutations, once these compose to the identity; None for any other
     word. A product that is not finite raises NonFinite."""
     lam, src = np.ones(w.n, dtype=np.complex128), np.arange(w.n)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    with quiet():
         for step in w.steps:
             mult = _step_multipliers(step, w.n)
             if mult is None:
@@ -161,28 +159,17 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
     images = eval_word_batch(w, rotated)
     wz = eval_word_batch(w, pts)
     dev = np.zeros((64, 64))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with quiet():
         for c in range(w.n):
             col = np.abs(images[:, c].reshape(64, 64) - np.multiply.outer(coeffs_t[c], wz[:, c]))
             np.maximum(dev, col, out=dev)
+    refuse_non_finite(dev.ravel(), "centralizer check: the deviation |w(t(z)) - t(w(z))|",
+                      lambda k: f"theta {thetas[k // 64]}, z {pts[k % 64]}")
     worst = float(dev.max())
-    if not math.isfinite(worst):
-        i, j = np.unravel_index(int(np.flatnonzero(~np.isfinite(dev))[0]), dev.shape)
-        raise NonFinite(f"centralizer check: the deviation |w(t(z)) - t(w(z))| is "
-                        f"{dev[i, j]} at theta {thetas[i]}, z {pts[j]}")
     if worst < COMMUTE_TOL:
         return CentralizerVerdict(True, None)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     return CentralizerVerdict(False, CentralizerWitness(thetas[i], pts[j], worst))
-
-
-def _refuse_non_finite(values: np.ndarray, pts: np.ndarray, what: str) -> None:
-    """Raise NonFinite, naming the first point, unless the values at each
-    point (a row, or one number) are finite."""
-    rows = np.flatnonzero(~np.isfinite(values.reshape(len(pts), -1)).all(axis=1))
-    if rows.size:
-        raise NonFinite(f"diagonal extraction: {what} is {values[rows[0]]} "
-                        f"at p {pts[rows[0]]}, which is not finite")
 
 
 def extract_diagonal(w: Word, d: DomainSpec, seed: int) -> np.ndarray:
@@ -192,13 +179,11 @@ def extract_diagonal(w: Word, d: DomainSpec, seed: int) -> np.ndarray:
     product of its multipliers, in step order; a product that is not finite, or
     has a zero entry, raises NonFinite. For any other word,
     lambda_j = w_j(p) / p_j at one seeded base point with every
-    |p_j| in [0.5, 1.5]; then two verifications back the assumption up:
-    the same ratio at 32 further points agrees to 1e-9, and nudging any
-    one coordinate moves no other output coordinate by more than 1e-10.
-    Either failure raises NotDiagonal with the offending point, meaning
-    the commutation precondition held only to sampling accuracy. A ratio,
-    or a shift of another coordinate, that is not finite (the word
-    overflowed) raises NonFinite with its point before it is compared.
+    |p_j| in [0.5, 1.5], and the same ratio at 32 further points must
+    agree with it to 1e-9; else NotDiagonal names the first point that
+    disagrees, meaning the commutation precondition held only to sampling
+    accuracy. A ratio that is not finite (the word overflowed) raises
+    NonFinite with its point before it is compared.
     """
     if w.n != d.n:
         raise DimensionMismatch(f"word dimension {w.n} != domain dimension {d.n}")
@@ -209,30 +194,15 @@ def extract_diagonal(w: Word, d: DomainSpec, seed: int) -> np.ndarray:
                             f"multiply to {lam}, which has a zero entry")
         return lam
     rng = np.random.default_rng(seed)
-    n = w.n
-    r = rng.uniform(0.5, 1.5, size=(33, n))
-    ang = rng.uniform(0.0, 2.0 * np.pi, size=(33, n))
+    r = rng.uniform(0.5, 1.5, size=(33, w.n))
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=(33, w.n))
     pts = r * np.exp(1j * ang)
-    images = eval_word_batch(w, pts)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratios = images / pts
+    with quiet():
+        ratios = refuse_non_finite(eval_word_batch(w, pts) / pts, "diagonal extraction: "
+                                   "the orbit ratio w(p) / p", lambda i: f"p {pts[i]}")
         drift = np.abs(ratios[1:] - ratios[0])
-    _refuse_non_finite(ratios, pts, "the orbit ratio w(p) / p")
-    lam = ratios[0]
     bad = np.flatnonzero(np.max(drift, axis=1) >= DIAG_RATIO_TOL)
     if bad.size:
         raise NotDiagonal("orbit ratio is not constant across sample points",
                           point=pts[1 + bad[0]])
-    # each output coordinate may respond only to its own input coordinate
-    probes = np.repeat(pts, n, axis=0)
-    probes[np.arange(33 * n), np.tile(np.arange(n), 33)] += DIAG_PROBE_STEP
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        shifts = np.abs(eval_word_batch(w, probes) - np.repeat(images, n, axis=0))
-    shifts = shifts.reshape(33, n, n)
-    cross = np.max(np.where(np.eye(n, dtype=bool)[None, :, :], 0.0, shifts), axis=(1, 2))
-    _refuse_non_finite(cross, pts, "the largest cross shift under a nudge of p")
-    bad = np.flatnonzero(cross >= DIAG_DEPENDENCE_TOL)
-    if bad.size:
-        raise NotDiagonal("an output coordinate depends on a foreign input coordinate",
-                          point=pts[bad[0]])
-    return lam
+    return ratios[0]

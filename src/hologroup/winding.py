@@ -10,7 +10,11 @@ gives -1.
 The integer is computed by continuous argument tracking. Quadrature of
 the logarithmic derivative would need a numerical derivative; tracking
 needs only function values, and its one failure mode (an argument jump
-that refuses to shrink under bisection) is detected and reported.
+that refuses to shrink under bisection) is detected and reported. The
+tracking runs under `errors.quiet()`; a sample, or a quotient of two
+consecutive samples, that is not finite (the word overflowed on the
+contour) is refused with NonFinite, naming its theta, before an angle
+is taken of it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .domains import HyperplaneComplement, contains
 from .errors import (BudgetExhausted, DimensionMismatch, InvalidAxis, NonFinite,
-                     OutOfRange, OutsideDomain, ZeroOnContour)
+                     OutOfRange, OutsideDomain, ZeroOnContour, quiet, refuse_non_finite)
 from .words import Word, eval_word_batch
 
 INITIAL_SAMPLES = 64
@@ -30,7 +34,6 @@ MAX_SAMPLES = 2 ** 20
 ZERO_TOL = 1e-13
 # bisect any interval whose argument increment reaches a quarter turn
 REFINE_ANGLE = np.pi / 2
-_NOT_FINITE = "the accumulated winding is {}: the output coordinate is not finite on the contour"
 
 
 @dataclass(frozen=True)
@@ -80,11 +83,8 @@ def contour_points(c: ContourSpec, thetas: np.ndarray) -> np.ndarray:
 
 def _profile(w: Word, c: ContourSpec, thetas: np.ndarray) -> np.ndarray:
     values = eval_word_batch(w, contour_points(c, thetas))[:, c.axis - 1]
-    moduli = np.abs(values)
-    # NaN or inf, refused before the increments divide it
-    if not moduli.max() < np.inf:
-        raise NonFinite(_NOT_FINITE.format(np.nan))
-    if moduli.min() < ZERO_TOL:
+    refuse_non_finite(values, "the output coordinate", lambda i: f"theta {thetas[i]}")
+    if np.abs(values).min() < ZERO_TOL:
         raise ZeroOnContour(
             "output coordinate vanishes on the contour; "
             "the word is not an automorphism of this domain")
@@ -99,31 +99,33 @@ def winding_index(w: Word, c: ContourSpec) -> IndexResult:
     whose argument increment reaches pi/2, so each increment determines
     the continuous argument branch unambiguously, up to MAX_SAMPLES
     samples in all (then BudgetExhausted). The accumulated increments
-    divided by 2*pi round to the reported integer. A non-finite sample
-    (the word overflowed on the contour) or sum raises NonFinite.
+    divided by 2*pi round to the reported integer. A non-finite sample,
+    or quotient of consecutive samples, raises NonFinite (module docstring).
     """
     if w.n != c.domain.n:
         raise DimensionMismatch(f"word dimension {w.n} != contour dimension {c.domain.n}")
     thetas = np.linspace(0.0, 2.0 * np.pi, INITIAL_SAMPLES + 1)
     values = np.empty(INITIAL_SAMPLES + 1, dtype=np.complex128)
-    values[:-1] = _profile(w, c, thetas[:-1])
-    values[-1] = values[0]
     used = INITIAL_SAMPLES
-    while True:
-        increments = np.angle(values[1:] / values[:-1])
-        coarse = np.flatnonzero(np.abs(increments) >= REFINE_ANGLE)
-        if coarse.size == 0:
-            break
-        if used + coarse.size > MAX_SAMPLES:
-            raise BudgetExhausted(
-                f"argument tracking did not converge within {MAX_SAMPLES} samples")
-        mids = 0.5 * (thetas[coarse] + thetas[coarse + 1])
-        thetas = np.insert(thetas, coarse + 1, mids)
-        values = np.insert(values, coarse + 1, _profile(w, c, mids))
-        used += coarse.size
+    with quiet():
+        values[:-1] = _profile(w, c, thetas[:-1])
+        values[-1] = values[0]
+        while True:
+            quotients = refuse_non_finite(
+                values[1:] / values[:-1], "the quotient of the output coordinate by "
+                "its previous sample", lambda i: f"theta {thetas[i + 1]}")
+            increments = np.angle(quotients)
+            coarse = np.flatnonzero(np.abs(increments) >= REFINE_ANGLE)
+            if coarse.size == 0:
+                break
+            if used + coarse.size > MAX_SAMPLES:
+                raise BudgetExhausted(
+                    f"argument tracking did not converge within {MAX_SAMPLES} samples")
+            mids = 0.5 * (thetas[coarse] + thetas[coarse + 1])
+            thetas = np.insert(thetas, coarse + 1, mids)
+            values = np.insert(values, coarse + 1, _profile(w, c, mids))
+            used += coarse.size
     raw = float(np.sum(increments) / (2.0 * np.pi))
-    if not math.isfinite(raw):
-        raise NonFinite(_NOT_FINITE.format(raw))
     return IndexResult(index=int(round(raw)), raw=raw, samples_used=used)
 
 

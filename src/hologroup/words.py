@@ -52,7 +52,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint
+from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint, quiet
 from .polynomials import Poly
 
 # Linear steps must have |det| above this after scaling rows to unit norm.
@@ -375,7 +375,7 @@ def _word_pass(word: Word, pts, jac: bool = False, masked: bool = False):
     for step in word.steps:
         rows = max(rows, step.work_rows)
     work = np.empty((rows, images.shape[0]), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with quiet():
         for step in word.steps:
             d = step.apply_batch(images, work, jac, valid)
             if jac:

@@ -33,9 +33,15 @@ from hologroup import (CentralizerVerdict, CentralizerWitness, CertificationRepo
 from hologroup import _kernels
 from hologroup.domains import PRESERVE_SAMPLES
 from hologroup.homotopy import CERTIFY_POINTS, DEFAULT_CERTIFY_SEED
-from hologroup.torus import (COMMUTE_TOL, DIAG_DEPENDENCE_TOL, DIAG_PROBE_STEP,
-                             DIAG_RATIO_TOL)
+from hologroup.torus import COMMUTE_TOL, DIAG_RATIO_TOL
 from hologroup.winding import ContourSpec, contour_points
+
+# extract_diagonal_sampled's dependence probe: nudge each coordinate by
+# DIAG_PROBE_STEP and refuse any other output coordinate that moves by
+# DIAG_DEPENDENCE_TOL; extract_diagonal decides by its orbit ratio alone,
+# so a word that only the probe catches shows as a disagreement
+DIAG_PROBE_STEP = 1e-3
+DIAG_DEPENDENCE_TOL = 1e-10
 
 
 def fd_jacobian(word: Word, z, step: float = None) -> np.ndarray:
@@ -407,7 +413,7 @@ def commutes_with_torus_sampled(w: Word, d, seed: int) -> CentralizerVerdict:
     if not math.isfinite(worst):
         i, j = np.unravel_index(int(np.flatnonzero(~np.isfinite(dev))[0]), dev.shape)
         raise NonFinite(f"centralizer check: the deviation |w(t(z)) - t(w(z))| is "
-                        f"{dev[i, j]} at theta {thetas[i]}, z {pts[j]}")
+                        f"{dev[i, j]} at theta {thetas[i]}, z {pts[j]}, which is not finite")
     if worst < COMMUTE_TOL:
         return CentralizerVerdict(True, None)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)

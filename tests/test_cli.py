@@ -79,9 +79,18 @@ def aux_scene(tmp_path_factory):
             "tiny_inv": {"n": 2, "steps": [{"type": "diagonal",
                                             "lambda": [[1e-320, 0.0], [1.0, 0.0]]},
                                            {"type": "inversion", "axis": 2}]},
+            # z2 -> 360 z1^32, then z1 -> exp(z2 + 331) z1: finite on the contour
+            # "z2_zero", where the quotient of two samples overflows
+            "wild": {"n": 2, "steps": [
+                {"type": "overshear", "axis": 2, "g": [],
+                 "f": [{"exponents": [32, 0], "re": 360.0, "im": 0.0}]},
+                {"type": "overshear", "axis": 1, "f": [],
+                 "g": [{"exponents": [0, 1], "re": 1.0, "im": 0.0},
+                       {"exponents": [0, 0], "re": 331.0, "im": 0.0}]}]},
         },
         "contours": {
             "good": {"axis": 1, "p": [[1.0, 0.0], [1.0, 0.0]], "R": 1.0},
+            "z2_zero": {"axis": 1, "p": [[1.0, 0.0], [0.0, 0.0]], "R": 1.0},
             "bad_axis": {"axis": 2, "p": [[1.0, 0.0], [1.0, 0.0]], "R": 1.0},
             "off_domain": {"axis": 1, "p": [[0.0, 0.0], [1.0, 0.0]], "R": 1.0},
             "bad_radius": {"axis": 1, "p": [[1.0, 0.0], [1.0, 0.0]], "R": -1.0},
@@ -317,6 +326,39 @@ def test_oversized_exponent_entry_exits_1(tmp_path):
                    "an entry has magnitude 2^63 or more\n")
 
 
+# each printed the whole number on one stderr line, of some 4,400 bytes, or
+# failed to format it: two such exponents sum past Python's 4,300-digit limit
+NINES = 10 ** 4300 - 1
+HUGE_G = {"type": "overshear", "axis": 2, "f": []}
+HUGE_NUMBERS = [
+    ({"n": 2, "steps": [{**HUGE_G, "g": [{"exponents": [NINES, 0], "re": 1.0, "im": 0.0}]}]},
+     ".steps[0].g: an exponent has magnitude over the limit of 1000"),
+    ({"n": 2, "steps": [{**HUGE_G, "g": [{"exponents": [NINES, NINES], "re": 1.0,
+                                          "im": 0.0}]}]},
+     ".steps[0].g: an exponent has magnitude over the limit of 1000"),
+    ({"n": 2, "steps": [{**HUGE_G, "g": [{"exponents": [-NINES, 0], "re": 1.0, "im": 0.0}]}]},
+     ".steps[0].g: an exponent has magnitude over the limit of 1000"),
+    ({"n": 2, "steps": [{"type": "inversion", "axis": NINES}]},
+     ".steps[0]: an axis has magnitude over the limit of 64"),
+    ({"n": 2, "steps": [{"type": "permutation", "perm": [NINES, 1]}]},
+     ".steps[0]: a permutation entry has magnitude over the limit of 64"),
+    ({"n": NINES, "steps": []}, ": a dimension has magnitude over the limit of 64"),
+]
+
+
+@pytest.mark.parametrize("word,message", HUGE_NUMBERS,
+                         ids=["exponent", "two exponents", "negative exponent",
+                              "inversion axis", "permutation entry", "dimension"])
+def test_huge_scene_numbers_are_refused_by_their_limit(tmp_path, word, message):
+    path = tmp_path / "huge.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"words": {"w": word}}, fh)
+    code, out, err = run("invert", "--word", "w", scene=str(path))
+    assert code == 1 and out == ""
+    assert err == f"input error: scene.words.w{message}\n"
+    assert len(err) < 100
+
+
 # [NaN, 1, NaN] passed the bump's endpoint checks and exited 2 with "linear
 # step is singular to tolerance"; [0, NaN, 0] exited 2 with "|det| is not
 # finite at t = 0.1"
@@ -408,6 +450,27 @@ def test_extraction_refuses_an_overflowing_ratio(aux_scene, seed, capsys):
     assert payload["message"].startswith("diagonal extraction: the orbit ratio w(p) / p is ")
     assert payload["message"].endswith(", which is not finite")
     assert err == f"error: {payload['message']}\n"
+
+
+def test_overflowing_winding_quotient_exits_2(aux_scene):
+    # the word's index is 1; this exited 0 with
+    # {"index":5,"raw":4.5000000000416716,"samples":64}
+    code, out, err = run("winding-index", "--word", "wild", "--contour", "z2_zero",
+                         scene=aux_scene)
+    assert code == 2
+    message = ("the quotient of the output coordinate by its previous sample is "
+               "(inf+infj) at theta 0.19634954084936207, which is not finite")
+    assert json.loads(out) == {"error": "NonFinite", "message": message}
+    assert err == f"error: {message}\n"
+
+
+def test_not_diagonal_names_its_point():
+    code, out, err = run("extract-diagonal", "--word", "shear")
+    assert code == 2
+    message = ("orbit ratio is not constant across sample points "
+               "at p [ 1.33320764+0.26143011j -1.10395728+0.46364697j]")
+    assert out == f'{{"error":"NotDiagonal","message":"{message}"}}\n'
+    assert err == f"error: {message}\n"
 
 
 # both exited 2 with only the encoder's "cannot serialize non-finite float inf"

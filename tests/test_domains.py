@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -248,6 +250,38 @@ def test_rounding_bound_walks_back_through_an_inversion():
     assert z.tolist() == [-1, 0]
     r = bound()
     assert np.isfinite(r[0]) and 0 < r[0] < 1e-10
+
+
+def test_rounding_bound_walks_back_through_diagonal_and_linear_steps():
+    # the last step moves the origin, and its solved point (0, -1) is pulled
+    # back through a Linear, a Diagonal and the first odd step, to (-0.5, -2),
+    # which the word sends to the origin; behind an odd step on C^2 \ {0} it is
+    # proved only once its rounding bound, carried through the majorants of
+    # both steps, tells it from the origin
+    one = Poly.constant(2, 1.0)
+    w = Word(2, (Overshear(1, one, Poly.zero(2)), Diagonal((2.0, 0.5)),
+                 Linear([[1.0, 1.0], [0.0, 1.0]]), Overshear(2, one, Poly.zero(2))))
+    d = Punctured(2)
+    v = word_preserves_domain(w, d, 42)
+    assert not v.preserves and v.witness.tolist() == [-0.5, -2]
+    assert eval_word(w, v.witness).tolist() == [0, 0]
+    (z, bound), = _pullbacks(w, 3, _escapes(w.steps[3], d))
+    assert z.tolist() == [-0.5, -2]
+    r = bound()
+    assert np.all(np.isfinite(r)) and np.all(r > 0) and np.all(r < 1e-10)
+
+
+# the solve -f(z) exp(-g(z)) overflows in exp at every filler point, and the
+# overflow warning reached library callers; the solved points drop out, as
+# they are not finite, and the verdict stays True
+@pytest.mark.parametrize("axis,d", [(2, comp(2, {2})), (1, Punctured(2))],
+                         ids=["complement", "punctured"])
+def test_overflowing_solve_is_quiet(axis, d):
+    w = Word(2, (Overshear(axis, Poly.constant(2, 1.0), Poly.constant(2, -800.0)),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = word_preserves_domain(w, d, 1)
+    assert v.preserves and v.witness is None
 
 
 def test_prefix_that_cannot_be_inverted_is_refused():

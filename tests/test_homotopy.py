@@ -252,9 +252,11 @@ def test_overflow_is_refused():
     # t = 0 the round trip multiplies an overflowed exp(-g) by 0, and at
     # radius 3 the image itself overflows
     path = OvershearPath(Overshear(2, Poly.coordinate(2, 1), Poly(2, {(1, 0): 400.0})), 2)
-    with pytest.raises(NonFinite, match="inverse residual is not finite at t = 0.0"):
+    with pytest.raises(NonFinite, match=r"^the inverse residual is nan at t = 0\.0, "
+                                        r"which is not finite$"):
         certify_path(path, 101, 2.0)
-    with pytest.raises(NonFinite, match="jump is not finite at t = 0.01"):
+    with pytest.raises(NonFinite, match=r"^the jump is nan at t = 0\.01, "
+                                        r"which is not finite$"):
         continuity_modulus(path, 0.01, 3.0)
 
 
@@ -262,5 +264,6 @@ def test_huge_bump_is_refused_as_non_finite():
     # the table's 1e308 overflowed the row norm of check_invertible, which
     # read the matrix at t = 0.1 as singular (NonInvertibleStep)
     path = swap_path(BumpFunction("table", (0.0, 1e308, 0.0)))
-    with pytest.raises(NonFinite, match=r"\|det\| is not finite at t = 0.1"):
+    with pytest.raises(NonFinite, match=r"^\|det\| is nan at t = 0\.1, "
+                                        r"which is not finite$"):
         certify_path(path, 11, 2.0)

@@ -228,17 +228,19 @@ CONSTRUCTOR_ERRORS = [
     # n = 30000000 made extract-diagonal end in one, and an exponent of
     # 200000 made eval take seconds
     (lambda: parse_path({"type": "transposition", "n": 3000, "j": 1, "k": 2}, "t"),
-     "t: dimension 3000 is over the limit of 64"),
+     "t: a dimension has magnitude over the limit of 64"),
     (lambda: parse_word({"n": 30000000, "steps": []}, "t"),
-     "t: dimension 30000000 is over the limit of 64"),
+     "t: a dimension has magnitude over the limit of 64"),
     (lambda: parse_domain({"kind": "full", "n": 3000}, "t"),
-     "t: dimension 3000 is over the limit of 64"),
+     "t: a dimension has magnitude over the limit of 64"),
     (lambda: parse_poly([{"exponents": [200000, 0], "re": 1.0, "im": 0.0}], 2, "t"),
-     "t: a term of total degree 200000 is over the limit of 1000"),
+     "t: an exponent has magnitude over the limit of 1000"),
+    (lambda: parse_poly([{"exponents": [600, 600], "re": 1.0, "im": 0.0}], 2, "t"),
+     "t: a term of total degree 1200 is over the limit of 1000"),
     # a 400 x 400 matrix took validate-exponents 84 s
     (lambda: parse_exponent_matrix([[int(i == j) for j in range(400)] for i in range(400)],
                                    "t"),
-     "t: dimension 400 is over the limit of 64"),
+     "t: a dimension has magnitude over the limit of 64"),
     # NaN compares false, so it passed the bump's endpoint checks
     (lambda: parse_bump({"table": [0.0, float("nan"), 0.0]}, "t"),
      "t: bump table value 1 is nan, which is not finite"),
@@ -253,7 +255,7 @@ CONSTRUCTOR_ERRORS = [
 @pytest.mark.parametrize("parse,message", CONSTRUCTOR_ERRORS,
                          ids=["poly", "step", "word", "domain", "bump", "path",
                               "path dimension", "word dimension", "domain dimension",
-                              "degree", "matrix dimension", "bump nan",
+                              "exponent", "degree", "matrix dimension", "bump nan",
                               "matrix entry", "negative matrix entry"])
 def test_constructor_errors_name_their_field(parse, message):
     with pytest.raises(SceneError) as exc:

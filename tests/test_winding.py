@@ -144,7 +144,8 @@ def test_overflowing_multiplier_is_refused():
     # exp(800) overflows, so every sample is NaN; the accumulated winding
     # used to end in "cannot convert float NaN to integer"
     w = Word(2, (Overshear(1, Poly.zero(2), Poly.constant(2, 800)),))
-    with pytest.raises(NonFinite, match="accumulated winding is nan"):
+    with pytest.raises(NonFinite, match=r"^the output coordinate is \(inf\+nanj\) "
+                                        r"at theta 0\.0, which is not finite$"):
         winding_index(w, contour())
 
 
@@ -156,8 +157,26 @@ def test_non_finite_samples_are_refused_before_they_are_divided():
     w = Word(2, (Overshear(1, f, g), Inversion(1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFinite, match="accumulated winding is nan"):
+        with pytest.raises(NonFinite, match=r"^the output coordinate is \(nan\+nanj\) "
+                                            r"at theta 0\.0, which is not finite$"):
             winding_index(w, contour(p=(1.0, 4.0)))
+
+
+# z2 -> 360 z1^32, then z1 -> exp(z2 + 331) z1: on |z1| = 1 with z2 = 0 the
+# output coordinate stays finite, exp(360 cos(32 theta) + 331) in modulus, and
+# its index is 1; the quotient of two samples overflowed to inf+infj, whose
+# angle of pi/4 passed the refinement test, and the index came out as 5
+WILD = Word(2, (Overshear(2, Poly(2, {(32, 0): 360.0}), Poly.zero(2)),
+                Overshear(1, Poly.zero(2), Poly(2, {(0, 1): 1.0, (0, 0): 331.0}))))
+
+
+def test_overflowing_quotient_is_refused():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=r"^the quotient of the output coordinate by its "
+                                            r"previous sample is \(inf\+infj\) at theta "
+                                            r"0\.19634954084936207, which is not finite$"):
+            winding_index(WILD, contour(p=(1.0, 0.0)))
 
 
 def test_word_dimension_checked():
