@@ -21,8 +21,7 @@ monomials of degree <= 6 in 3 variables). A monomial never takes the
 slot of its parent, which it is the product of. The caller may hand
 that array in as `work`, and the (R, P) values as `out`, so that a word
 pass allocates neither per step. Coordinates are read as they come,
-contiguous in the word pass's column-major batch. scaled_poly_evaluator
-builds in the same slots and copies its term monomials out of them.
+contiguous in the word pass's column-major batch.
 
 `coeffs` is (T,), giving (P,), or (T, R), giving (R, P): R polynomials
 over one exponent table, as for an overshear's f and g. Terms are added
@@ -91,21 +90,6 @@ def _plan_of(exps: np.ndarray) -> tuple:
     return _plan(exps.shape, exps.tobytes())
 
 
-def _monomials(steps: tuple, pts: np.ndarray, work: np.ndarray):
-    """Yield (rows, values at pts) for each non-constant monomial that is a
-    term, in plan order, each built from its parent into its slot's row of
-    `work`, where its values last until the next monomial is built."""
-    values = [None] * len(steps)
-    for k, (parent, v, rows, _, slot) in enumerate(steps):
-        if parent < 0:
-            m = pts[:, v]
-        else:
-            m = np.multiply(values[parent], pts[:, v], out=work[slot])
-        values[k] = m
-        if rows:
-            yield rows, m
-
-
 def work_rows(exps: np.ndarray) -> int:
     """How many rows of P values poly_eval builds its monomials in."""
     return _plan_of(exps)[2] + 1
@@ -138,43 +122,16 @@ def poly_eval(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray,
     if work is None:
         work = np.empty((slots + 1, pts.shape[0]), dtype=np.complex128)
     tmp = work[slots]
-    for rows, m in _monomials(steps, pts, work):
+    values = [None] * len(steps)
+    for k, (parent, v, rows, _, slot) in enumerate(steps):
+        if parent < 0:
+            m = pts[:, v]
+        else:
+            m = np.multiply(values[parent], pts[:, v], out=work[slot])
+        values[k] = m
         for t in rows:
             for o, c in zip(rows_out, cs[t]):
                 if c:
                     np.multiply(c, m, out=tmp)
                     o += tmp
     return out
-
-
-def scaled_poly_evaluator(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray):
-    """Return scales -> the values at `pts` of the polynomials whose
-    coefficients are scales[i] * coeffs: (S, P) for (T,) coeffs, (R, S, P)
-    for (T, R).
-
-    Row i of column r equals poly_eval on scales[i] * coeffs[:, r] bit for
-    bit wherever the monomials are finite: same builder, same zero skips,
-    each term its scaled coefficient times its monomial, added in the same
-    order. The columns share the monomials, which are built once, here.
-    """
-    const, steps, slots = _plan_of(exps)
-    cs = (coeffs if coeffs.ndim == 2 else coeffs[:, None]).tolist()
-    work = np.empty((slots, pts.shape[0]), dtype=np.complex128)
-    terms = [(const, None)] + [(rows, m.copy()) for rows, m in _monomials(steps, pts, work)]
-    # each column's nonzero (coefficient, monomial) terms, in poly_eval's order
-    columns = [[(cs[t][r], m) for rows, m in terms for t in rows if cs[t][r]]
-               for r in range(coeffs.shape[1] if coeffs.ndim == 2 else 1)]
-
-    def evaluate(scales: np.ndarray) -> np.ndarray:
-        s = scales[:, None]
-        out = np.zeros((len(columns), scales.shape[0], pts.shape[0]), dtype=np.complex128)
-        tmp = np.empty(out.shape[1:], dtype=np.complex128)
-        for o, column in zip(out, columns):
-            for c, m in column:
-                if m is None:
-                    o += s * c
-                else:
-                    np.multiply(s * c, m, out=tmp)
-                    o += tmp
-        return out if coeffs.ndim == 2 else out[0]
-    return evaluate

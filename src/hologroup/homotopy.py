@@ -16,21 +16,23 @@ imaginary part away from 0. Both families hit the target map at t = 0
 and the identity at t = 1.
 
 Certification is empirical on one compact set per call: endpoint
-errors, a global lower bound on |det| over a t-grid, worst inverse
-residual, and a modulus of continuity in t.
+errors, the least |det| over the grid and the sample points, worst
+inverse residual, and a modulus of continuity in t.
 
 Both checks walk their time grid in blocks of BLOCK_TIMES times and
 evaluate each block in closed form, without building a Word per time,
 as (T, P, k) arrays of the k coordinates that the path moves. For an
 overshear path that is its axis alone, since every other coordinate of
-an image is the point's own, and f and g are evaluated together from
-the step's own table at the scaled coefficients (1-t) c term by term,
-sharing monomials built once per call; since neither reads the axis
+an image is the point's own. f(z) and g(z) are evaluated once per call
+from the step's own table and scaled per time: the image is
+(1-t) f(z) + exp((1-t) g(z)) z_axis, and since neither reads the axis
 coordinate, the inverse at time t is exp(-(1-t) g) * (w - (1-t) f) on
-the same values. For a transposition path the block is a stack of
-matrices with batched products, determinants and inverses. The results
-equal those of evaluating path_at(path, t) at each time, and
-`tests/oracles.py` keeps that per-time algorithm to check it. Grids are
+the same values. The results equal that closed form at each time bit
+for bit, and agree with path_at(path, t), whose coefficients are scaled
+before the terms are summed, to rounding. For a transposition path the
+block is a stack of matrices with batched products, determinants and
+inverses, and the results equal those of evaluating path_at(path, t) at
+each time. `tests/oracles.py` keeps both per-time algorithms. Grids are
 capped at MAX_GRID_TIMES times (BudgetExhausted). Blocks are computed
 under `errors.quiet()`, so overflow, 0 * inf and division by zero give
 inf or NaN without a warning; a time whose |det|, residual or jump is
@@ -46,7 +48,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._kernels import scaled_poly_evaluator
+from . import _kernels
 from .errors import BudgetExhausted, NonFinite, OutOfRange, quiet, refuse_non_finite
 from .words import (Linear, Overshear, Permutation, Word, check_invertible,
                     eval_word_batch)
@@ -166,6 +168,7 @@ def path_det(path: TranspositionPath, t: float) -> complex:
     """Closed-form Jacobian determinant of the transposition path."""
     if not isinstance(path, TranspositionPath):
         raise TypeError("closed-form determinant exists for transposition paths only")
+    _check_t(t)
     return complex((2.0 * t - 1.0) - 1j * (1.0 - t) * float(path.bump(t)))
 
 
@@ -220,12 +223,12 @@ def _evaluator(path: HomotopyPath, pts: np.ndarray):
     point|; else both are None.
     """
     if isinstance(path, OvershearPath):
-        s = path.target.axis - 1
-        fg = scaled_poly_evaluator(*path.target._tables, pts)
-        zs = pts[:, s]
+        f, g = _kernels.poly_eval(*path.target._tables, pts)
+        zs = pts[:, path.target.axis - 1]
 
         def evaluate(times, certify):
-            fv, gv = fg(1.0 - times)
+            scale = (1.0 - times)[:, None]
+            fv, gv = scale * f, scale * g
             hv = np.exp(gv)
             ws = fv + hv * zs
             if not certify:

@@ -47,7 +47,7 @@ import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -113,6 +113,7 @@ class Overshear:
         _kernels.poly_eval(*self._tables, cur, out=work[:2], work=work[2:])
         fv, gv, z = work[0], work[1], cur[:, self.axis - 1]
         if self.g.is_zero:
+            # kept for speed: every overshear with f and g inverts through such a step.
             # exp(0) = 1; fv is never -0.0, so fv + z rounds as fv + 1 * z. A
             # complex add rounds each part once, so writing over z keeps its bits
             np.add(fv, z, out=z)

@@ -5,7 +5,8 @@ come from central finite differences, winding numbers from trapezoidal
 quadrature of the logarithmic derivative, determinants and permutation
 signs from brute force. Derived expected values in the tests are
 checked against these before (and alongside) the library's answers.
-The homotopy checks are redone the plain way, one word per grid time.
+The homotopy checks are redone the plain way, one grid time at a time:
+by one word per time, or for an overshear path by its closed form.
 Domain preservation and diagonal extraction are redone by sampling
 alone, for every word, as the library did before it decided some words
 by proof; the structural escape pass that preservation ran first is
@@ -192,41 +193,83 @@ def word_pass_row_major(word: Word, pts, jac: bool = False, masked: bool = False
     return cur, det, valid
 
 
-def certify_path_per_time(path, grid_size: int, sample_radius: float,
-                          seed: int = DEFAULT_CERTIFY_SEED) -> CertificationReport:
-    """certify_path by building the word path_at(path, t) at every grid time.
+def _word_per_time(path, pts):
+    """t, certify -> (images, |det|, round trip) at pts of the word
+    path_at(path, t), each a separate word pass; without `certify` only
+    the images, then None, None."""
+    def at(t, certify):
+        wt = path_at(path, t)
+        images = eval_word_batch(wt, pts)
+        if not certify:
+            return images, None, None
+        return (images, np.abs(jacobian_det_batch(wt, pts)),
+                eval_word_batch(invert_word(wt), images))
+    return at
 
-    Per time: images, Jacobian determinants and the round trip through
-    invert_word, each a separate word pass. This is the straightforward
-    algorithm that the library's block evaluation must reproduce exactly.
-    """
+
+def _overshear_closed_form(path, pts):
+    """As _word_per_time, for an overshear path in closed form: with f(z)
+    and g(z) evaluated once, the image's axis coordinate at time t is
+    (1-t) f + exp((1-t) g) z_s, |det| is |exp((1-t) g)|, and the round trip
+    is exp(-(1-t) g) (w_s - (1-t) f)."""
+    s = path.target.axis - 1
+    f, g = path.target.f.eval_batch(pts), path.target.g.eval_batch(pts)
+
+    def at(t, certify):
+        scale = 1.0 - t
+        fv, gv = scale * f, scale * g
+        hv = np.exp(gv)
+        images = pts.copy()
+        images[:, s] = fv + hv * pts[:, s]
+        if not certify:
+            return images, None, None
+        back = pts.copy()
+        back[:, s] = np.exp(-gv) * (images[:, s] - fv)
+        return images, np.abs(hv), back
+    return at
+
+
+def _per_time(path, sample_radius: float, seed: int, closed_form: bool):
     pts = sample_polydisc(path.n, CERTIFY_POINTS, sample_radius,
                           np.random.default_rng(seed))
+    return pts, (_overshear_closed_form if closed_form else _word_per_time)(path, pts)
+
+
+def certify_path_per_time(path, grid_size: int, sample_radius: float,
+                          seed: int = DEFAULT_CERTIFY_SEED,
+                          closed_form: bool = False) -> CertificationReport:
+    """certify_path one grid time at a time.
+
+    Per time: images, Jacobian determinants and the round trip, by the
+    word path_at(path, t) and invert_word, each a separate word pass, or
+    with `closed_form` by _overshear_closed_form. This is the
+    straightforward algorithm that the library's block evaluation must
+    reproduce exactly.
+    """
+    pts, at = _per_time(path, sample_radius, seed, closed_form)
     min_det = np.inf
     max_resid = 0.0
     for t in np.linspace(0.0, 1.0, grid_size):
-        wt = path_at(path, float(t))
-        images = eval_word_batch(wt, pts)
-        min_det = min(min_det, float(np.min(np.abs(jacobian_det_batch(wt, pts)))))
-        back = eval_word_batch(invert_word(wt), images)
+        _, dets, back = at(float(t), True)
+        min_det = min(min_det, float(np.min(dets)))
         max_resid = max(max_resid, float(np.max(np.abs(back - pts))))
     target_images = eval_word_batch(path_target(path), pts)
-    err0 = float(np.max(np.abs(eval_word_batch(path_at(path, 0.0), pts) - target_images)))
-    err1 = float(np.max(np.abs(eval_word_batch(path_at(path, 1.0), pts) - pts)))
+    err0 = float(np.max(np.abs(at(0.0, False)[0] - target_images)))
+    err1 = float(np.max(np.abs(at(1.0, False)[0] - pts)))
     return CertificationReport(err0, err1, float(min_det), max_resid)
 
 
 def continuity_modulus_per_time(path, dt: float, sample_radius: float,
-                                seed: int = DEFAULT_CERTIFY_SEED) -> float:
-    """continuity_modulus by evaluating path_at(path, t) at every grid time."""
-    pts = sample_polydisc(path.n, CERTIFY_POINTS, sample_radius,
-                          np.random.default_rng(seed))
+                                seed: int = DEFAULT_CERTIFY_SEED,
+                                closed_form: bool = False) -> float:
+    """continuity_modulus one grid time at a time, as certify_path_per_time."""
+    pts, at = _per_time(path, sample_radius, seed, closed_form)
     steps = int(np.floor(1.0 / dt + 1e-9))
     times = np.minimum(np.arange(steps + 1) * dt, 1.0)
     modulus = 0.0
-    prev = eval_word_batch(path_at(path, float(times[0])), pts)
+    prev = at(float(times[0]), False)[0]
     for t in times[1:]:
-        cur = eval_word_batch(path_at(path, float(t)), pts)
+        cur = at(float(t), False)[0]
         modulus = max(modulus, float(np.max(np.abs(cur - prev))))
         prev = cur
     return modulus

@@ -95,11 +95,19 @@ def aux_scene(tmp_path_factory):
             "off_domain": {"axis": 1, "p": [[0.0, 0.0], [1.0, 0.0]], "R": 1.0},
             "bad_radius": {"axis": 1, "p": [[1.0, 0.0], [1.0, 0.0]], "R": -1.0},
         },
-        # exp((1-t) 400 z1) leaves the float range on the radius-2 polydisc
         "paths": {
+            # exp((1-t) 400 z1) leaves the float range on the radius-2 polydisc
             "blowup": {"type": "overshear", "n": 2, "axis": 2,
                        "f": [{"exponents": [1, 0], "re": 1.0, "im": 0.0}],
                        "g": [{"exponents": [1, 0], "re": 400.0, "im": 0.0}]},
+            # three terms in each of f and g, all finite
+            "fg": {"type": "overshear", "n": 2, "axis": 2,
+                   "f": [{"exponents": [1, 0], "re": 0.5, "im": -0.25},
+                         {"exponents": [2, 0], "re": 0.0, "im": 0.3},
+                         {"exponents": [0, 0], "re": -0.2, "im": 0.0}],
+                   "g": [{"exponents": [2, 0], "re": 0.25, "im": 0.1},
+                         {"exponents": [1, 0], "re": -0.15, "im": 0.0},
+                         {"exponents": [0, 0], "re": 0.0, "im": 0.05}]},
         },
     }
     f = tmp_path_factory.mktemp("scenes") / "aux.json"
@@ -586,6 +594,23 @@ def test_command_table_matches_benchmark_and_goldens():
 @pytest.mark.parametrize("argv,expected", DEMO_GOLDEN, ids=GOLDEN_IDS)
 def test_demo_scene_golden(argv, expected, capsys):
     assert cli.main([*argv, "--scene", DEMO]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+# an overshear path with several terms in f and g, whose bits follow the
+# closed form (1-t) f(z) + exp((1-t) g(z)) z2 with f(z), g(z) evaluated once
+AUX_GOLDEN = [
+    (["homotopy-certify", "--path", "fg"],
+     '{"endpoint_err0":0.0,"endpoint_err1":0.0,"min_abs_det":0.41509158048281403,'
+     '"max_inverse_residual":1.1116099371267112e-15}'),
+    (["continuity", "--path", "fg", "--t", "0.01"],
+     '{"dt":0.01,"modulus":0.078420318125922997}'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", AUX_GOLDEN, ids=["homotopy-certify", "continuity"])
+def test_aux_scene_golden(argv, expected, aux_scene, capsys):
+    assert cli.main([*argv, "--scene", aux_scene]) == 0
     assert capsys.readouterr().out == expected + "\n"
 
 

@@ -8,7 +8,17 @@ import pytest
 from hologroup import NonFinite
 from hologroup.errors import quiet, refuse_non_finite
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "hologroup")
+TESTS = os.path.dirname(__file__)
+SRC = os.path.join(TESTS, os.pardir, "src", "hologroup")
+
+
+def _sources(*dirs):
+    """(file name, parsed module) of each .py file in dirs."""
+    for d in dirs:
+        for name in sorted(os.listdir(d)):
+            if name.endswith(".py"):
+                with open(os.path.join(d, name), encoding="utf-8") as fh:
+                    yield name, ast.parse(fh.read())
 
 
 def _calls(node, where, func, found):
@@ -24,11 +34,30 @@ def _calls(node, where, func, found):
 def test_errstate_is_entered_only_by_quiet():
     # one overflow policy: every numeric block runs under errors.quiet()
     found = []
-    for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py"):
-            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-                _calls(ast.parse(fh.read()), name, None, found)
+    for name, tree in _sources(SRC):
+        _calls(tree, name, None, found)
     assert found == [("errors.py", "quiet")]
+
+
+def _unused_imports(tree) -> set:
+    """Names a module imports but never reads; a name in `__all__` is read."""
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and "__all__" in map(ast.unparse, node.targets):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_every_import_is_read():
+    unused = [(name, sorted(names)) for name, tree in _sources(SRC, TESTS)
+              if (names := _unused_imports(tree))]
+    assert unused == []
 
 
 def test_quiet_is_fresh_so_it_nests():

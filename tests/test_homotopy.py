@@ -1,11 +1,14 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from hologroup import (BudgetExhausted, BumpFunction, NonFinite,
                        NonInvertibleStep, OutOfRange, Overshear, OvershearPath, Poly,
-                       TranspositionPath, Word, certify_path,
-                       continuity_modulus, eval_word, homotopy, jacobian_det,
-                       path_at, path_det, path_target, transposition_matrix)
+                       TranspositionPath, certify_path, continuity_modulus, eval_word,
+                       homotopy, jacobian_det, path_at, path_det, path_target,
+                       sample_polydisc, transposition_matrix)
+from hologroup.homotopy import CERTIFY_POINTS
 from hologroup.words import check_invertible
 from oracles import (certify_path_per_time, continuity_modulus_per_time,
                      fd_jacobian_det)
@@ -80,6 +83,13 @@ def test_path_det_matches_jacobian():
 def test_path_det_rejects_overshear_paths():
     with pytest.raises(TypeError):
         path_det(shear_path(), 0.5)
+
+
+@pytest.mark.parametrize("t", [1.5, -3.0, float("nan")])
+def test_path_det_refuses_times_outside_the_unit_interval(t):
+    # path_at refused them, but path_det(swap, 1.5) returned (2-0.5j)
+    with pytest.raises(OutOfRange, match="path parameter must lie in"):
+        path_det(swap_path(), t)
 
 
 def test_path_det_never_vanishes_on_fine_grid():
@@ -193,17 +203,42 @@ def bit_identity_paths():
     }
 
 
+def _path_at_tolerance(path, radius, seed):
+    """64 eps (1 + B), where B bounds every |coordinate| of the path's
+    images at the sample points over t in [0, 1]: |(1-t) f| <= |f| and
+    |exp((1-t) g)| <= max(1, |exp(g)|)."""
+    pts = sample_polydisc(path.n, CERTIFY_POINTS, radius, np.random.default_rng(seed))
+    f, g = path.target.f.eval_batch(pts), path.target.g.eval_batch(pts)
+    zs = pts[:, path.target.axis - 1]
+    bound = max(np.max(np.abs(f) + np.maximum(1.0, np.abs(np.exp(g))) * np.abs(zs)),
+                np.max(np.abs(pts)))
+    return 64 * np.finfo(np.float64).eps * (1.0 + bound)
+
+
 @pytest.mark.parametrize("name", sorted(bit_identity_paths()))
 def test_block_evaluation_equals_per_time_words(name):
     # grids 2, 33 (not a block multiple) and 1001, and dt 1, 1/257, 1e-3,
-    # so that one block, a partial last block and many block boundaries occur
+    # so that one block, a partial last block and many block boundaries
+    # occur. An overshear path equals its closed form per time bit for bit,
+    # and the word path_at(path, t), whose coefficients are scaled before
+    # the terms are summed, to rounding; a transposition path equals its
+    # word per time bit for bit
     path = bit_identity_paths()[name]
+    closed_form = isinstance(path, OvershearPath)
+    if closed_form:
+        tol = _path_at_tolerance(path, 1.5, 7)
     for grid in (2, 33, 1001):
-        assert certify_path(path, grid, 1.5, seed=7) == \
-            certify_path_per_time(path, grid, 1.5, seed=7)
+        got = certify_path(path, grid, 1.5, seed=7)
+        assert got == certify_path_per_time(path, grid, 1.5, seed=7, closed_form=closed_form)
+        if closed_form:
+            words = certify_path_per_time(path, grid, 1.5, seed=7)
+            assert np.all(np.abs(np.subtract(astuple(got), astuple(words))) <= tol)
     for dt in (1.0, 1.0 / 257, 1e-3):
-        assert continuity_modulus(path, dt, 1.5, seed=7) == \
-            continuity_modulus_per_time(path, dt, 1.5, seed=7)
+        got = continuity_modulus(path, dt, 1.5, seed=7)
+        assert got == continuity_modulus_per_time(path, dt, 1.5, seed=7,
+                                                  closed_form=closed_form)
+        if closed_form:
+            assert abs(got - continuity_modulus_per_time(path, dt, 1.5, seed=7)) <= tol
 
 
 def test_no_per_time_word_rebuild(monkeypatch):

@@ -98,46 +98,11 @@ def test_zero_coefficient_is_skipped():
     assert f[0] == 1.0 and not np.isfinite(g[0])
 
 
-def test_scaled_rows_equal_poly_eval_on_scaled_coefficients():
-    rng = np.random.default_rng(5)
-    scales = np.concatenate((np.linspace(0.0, 1.0, 33), [-2.5, 1e-300, 1e3]))
-    for exps in (SWEEP, GAP):
-        coeffs = rng.normal(size=len(exps)) + 1j * rng.normal(size=len(exps))
-        pts = 0.9 * (rng.normal(size=(100, 3)) + 1j * rng.normal(size=(100, 3)))
-        rows = _kernels.scaled_poly_evaluator(exps, coeffs, pts)(scales)
-        assert rows.shape == (len(scales), 100)
-        for s, row in zip(scales, rows):
-            assert np.array_equal(_bits(row), _bits(_kernels.poly_eval(exps, s * coeffs, pts)))
-    # union-shaped (T, 2) tables, as an overshear's f and g: each column
-    # skips its zero coefficients and equals poly_eval on it alone, scaled
-    scales = np.array([0.0, 1e-300, -2.5, 1.0, 0.5])
-    for exps in (SWEEP, GAP, DEGREE_6):
-        coeffs = rng.normal(size=(len(exps), 2)) + 1j * rng.normal(size=(len(exps), 2))
-        coeffs[::2, 0] = 0.0
-        coeffs[1::3, 1] = 0.0
-        pts = 0.9 * (rng.normal(size=(100, 3)) + 1j * rng.normal(size=(100, 3)))
-        rows = _kernels.scaled_poly_evaluator(exps, coeffs, pts)(scales)
-        assert rows.shape == (2, len(scales), 100)
-        for r in range(2):
-            for s, row in zip(scales, rows[r]):
-                want = _kernels.poly_eval(exps, s * np.ascontiguousarray(coeffs[:, r]), pts)
-                assert np.array_equal(_bits(row), _bits(want))
-    # z1^400 overflows at |z1| = 10; f lacks the term, so it stays finite
-    exps = _table([(0, 0, 0), (400, 0, 0)])
-    coeffs = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
-    pts = np.array([[10.0, 1.0, 1.0]], dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f, g = _kernels.scaled_poly_evaluator(exps, coeffs, pts)(np.array([1.0, 0.5]))
-    assert np.all(f == np.array([[1.0], [0.5]])) and not np.isfinite(g).any()
-
-
 def test_constant_only_polynomial():
     exps = np.zeros((1, 2), dtype=np.int64)
     pts = np.arange(10, dtype=np.complex128).reshape(5, 2)
     got = _kernels.poly_eval(exps, np.array([2 - 3j]), pts)
     assert np.all(got == 2 - 3j)
-    rows = _kernels.scaled_poly_evaluator(exps, np.array([2 - 3j]), pts)(np.array([1.0, 0.5]))
-    assert np.all(rows == np.array([[2 - 3j], [1 - 1.5j]]))
 
 
 def test_empty_polynomial_evaluates_to_zero():
@@ -146,8 +111,6 @@ def test_empty_polynomial_evaluates_to_zero():
     assert np.all(_kernels.poly_eval(exps, np.zeros(0, dtype=np.complex128), pts) == 0)
     got = _kernels.poly_eval(exps, np.zeros((0, 2), dtype=np.complex128), pts)
     assert got.shape == (2, 5) and np.all(got == 0)
-    rows = _kernels.scaled_poly_evaluator(exps, np.zeros(0, dtype=np.complex128), pts)
-    assert np.all(rows(np.ones(3)) == 0)
 
 
 def test_points_are_not_mutated():
@@ -155,7 +118,6 @@ def test_points_are_not_mutated():
     exps, coeffs, pts = _random_case(rng)
     before = pts.copy()
     _kernels.poly_eval(exps, np.stack((coeffs, coeffs), axis=1), pts)
-    _kernels.scaled_poly_evaluator(exps, coeffs, pts)(np.ones(4))
     assert np.array_equal(_bits(pts), _bits(before))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hologroup import (BudgetExhausted, Diagonal, DimensionMismatch,
                        FullSpace, HyperplaneComplement, InvalidAxis,
                        Inversion, NonFinite, OutOfRange, OutsideDomain, Overshear, Poly,
-                       Word, ZeroOnContour, contour_points, eval_word,
+                       Word, ZeroOnContour, contour_points,
                        in_negative_component, make_contour, winding, winding_index)
 from oracles import quadrature_winding
 from wordgen import diag_inversion_word
