@@ -27,9 +27,17 @@ an image is the point's own. f(z) and g(z) are evaluated once per call
 from the step's own table and scaled per time: the image is
 (1-t) f(z) + exp((1-t) g(z)) z_axis, and since neither reads the axis
 coordinate, the inverse at time t is exp(-(1-t) g) * (w - (1-t) f) on
-the same values. The results equal that closed form at each time bit
-for bit, and agree with path_at(path, t), whose coefficients are scaled
-before the terms are summed, to rounding. For a transposition path the
+the same values. Each exp((+-)(1-t) g) is taken in modulus-phase form,
+the real exp((+-)(1-t) Re g) times cos((1-t) Im g) +- i sin((1-t) Im g),
+so the image and the round trip share one phase per time and point, and
+|det| is read off the modulus as exp((1-t) Re g), with no complex abs.
+The results equal that closed form at each time bit for bit, and agree
+with path_at(path, t), whose coefficients are scaled before the terms
+are summed and whose exp is complex, to rounding. At t = 1, and for
+g = 0, the modulus is exactly 1 and the phase exactly 1 + 0i, so those
+bits are complex exp's; for g != 0 the image at t = 0 agrees with the
+target word's to about one ulp, and its last digits depend on the real
+exp that numpy dispatches to on the host CPU. For a transposition path the
 block is a stack of matrices with batched products, determinants and
 inverses, and the results equal those of evaluating path_at(path, t) at
 each time. `tests/oracles.py` keeps both per-time algorithms. Grids are
@@ -213,6 +221,14 @@ def _moving(path: HomotopyPath) -> slice:
     return slice(None)
 
 
+def _polar(mod: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """mod * (c + i s), written through the real and imaginary views."""
+    out = np.empty(mod.shape, dtype=np.complex128)
+    np.multiply(mod, c, out=out.real)
+    np.multiply(mod, s, out=out.imag)
+    return out
+
+
 def _evaluator(path: HomotopyPath, pts: np.ndarray):
     """Return evaluate(times, certify) -> (images, dets, residuals).
 
@@ -221,20 +237,28 @@ def _evaluator(path: HomotopyPath, pts: np.ndarray):
     `certify`, dets and residuals are (T,): per time, the least |det| of
     the Jacobian over the points and the largest |inverse(image) -
     point|; else both are None.
+
+    An overshear block takes cos and sin of (1-t) Im g once and builds
+    exp((1-t) g) and exp(-(1-t) g) from them and the real exps of
+    (+-)(1-t) Re g; its |det| is the least exp((1-t) Re g).
     """
     if isinstance(path, OvershearPath):
         f, g = _kernels.poly_eval(*path.target._tables, pts)
+        gr, gi = g.real.copy(), g.imag.copy()
         zs = pts[:, path.target.axis - 1]
 
         def evaluate(times, certify):
             scale = (1.0 - times)[:, None]
-            fv, gv = scale * f, scale * g
-            hv = np.exp(gv)
-            ws = fv + hv * zs
+            phase = scale * gi
+            c, s = np.cos(phase), np.sin(phase)
+            exponent = scale * gr
+            mod = np.exp(exponent)
+            fv = scale * f
+            ws = fv + _polar(mod, c, s) * zs
             if not certify:
                 return ws[:, :, None], None, None
-            back = np.exp(-gv) * (ws - fv)
-            return ws[:, :, None], np.min(np.abs(hv), axis=1), np.max(np.abs(back - zs), axis=1)
+            back = _polar(np.exp(-exponent), c, -s) * (ws - fv)
+            return ws[:, :, None], np.min(mod, axis=1), np.max(np.abs(back - zs), axis=1)
         return evaluate
 
     def evaluate(times, certify):

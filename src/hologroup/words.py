@@ -32,9 +32,10 @@ rows get NaN and are cleared in `valid`.
 `_word_pass` owns the memory of one pass: it copies its input once into
 the column-major array it returns, sizes one `work` array for the
 largest need among the steps, and hands both to every step in turn.
-Of the steps only Inversion allocates arrays of P values (its zero
-mask, determinant and singular rows), so a wide pass reuses the same
-pages from step to step instead of faulting in new ones. Each pass returns new arrays that
+Diagonal multiplies `cur` in place and needs no scratch. Of the steps
+only Inversion allocates arrays of P values (its zero mask, determinant
+and singular rows), so a wide pass reuses the same pages from step to
+step instead of faulting in new ones. Each pass returns new arrays that
 share no memory with its input, with an earlier result or with any
 buffer a later pass writes; nothing outlives the call. Overflow, 0 * inf
 and division by zero inside the pass give inf or NaN without a warning;
@@ -191,7 +192,7 @@ class Diagonal:
     def dim(self) -> Optional[int]:
         return len(self.lam)
 
-    work_rows = dim  # the image, one row per coordinate
+    work_rows = 0  # each coordinate is multiplied in place
 
     @cached_property
     def _multipliers(self) -> np.ndarray:
@@ -201,9 +202,7 @@ class Diagonal:
 
     def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool,
                     valid: Optional[np.ndarray]):
-        image = work[:len(self.lam)].T
-        np.multiply(cur, self._multipliers, out=image)
-        cur[...] = image
+        np.multiply(cur, self._multipliers, out=cur)
         return complex(np.prod(self._multipliers)) if jac else None
 
     def inverse(self) -> tuple:

@@ -210,22 +210,31 @@ def _word_per_time(path, pts):
 def _overshear_closed_form(path, pts):
     """As _word_per_time, for an overshear path in closed form: with f(z)
     and g(z) evaluated once, the image's axis coordinate at time t is
-    (1-t) f + exp((1-t) g) z_s, |det| is |exp((1-t) g)|, and the round trip
-    is exp(-(1-t) g) (w_s - (1-t) f)."""
+    (1-t) f + exp((1-t) g) z_s, |det| is exp((1-t) Re g), and the round
+    trip is exp(-(1-t) g) (w_s - (1-t) f). Each exp((+-)(1-t) g) is taken in
+    modulus-phase form, exp((+-)(1-t) Re g) times cos((1-t) Im g) +- i
+    sin((1-t) Im g)."""
     s = path.target.axis - 1
     f, g = path.target.f.eval_batch(pts), path.target.g.eval_batch(pts)
 
+    def polar(mod, c, sn):
+        out = np.empty(len(mod), dtype=np.complex128)
+        out.real = mod * c
+        out.imag = mod * sn
+        return out
+
     def at(t, certify):
         scale = 1.0 - t
-        fv, gv = scale * f, scale * g
-        hv = np.exp(gv)
+        c, sn = np.cos(scale * g.imag), np.sin(scale * g.imag)
+        mod = np.exp(scale * g.real)
+        fv = scale * f
         images = pts.copy()
-        images[:, s] = fv + hv * pts[:, s]
+        images[:, s] = fv + polar(mod, c, sn) * pts[:, s]
         if not certify:
             return images, None, None
         back = pts.copy()
-        back[:, s] = np.exp(-gv) * (images[:, s] - fv)
-        return images, np.abs(hv), back
+        back[:, s] = polar(np.exp(-(scale * g.real)), c, -sn) * (images[:, s] - fv)
+        return images, mod, back
     return at
 
 

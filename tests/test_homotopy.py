@@ -193,11 +193,15 @@ def test_continuity_dt_range():
 def bit_identity_paths():
     f = Poly(3, {(1, 0, 0): 0.5 - 0.25j, (2, 0, 1): 0.3j, (0, 0, 0): -0.2})
     g = Poly(3, {(0, 0, 2): 0.25 + 0.1j, (1, 0, 1): -0.15, (0, 0, 0): 0.05j})
+    # |Im g| = 40 |Re z1| reaches 60 on the radius-1.5 polydisc, so the
+    # phase (1-t) Im g runs through up to 9.5 turns from t = 0 to t = 1
+    spin = Poly(3, {(1, 0, 0): 40j})
     table = BumpFunction("table", (0.0, 0.7, -0.4, 0.9, 0.0))
     return {
         "overshear-fg": OvershearPath(Overshear(2, f, g), 3),
         "overshear-g": OvershearPath(Overshear(2, Poly.zero(3), g), 3),
         "overshear-f": OvershearPath(Overshear(2, f, Poly.zero(3)), 3),
+        "overshear-spin": OvershearPath(Overshear(2, f, spin), 3),
         "transposition-sin": TranspositionPath(2, 3, 3),
         "transposition-table": TranspositionPath(2, 3, 3, table),
     }
@@ -239,6 +243,32 @@ def test_block_evaluation_equals_per_time_words(name):
                                                   closed_form=closed_form)
         if closed_form:
             assert abs(got - continuity_modulus_per_time(path, dt, 1.5, seed=7)) <= tol
+
+
+@pytest.mark.parametrize("name", sorted(n for n, p in bit_identity_paths().items()
+                                         if isinstance(p, OvershearPath)))
+def test_overshear_min_abs_det_is_read_off_the_modulus(name):
+    # |det exp((1-t) g)| is exp((1-t) Re g), with no complex abs
+    path = bit_identity_paths()[name]
+    pts = sample_polydisc(path.n, CERTIFY_POINTS, 1.5, np.random.default_rng(7))
+    g = path.target.g.eval_batch(pts)
+    for grid in (2, 33, 1001):
+        times = np.linspace(0.0, 1.0, grid)
+        want = np.min(np.exp((1 - times)[:, None] * g.real))
+        assert certify_path(path, grid, 1.5, seed=7).min_abs_det == want
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="sin(pi * 1.0) rounds to 1.2e-16, not 0, so the sin "
+                            "bump's matrix at t = 1 is not the identity"))
+    if name == "transposition-sin" else name
+    for name in sorted(bit_identity_paths())])
+def test_identity_end_is_exact(name):
+    # at t = 1 every path is the identity to the last bit
+    path = bit_identity_paths()[name]
+    for grid in (2, 33, 1001):
+        assert certify_path(path, grid, 1.5, seed=7).endpoint_err1 == 0.0
 
 
 def test_no_per_time_word_rebuild(monkeypatch):
