@@ -17,8 +17,7 @@ from .errors import (BudgetExhausted, DimensionMismatch, DomainNotPreserved,
                      SceneError, SingularPoint, ZeroOnContour)
 from .homotopy import (SIN_BUMP, BumpFunction, CertificationReport, HomotopyPath,
                        OvershearPath, TranspositionPath, certify_path,
-                       continuity_modulus, path_at, path_det, path_target,
-                       sample_polydisc, transposition_matrix)
+                       continuity_modulus, path_det, path_target, sample_polydisc)
 from .polynomials import Poly
 from .torus import (CentralizerVerdict, CentralizerWitness, commutes_with_torus,
                     extract_diagonal, integer_det, validate_exponent_matrix)
@@ -57,7 +56,6 @@ __all__ = [
     "winding_index", "in_negative_component",
     # homotopy
     "BumpFunction", "SIN_BUMP", "OvershearPath", "TranspositionPath",
-    "HomotopyPath", "path_at", "path_det", "path_target",
-    "transposition_matrix", "certify_path", "continuity_modulus",
-    "sample_polydisc", "CertificationReport",
+    "HomotopyPath", "path_det", "path_target", "certify_path",
+    "continuity_modulus", "sample_polydisc", "CertificationReport",
 ]

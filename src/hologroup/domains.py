@@ -17,6 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import _kernels
 from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint, quiet
 from .words import Diagonal, Inversion, Linear, Overshear, Permutation, Word
 from .words import eval_word, eval_word_batch_masked, invert_word
@@ -237,8 +238,8 @@ def _majorant(step, m: np.ndarray) -> np.ndarray:
     if isinstance(step, Permutation):
         return m[step._sources]
     if isinstance(step, Overshear):
-        f, g = (sum(abs(c) * np.prod(m ** np.array(e)) for e, c in poly)
-                for poly in (step.f, step.g))
+        exps, coeffs = step._tables
+        f, g = _kernels.poly_eval(exps, np.abs(coeffs), m[None, :])[:, 0].real
         out = m.copy()
         out[step.axis - 1] = f + np.exp(g) * m[step.axis - 1]
         return out

@@ -21,32 +21,31 @@ inverse residual, and a modulus of continuity in t.
 
 Both checks walk their time grid in blocks of BLOCK_TIMES times and
 evaluate each block in closed form, without building a Word per time,
-as (T, P, k) arrays of the k coordinates that the path moves. For an
-overshear path that is its axis alone, since every other coordinate of
-an image is the point's own. f(z) and g(z) are evaluated once per call
-from the step's own table and scaled per time: the image is
-(1-t) f(z) + exp((1-t) g(z)) z_axis, and since neither reads the axis
-coordinate, the inverse at time t is exp(-(1-t) g) * (w - (1-t) f) on
-the same values. Each exp((+-)(1-t) g) is taken in modulus-phase form,
-the real exp((+-)(1-t) Re g) times cos((1-t) Im g) +- i sin((1-t) Im g),
-so the image and the round trip share one phase per time and point, and
-|det| is read off the modulus as exp((1-t) Re g), with no complex abs.
-The results equal that closed form at each time bit for bit, and agree
-with path_at(path, t), whose coefficients are scaled before the terms
-are summed and whose exp is complex, to rounding. At t = 1, and for
-g = 0, the modulus is exactly 1 and the phase exactly 1 + 0i, so those
-bits are complex exp's; for g != 0 the image at t = 0 agrees with the
-target word's to about one ulp, and its last digits depend on the real
-exp that numpy dispatches to on the host CPU. For a transposition path the
-block is a stack of matrices with batched products, determinants and
-inverses, and the results equal those of evaluating path_at(path, t) at
-each time. `tests/oracles.py` keeps both per-time algorithms. Grids are
-capped at MAX_GRID_TIMES times (BudgetExhausted). Blocks are computed
-under `errors.quiet()`, so overflow, 0 * inf and division by zero give
-inf or NaN without a warning; a time whose |det|, residual or jump is
-then not finite (exp((1-t) g) overflowed) is refused with NonFinite,
-"|det| is nan at t = 0.1, which is not finite", rather than reported as a
-finite-looking extremum.
+as (T, P, k) arrays of only the k coordinates that the path moves
+(`_moving`), since every other coordinate of an image is the point's
+own. For an overshear path that is its axis alone. f(z) and g(z) are
+evaluated once per call from the step's own table and scaled per time:
+the image is (1-t) f(z) + exp((1-t) g(z)) z_axis, and since neither
+reads the axis coordinate, the inverse at time t is
+exp(-(1-t) g) * (w - (1-t) f) on the same values. Each exp((+-)(1-t) g)
+is taken in modulus-phase form, the real exp((+-)(1-t) Re g) times
+cos((1-t) Im g) +- i sin((1-t) Im g), so the image and the round trip
+share one phase per time and point, and |det| is read off the modulus
+as exp((1-t) Re g), with no complex abs. At t = 1, and for g = 0, the
+modulus is exactly 1 and the phase exactly 1 + 0i, so those bits are
+complex exp's; for g != 0 the image at t = 0 agrees with the target
+word's to about one ulp, and its last digits depend on the real exp
+that numpy dispatches to on the host CPU. A transposition path moves
+z_j and z_k alone: its block is a (T, 2, 2) stack of the matrices above
+on (z_j, z_k), with batched invertibility checks, products,
+determinants and inverses. `tests/oracles.py` keeps the per-time
+reference of both families. Grids are capped at MAX_GRID_TIMES times
+(BudgetExhausted). Blocks are computed under `errors.quiet()`, so
+overflow, 0 * inf and division by zero give inf or NaN without a
+warning; a time whose |det|, residual or jump is then not finite
+(exp((1-t) g) overflowed) is refused with NonFinite, "|det| is nan at
+t = 0.1, which is not finite", rather than reported as a finite-looking
+extremum.
 """
 
 from __future__ import annotations
@@ -58,14 +57,13 @@ import numpy as np
 
 from . import _kernels
 from .errors import BudgetExhausted, NonFinite, OutOfRange, quiet, refuse_non_finite
-from .words import (Linear, Overshear, Permutation, Word, check_invertible,
-                    eval_word_batch)
+from .words import Overshear, Permutation, Word, check_invertible, eval_word_batch
 
 BUMP_ENDPOINT_TOL = 1e-12
 BUMP_MIDPOINT_TOL = 1e-12
 CERTIFY_POINTS = 100
 DEFAULT_CERTIFY_SEED = 42
-# Times evaluated together. A block's (T, P, n) arrays stay small: 256
+# Times evaluated together. A block's (T, P, k) arrays stay small: 256
 # times ran faster but raised the CLI's peak RSS by about 10%.
 BLOCK_TIMES = 32
 # Most grid times one certify_path or continuity_modulus call may walk.
@@ -76,10 +74,11 @@ MAX_GRID_TIMES = 10 ** 6
 class BumpFunction:
     """Real continuous function on [0,1], zero at the ends, nonzero at 1/2.
 
-    Either the named default sin(pi t) or a piecewise-linear table over
-    a uniform grid on [0,1]. The three defining constraints are checked
-    at construction (endpoints to 1e-12, since sin(pi*1) is itself only
-    zero to roundoff), after a NaN or infinite table value is refused
+    Either the named default sin(pi t), exactly 0 at both ends, or a
+    piecewise-linear table over a uniform grid on [0,1]. The three
+    defining constraints are checked at construction (endpoints to
+    BUMP_ENDPOINT_TOL, so that a table may end on values that are zero
+    only to roundoff), after a NaN or infinite table value is refused
     (NonFinite), since NaN would pass every comparison.
     """
 
@@ -107,7 +106,9 @@ class BumpFunction:
 
     def __call__(self, t):
         if self.name == "sin":
-            return np.sin(np.pi * t)
+            # 1 - t is exact for t >= 1/2, so the bump is 0 at t = 1, where
+            # sin(pi * 1.0) is 1.2e-16
+            return np.sin(np.pi * np.minimum(t, 1.0 - t))
         knots = np.linspace(0.0, 1.0, len(self.table))
         return np.interp(t, knots, self.table)
 
@@ -144,39 +145,12 @@ class TranspositionPath:
 HomotopyPath = Union[OvershearPath, TranspositionPath]
 
 
-def _check_t(t: float):
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"path parameter must lie in [0, 1], got {t}")
-
-
-def transposition_matrix(path: TranspositionPath, t) -> np.ndarray:
-    """The path's matrix at time t: (n, n), or (T, n, n) for T times."""
-    t = np.asarray(t, dtype=np.float64)
-    m = np.broadcast_to(np.eye(path.n, dtype=np.complex128), t.shape + (path.n, path.n)).copy()
-    j, k = path.j - 1, path.k - 1
-    ft = path.bump(t)
-    m[..., j, j] = t
-    m[..., j, k] = 1.0 - t
-    m[..., k, j] = (1.0 - t) + 1j * ft
-    m[..., k, k] = t
-    return m
-
-
-def path_at(path: HomotopyPath, t: float) -> Word:
-    """The automorphism at time t: the target at t=0, identity at t=1."""
-    _check_t(t)
-    if isinstance(path, OvershearPath):
-        s = 1.0 - t
-        step = Overshear(path.target.axis, path.target.f.scale(s), path.target.g.scale(s))
-        return Word(path.n, (step,))
-    return Word(path.n, (Linear(transposition_matrix(path, t)),))
-
-
 def path_det(path: TranspositionPath, t: float) -> complex:
     """Closed-form Jacobian determinant of the transposition path."""
     if not isinstance(path, TranspositionPath):
         raise TypeError("closed-form determinant exists for transposition paths only")
-    _check_t(t)
+    if not 0.0 <= t <= 1.0:
+        raise OutOfRange(f"path parameter must lie in [0, 1], got {t}")
     return complex((2.0 * t - 1.0) - 1j * (1.0 - t) * float(path.bump(t)))
 
 
@@ -213,12 +187,12 @@ def _blocks(times: np.ndarray):
     return (times[i:i + BLOCK_TIMES] for i in range(0, len(times), BLOCK_TIMES))
 
 
-def _moving(path: HomotopyPath) -> slice:
-    """The coordinates that the evaluator of `path` returns: the overshear
-    axis, or all n for a transposition."""
+def _moving(path: HomotopyPath) -> list:
+    """The 0-based coordinates that `path` moves, and its evaluator returns:
+    the overshear axis, or j and k for a transposition."""
     if isinstance(path, OvershearPath):
-        return slice(path.target.axis - 1, path.target.axis)
-    return slice(None)
+        return [path.target.axis - 1]
+    return [path.j - 1, path.k - 1]
 
 
 def _polar(mod: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -240,7 +214,9 @@ def _evaluator(path: HomotopyPath, pts: np.ndarray):
 
     An overshear block takes cos and sin of (1-t) Im g once and builds
     exp((1-t) g) and exp(-(1-t) g) from them and the real exps of
-    (+-)(1-t) Re g; its |det| is the least exp((1-t) Re g).
+    (+-)(1-t) Re g; its |det| is the least exp((1-t) Re g). A
+    transposition block is the (T, 2, 2) stack of the path's matrices on
+    (z_j, z_k), applied to those two coordinates of the points.
     """
     if isinstance(path, OvershearPath):
         f, g = _kernels.poly_eval(*path.target._tables, pts)
@@ -261,16 +237,23 @@ def _evaluator(path: HomotopyPath, pts: np.ndarray):
             return ws[:, :, None], np.min(mod, axis=1), np.max(np.abs(back - zs), axis=1)
         return evaluate
 
+    zs = pts[:, _moving(path)]
+
     def evaluate(times, certify):
-        m = transposition_matrix(path, times)
+        s = 1.0 - times
+        m = np.empty(times.shape + (2, 2), dtype=np.complex128)
+        m[:, 0, 0] = times
+        m[:, 0, 1] = s
+        m[:, 1, 0] = s + 1j * path.bump(times)
+        m[:, 1, 1] = times
         check_invertible(m)
-        images = pts @ m.transpose(0, 2, 1)
+        images = zs @ m.transpose(0, 2, 1)
         if not certify:
             return images, None, None
         # the rows of inv(m) have m's row norms over |det|, so its row-normalised
         # |det| is m's, which check_invertible(m) has already bounded
         back = images @ np.linalg.inv(m).transpose(0, 2, 1)
-        return images, np.abs(np.linalg.det(m)), np.max(np.abs(back - pts), axis=(1, 2))
+        return images, np.abs(np.linalg.det(m)), np.max(np.abs(back - zs), axis=(1, 2))
     return evaluate
 
 

@@ -42,9 +42,8 @@ from .homotopy import BumpFunction, HomotopyPath, OvershearPath, TranspositionPa
 from .polynomials import Poly
 from .words import Diagonal, Inversion, Linear, Overshear, Permutation, Word
 
-# A transposition path certifies (BLOCK_TIMES, n, n) blocks, 2 MB at
-# n = 64, and an exponent matrix's exact determinant costs n^3 big-integer
-# steps; a term of total degree d costs d monomials per evaluation.
+# An exponent matrix's exact determinant costs n^3 big-integer steps; a
+# term of total degree d costs d monomials per evaluation.
 MAX_DIMENSION = 64
 MAX_DEGREE = 1000
 # with 63-bit entries a 64 x 64 determinant has at most about 1,272 digits,

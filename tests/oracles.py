@@ -6,7 +6,8 @@ quadrature of the logarithmic derivative, determinants and permutation
 signs from brute force. Derived expected values in the tests are
 checked against these before (and alongside) the library's answers.
 The homotopy checks are redone the plain way, one grid time at a time:
-by one word per time, or for an overshear path by its closed form.
+by one word per time, path_at(path, t), or by the family's closed form
+on the coordinates it moves.
 Domain preservation and diagonal extraction are redone by sampling
 alone, for every word, as the library did before it decided some words
 by proof; the structural escape pass that preservation ran first is
@@ -25,12 +26,11 @@ import numpy as np
 
 from hologroup import (CentralizerVerdict, CentralizerWitness, CertificationReport,
                        Diagonal, FullSpace, HyperplaneComplement, Inversion, Linear,
-                       NonFinite,
-                       NonInvertibleStep, NotDiagonal, Overshear, Permutation,
-                       PreservationVerdict, Punctured, SingularPoint, Word,
-                       contains, contains_batch, eval_word, eval_word_batch,
-                       eval_word_batch_masked, invert_word, jacobian_det_batch, path_at,
-                       path_target, sample_points, sample_polydisc)
+                       NonFinite, NonInvertibleStep, NotDiagonal, OutOfRange, Overshear,
+                       OvershearPath, Permutation, PreservationVerdict, Punctured,
+                       SingularPoint, Word, contains, contains_batch, eval_word,
+                       eval_word_batch, eval_word_batch_masked, invert_word,
+                       jacobian_det_batch, path_target, sample_points, sample_polydisc)
 from hologroup import _kernels
 from hologroup.domains import PRESERVE_SAMPLES
 from hologroup.homotopy import CERTIFY_POINTS, DEFAULT_CERTIFY_SEED
@@ -193,6 +193,35 @@ def word_pass_row_major(word: Word, pts, jac: bool = False, masked: bool = False
     return cur, det, valid
 
 
+def transposition_block(path, t: float) -> np.ndarray:
+    """The transposition path's 2x2 matrix on (z_j, z_k) at time t."""
+    return np.array([[t, 1.0 - t], [(1.0 - t) + 1j * path.bump(t), t]],
+                    dtype=np.complex128)
+
+
+def transposition_matrix(path, t: float) -> np.ndarray:
+    """The transposition path's (n, n) matrix at time t: the identity, but
+    for transposition_block(path, t) on (z_j, z_k)."""
+    m = np.eye(path.n, dtype=np.complex128)
+    moving = [path.j - 1, path.k - 1]
+    m[np.ix_(moving, moving)] = transposition_block(path, t)
+    return m
+
+
+def path_at(path, t: float) -> Word:
+    """The path's automorphism at time t as a word: the target at t = 0,
+    the identity at t = 1. An overshear path's step has f and g with
+    each coefficient scaled by 1 - t; a transposition path's is the
+    Linear step of transposition_matrix(path, t)."""
+    if not 0.0 <= t <= 1.0:
+        raise OutOfRange(f"path parameter must lie in [0, 1], got {t}")
+    if isinstance(path, OvershearPath):
+        s = 1.0 - t
+        step = Overshear(path.target.axis, path.target.f.scale(s), path.target.g.scale(s))
+        return Word(path.n, (step,))
+    return Word(path.n, (Linear(transposition_matrix(path, t)),))
+
+
 def _word_per_time(path, pts):
     """t, certify -> (images, |det|, round trip) at pts of the word
     path_at(path, t), each a separate word pass; without `certify` only
@@ -213,7 +242,9 @@ def _overshear_closed_form(path, pts):
     (1-t) f + exp((1-t) g) z_s, |det| is exp((1-t) Re g), and the round
     trip is exp(-(1-t) g) (w_s - (1-t) f). Each exp((+-)(1-t) g) is taken in
     modulus-phase form, exp((+-)(1-t) Re g) times cos((1-t) Im g) +- i
-    sin((1-t) Im g)."""
+    sin((1-t) Im g). It agrees with the word path_at(path, t), whose
+    coefficients are scaled before the terms are summed and whose exp is
+    complex, to rounding."""
     s = path.target.axis - 1
     f, g = path.target.f.eval_batch(pts), path.target.g.eval_batch(pts)
 
@@ -238,10 +269,36 @@ def _overshear_closed_form(path, pts):
     return at
 
 
+def _transposition_closed_form(path, pts):
+    """As _word_per_time, for a transposition path on its (j, k) block
+    alone: at time t the image's (z_j, z_k) is transposition_block(path, t)
+    times them, |det| is the block's at every point, and the round trip
+    multiplies by the block's inverse. It agrees with the word
+    path_at(path, t), whose (n, n) products, determinant and inverse also
+    run over the coordinates the path leaves alone, to rounding; at n <= 3
+    bit for bit."""
+    moving = [path.j - 1, path.k - 1]
+
+    def at(t, certify):
+        m = transposition_block(path, t)
+        images = pts.copy()
+        images[:, moving] = pts[:, moving] @ m.T
+        if not certify:
+            return images, None, None
+        back = pts.copy()
+        back[:, moving] = images[:, moving] @ np.linalg.inv(m).T
+        return images, np.full(len(pts), np.abs(np.linalg.det(m))), back
+    return at
+
+
 def _per_time(path, sample_radius: float, seed: int, closed_form: bool):
     pts = sample_polydisc(path.n, CERTIFY_POINTS, sample_radius,
                           np.random.default_rng(seed))
-    return pts, (_overshear_closed_form if closed_form else _word_per_time)(path, pts)
+    if not closed_form:
+        return pts, _word_per_time(path, pts)
+    if isinstance(path, OvershearPath):
+        return pts, _overshear_closed_form(path, pts)
+    return pts, _transposition_closed_form(path, pts)
 
 
 def certify_path_per_time(path, grid_size: int, sample_radius: float,
@@ -251,9 +308,9 @@ def certify_path_per_time(path, grid_size: int, sample_radius: float,
 
     Per time: images, Jacobian determinants and the round trip, by the
     word path_at(path, t) and invert_word, each a separate word pass, or
-    with `closed_form` by _overshear_closed_form. This is the
-    straightforward algorithm that the library's block evaluation must
-    reproduce exactly.
+    with `closed_form` by the family's closed form on the coordinates it
+    moves. The closed form is the straightforward algorithm that the
+    library's block evaluation must reproduce exactly.
     """
     pts, at = _per_time(path, sample_radius, seed, closed_form)
     min_det = np.inf

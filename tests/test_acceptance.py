@@ -19,10 +19,10 @@ from hologroup import (Diagonal, FullSpace, HyperplaneComplement, Inversion,
                        contains, continuity_modulus, eval_word,
                        eval_word_batch,
                        extract_diagonal, invert_word, jacobian_det,
-                       jacobian_det_batch, make_contour, path_at, path_det,
+                       jacobian_det_batch, make_contour, path_det,
                        validate_exponent_matrix, winding_index,
                        word_preserves_domain, NotUnimodular)
-from oracles import fd_jacobian_det, quadrature_winding
+from oracles import fd_jacobian_det, path_at, quadrature_winding
 from wordgen import (admissible_points, diag_inversion_word, offender_word,
                      pure_diagonal_word, random_word)
 

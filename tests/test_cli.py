@@ -521,8 +521,8 @@ DEMO_GOLDEN = [
     (["negative-component", "--word", "inv1", "--contour", "c0"],
      '{"in_negative_component":true}'),
     (["homotopy-certify", "--path", "swap_path"],
-     '{"endpoint_err0":0.0,"endpoint_err1":3.1401849173675503e-16,'
-     '"min_abs_det":0.42711760691476847,"max_inverse_residual":1.5582722720639764e-15}'),
+     '{"endpoint_err0":0.0,"endpoint_err1":0.0,'
+     '"min_abs_det":0.42711760691476847,"max_inverse_residual":1.9860273225978185e-15}'),
     (["continuity", "--path", "shear_path", "--t", "1e-3"],
      '{"dt":0.001,"modulus":0.0019704801692940551}'),
     (["centralizer", "--word", "diag"], '{"commutes":true,"witness":null}'),

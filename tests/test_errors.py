@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hologroup
 from hologroup import NonFinite
 from hologroup.errors import quiet, refuse_non_finite
 
@@ -58,6 +59,19 @@ def test_every_import_is_read():
     unused = [(name, sorted(names)) for name, tree in _sources(SRC, TESTS)
               if (names := _unused_imports(tree))]
     assert unused == []
+
+
+def test_package_exports_match_its_imports():
+    # test_every_import_is_read counts an `__all__` entry as read, so a stale
+    # or missing export would only show in `from hologroup import *`
+    names = hologroup.__all__
+    with open(os.path.join(SRC, "__init__.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(hologroup, n)] == []
+    assert sorted(imported - set(names)) == []
 
 
 def test_quiet_is_fresh_so_it_nests():

@@ -3,15 +3,14 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from hologroup import (BudgetExhausted, BumpFunction, NonFinite,
+from hologroup import (BudgetExhausted, BumpFunction, Linear, NonFinite,
                        NonInvertibleStep, OutOfRange, Overshear, OvershearPath, Poly,
                        TranspositionPath, certify_path, continuity_modulus, eval_word,
-                       homotopy, jacobian_det, path_at, path_det, path_target,
-                       sample_polydisc, transposition_matrix)
+                       homotopy, jacobian_det, path_det, path_target, sample_polydisc)
 from hologroup.homotopy import CERTIFY_POINTS
 from hologroup.words import check_invertible
 from oracles import (certify_path_per_time, continuity_modulus_per_time,
-                     fd_jacobian_det)
+                     fd_jacobian_det, path_at, transposition_block)
 
 SHEAR = Overshear(2, Poly.coordinate(2, 1), Poly.zero(2))
 
@@ -197,6 +196,7 @@ def bit_identity_paths():
     # phase (1-t) Im g runs through up to 9.5 turns from t = 0 to t = 1
     spin = Poly(3, {(1, 0, 0): 40j})
     table = BumpFunction("table", (0.0, 0.7, -0.4, 0.9, 0.0))
+    wide = BumpFunction("table", (0.0, -0.6, 1.2, 0.0))
     return {
         "overshear-fg": OvershearPath(Overshear(2, f, g), 3),
         "overshear-g": OvershearPath(Overshear(2, Poly.zero(3), g), 3),
@@ -204,18 +204,25 @@ def bit_identity_paths():
         "overshear-spin": OvershearPath(Overshear(2, f, spin), 3),
         "transposition-sin": TranspositionPath(2, 3, 3),
         "transposition-table": TranspositionPath(2, 3, 3, table),
+        "transposition-wide": TranspositionPath(2, 4, 5, wide),
     }
 
 
 def _path_at_tolerance(path, radius, seed):
     """64 eps (1 + B), where B bounds every |coordinate| of the path's
-    images at the sample points over t in [0, 1]: |(1-t) f| <= |f| and
-    |exp((1-t) g)| <= max(1, |exp(g)|)."""
+    images at the sample points over t in [0, 1]. For an overshear path
+    |(1-t) f| <= |f| and |exp((1-t) g)| <= max(1, |exp(g)|); for a
+    transposition path each entry of its block is at most 1 + max |bump|
+    in modulus, and a table bump's largest modulus is at a knot."""
     pts = sample_polydisc(path.n, CERTIFY_POINTS, radius, np.random.default_rng(seed))
-    f, g = path.target.f.eval_batch(pts), path.target.g.eval_batch(pts)
-    zs = pts[:, path.target.axis - 1]
-    bound = max(np.max(np.abs(f) + np.maximum(1.0, np.abs(np.exp(g))) * np.abs(zs)),
-                np.max(np.abs(pts)))
+    if isinstance(path, TranspositionPath):
+        bump = 1.0 if path.bump.table is None else max(map(abs, path.bump.table))
+        bound = (2.0 + bump) * np.max(np.abs(pts))
+    else:
+        f, g = path.target.f.eval_batch(pts), path.target.g.eval_batch(pts)
+        zs = pts[:, path.target.axis - 1]
+        bound = max(np.max(np.abs(f) + np.maximum(1.0, np.abs(np.exp(g))) * np.abs(zs)),
+                    np.max(np.abs(pts)))
     return 64 * np.finfo(np.float64).eps * (1.0 + bound)
 
 
@@ -223,26 +230,29 @@ def _path_at_tolerance(path, radius, seed):
 def test_block_evaluation_equals_per_time_words(name):
     # grids 2, 33 (not a block multiple) and 1001, and dt 1, 1/257, 1e-3,
     # so that one block, a partial last block and many block boundaries
-    # occur. An overshear path equals its closed form per time bit for bit,
-    # and the word path_at(path, t), whose coefficients are scaled before
-    # the terms are summed, to rounding; a transposition path equals its
-    # word per time bit for bit
+    # occur. Every path equals its closed form per time, on the coordinates
+    # it moves, bit for bit, and the word path_at(path, t) to rounding
     path = bit_identity_paths()[name]
-    closed_form = isinstance(path, OvershearPath)
-    if closed_form:
-        tol = _path_at_tolerance(path, 1.5, 7)
+    tol = _path_at_tolerance(path, 1.5, 7)
     for grid in (2, 33, 1001):
         got = certify_path(path, grid, 1.5, seed=7)
-        assert got == certify_path_per_time(path, grid, 1.5, seed=7, closed_form=closed_form)
-        if closed_form:
-            words = certify_path_per_time(path, grid, 1.5, seed=7)
-            assert np.all(np.abs(np.subtract(astuple(got), astuple(words))) <= tol)
+        assert got == certify_path_per_time(path, grid, 1.5, seed=7, closed_form=True)
+        words = certify_path_per_time(path, grid, 1.5, seed=7)
+        assert np.all(np.abs(np.subtract(astuple(got), astuple(words))) <= tol)
     for dt in (1.0, 1.0 / 257, 1e-3):
         got = continuity_modulus(path, dt, 1.5, seed=7)
-        assert got == continuity_modulus_per_time(path, dt, 1.5, seed=7,
-                                                  closed_form=closed_form)
-        if closed_form:
-            assert abs(got - continuity_modulus_per_time(path, dt, 1.5, seed=7)) <= tol
+        assert got == continuity_modulus_per_time(path, dt, 1.5, seed=7, closed_form=True)
+        assert abs(got - continuity_modulus_per_time(path, dt, 1.5, seed=7)) <= tol
+
+
+@pytest.mark.parametrize("name,moved", [("overshear-fg", 1), ("transposition-wide", 2)])
+def test_evaluator_returns_only_the_moved_coordinates(name, moved):
+    # a transposition of z2 and z4 in C^5 gives (T, P, 2), not (T, P, 5)
+    path = bit_identity_paths()[name]
+    pts = sample_polydisc(path.n, CERTIFY_POINTS, 1.5, np.random.default_rng(7))
+    images, dets, resids = homotopy._evaluator(path, pts)(np.linspace(0.0, 1.0, 7), True)
+    assert images.shape == (7, CERTIFY_POINTS, moved)
+    assert dets.shape == resids.shape == (7,)
 
 
 @pytest.mark.parametrize("name", sorted(n for n, p in bit_identity_paths().items()
@@ -258,12 +268,7 @@ def test_overshear_min_abs_det_is_read_off_the_modulus(name):
         assert certify_path(path, grid, 1.5, seed=7).min_abs_det == want
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, reason="sin(pi * 1.0) rounds to 1.2e-16, not 0, so the sin "
-                            "bump's matrix at t = 1 is not the identity"))
-    if name == "transposition-sin" else name
-    for name in sorted(bit_identity_paths())])
+@pytest.mark.parametrize("name", sorted(bit_identity_paths()))
 def test_identity_end_is_exact(name):
     # at t = 1 every path is the identity to the last bit
     path = bit_identity_paths()[name]
@@ -273,17 +278,19 @@ def test_identity_end_is_exact(name):
 
 def test_no_per_time_word_rebuild(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("a word or polynomial was rebuilt for one time")
+        raise AssertionError("a step or polynomial was rebuilt for one time")
 
-    monkeypatch.setattr(homotopy, "path_at", forbidden)
+    paths = bit_identity_paths()
+    for cls in (Linear, Overshear):
+        monkeypatch.setattr(cls, "__init__", forbidden)
     monkeypatch.setattr(Poly, "scale", forbidden)
-    for path in bit_identity_paths().values():
+    for path in paths.values():
         certify_path(path, 101, 1.0)
         continuity_modulus(path, 0.01, 1.0)
 
 
 def test_invertibility_check_covers_every_matrix_of_a_stack():
-    stack = transposition_matrix(swap_path(), np.linspace(0.0, 1.0, 5))
+    stack = np.array([transposition_block(swap_path(), t) for t in np.linspace(0.0, 1.0, 5)])
     check_invertible(stack)
     stack[3] = [[1.0, 2.0], [2.0, 4.0 + 1e-14]]
     with pytest.raises(NonInvertibleStep, match="singular to tolerance"):
