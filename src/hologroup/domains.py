@@ -82,8 +82,17 @@ class PreservationVerdict:
 
 
 def contains(d: DomainSpec, z) -> bool:
-    """Exact membership test (no tolerance on the zero comparisons)."""
-    return bool(contains_batch(d, np.reshape(z, (1, -1)))[0])
+    """Exact membership of one point, decided as `contains_batch` decides
+    it: a coordinate is nonzero iff it compares `!= 0`, with no tolerance,
+    so -0.0 is zero and NaN, inf and subnormals are nonzero. The point's
+    coordinates are compared one by one, as Python complex numbers."""
+    z = np.asarray(z, dtype=np.complex128).reshape(-1)
+    if z.size != d.n:
+        raise DimensionMismatch(f"point has {z.size} coordinates, domain has {d.n}")
+    coords = z.tolist()
+    if isinstance(d, Punctured):
+        return any(c != 0 for c in coords)
+    return all(coords[i - 1] != 0 for i in d.deleted)
 
 
 def contains_batch(d: DomainSpec, pts) -> np.ndarray:
@@ -311,7 +320,7 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
     """
     if w.n != d.n:
         raise DimensionMismatch(f"word dimension {w.n} != domain dimension {d.n}")
-    d = HyperplaneComplement(1, {1}) if d == Punctured(1) else d
+    d = HyperplaneComplement(1, {1}) if isinstance(d, Punctured) and d.n == 1 else d
     odd = [(k, points) for k, step in enumerate(w.steps)
            if (points := _escapes(step, d)) is not None]
     if not odd:

@@ -15,6 +15,9 @@ diagonal map (a `Diagonal`, a `Permutation`, a `Linear` with one nonzero
 entry per row, an `Overshear` with f = 0 and constant g) and the
 permutations compose to the identity. Such a word is decided by proof:
 it commutes, and its diagonal is the product of the steps' multipliers.
+The proof composes the permutations in Python integers and multiplies
+the multipliers in numpy, as whole vectors in step order: Python's
+complex product rounds differently in the last bit.
 Every other word is sampled under `errors.quiet()`, as the word pass
 is: a deviation or orbit ratio that is not finite (the word overflowed)
 is refused with NonFinite, naming its place, since no comparison with
@@ -87,21 +90,23 @@ class CentralizerVerdict:
     witness: Optional[CentralizerWitness]
 
 
-def _step_multipliers(step, n: int) -> Optional[tuple]:
+def _step_multipliers(step, one: np.ndarray) -> Optional[tuple]:
     """(lam, src) when the step is exactly z -> (lam_i * z_src[i])_i, a
-    coordinate permutation followed by a diagonal map; else None."""
+    coordinate permutation followed by a diagonal map, with src a list of
+    0-based ints, or None for the identity permutation; else None. `one`
+    is the all-ones multiplier, which is not written."""
     if isinstance(step, Diagonal):
-        return step._multipliers, np.arange(n)
+        return step._multipliers, None
     if isinstance(step, Permutation):
-        return np.ones(n, dtype=np.complex128), step._sources
+        return one, step._sources
     if isinstance(step, Linear) and np.all(np.count_nonzero(step.matrix, axis=1) == 1):
         src = np.argmax(step.matrix != 0, axis=1)
-        return step.matrix[np.arange(n), src], src
+        return step.matrix[np.arange(len(src)), src], src.tolist()
     if isinstance(step, Overshear) and step.f.is_zero \
-            and set(step.g.terms) <= {(0,) * n}:
-        lam = np.ones(n, dtype=np.complex128)
+            and set(step.g.terms) <= {(0,) * len(one)}:
+        lam = one.copy()
         lam[step.axis - 1] = np.exp(step.g.constant_term)
-        return lam, np.arange(n)
+        return lam, None
     return None
 
 
@@ -110,16 +115,20 @@ def _exact_diagonal(w: Word, what: str) -> Optional[np.ndarray]:
     steps are permutations followed by diagonal maps, carried along the
     permutations, once these compose to the identity; None for any other
     word. A product that is not finite raises NonFinite."""
-    lam, src = np.ones(w.n, dtype=np.complex128), np.arange(w.n)
+    one = np.ones(w.n, dtype=np.complex128)
+    lam, src = one, list(range(w.n))
     with quiet():
         for step in w.steps:
-            mult = _step_multipliers(step, w.n)
+            mult = _step_multipliers(step, one)
             if mult is None:
                 return None
-            lam, src = lam[mult[1]] * mult[0], src[mult[1]]
-    if not np.array_equal(src, np.arange(w.n)):
+            step_lam, step_src = mult
+            if step_src is not None:
+                lam, src = lam[step_src], [src[j] for j in step_src]
+            lam = lam * step_lam
+    if src != list(range(w.n)):
         return None
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise NonFinite(f"{what}: the diagonal multipliers multiply to {lam}, "
                         f"which is not finite")
     return lam

@@ -15,6 +15,11 @@ tracking runs under `errors.quiet()`; a sample, or a quotient of two
 consecutive samples, that is not finite (the word overflowed on the
 contour) is refused with NonFinite, naming its theta, before an angle
 is taken of it.
+
+The start samples are fixed module arrays: the INITIAL_SAMPLES + 1
+angles (with the closing 2*pi knot) and their points on the unit
+circle, computed once at import as `np.linspace` and `np.exp` compute
+them, and read-only, since every call shares them.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ MAX_SAMPLES = 2 ** 20
 ZERO_TOL = 1e-13
 # bisect any interval whose argument increment reaches a quarter turn
 REFINE_ANGLE = np.pi / 2
+START_THETAS = np.linspace(0.0, 2.0 * np.pi, INITIAL_SAMPLES + 1)
+START_CIRCLE = np.exp(1j * START_THETAS[:-1])
+START_THETAS.setflags(write=False)
+START_CIRCLE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -44,10 +53,6 @@ class ContourSpec:
     axis: int
     p: tuple
     R: float
-
-    @property
-    def base(self) -> np.ndarray:
-        return np.array(self.p, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -75,20 +80,38 @@ def make_contour(d, axis: int, p, R: float) -> ContourSpec:
 
 
 def contour_points(c: ContourSpec, thetas: np.ndarray) -> np.ndarray:
-    # column-major, as the word pass takes it
-    pts = np.broadcast_to(c.base, (len(thetas), c.domain.n)).copy(order="F")
-    pts[:, c.axis - 1] = c.R * np.exp(1j * np.asarray(thetas, dtype=np.float64))
+    return _points(c, np.exp(1j * np.asarray(thetas, dtype=np.float64)))
+
+
+def _points(c: ContourSpec, circle: np.ndarray) -> np.ndarray:
+    """The contour points at the unit-circle points `circle`, column-major,
+    as the word pass takes them."""
+    pts = np.empty((len(circle), c.domain.n), dtype=np.complex128, order="F")
+    pts[...] = c.p
+    pts[:, c.axis - 1] = c.R * circle
     return pts
 
 
-def _profile(w: Word, c: ContourSpec, thetas: np.ndarray) -> np.ndarray:
-    values = eval_word_batch(w, contour_points(c, thetas))[:, c.axis - 1]
+def _profile(w: Word, c: ContourSpec, thetas: np.ndarray, circle: np.ndarray) -> np.ndarray:
+    values = eval_word_batch(w, _points(c, circle))[:, c.axis - 1]
     refuse_non_finite(values, "the output coordinate", lambda i: f"theta {thetas[i]}")
     if np.abs(values).min() < ZERO_TOL:
         raise ZeroOnContour(
             "output coordinate vanishes on the contour; "
             "the word is not an automorphism of this domain")
     return values
+
+
+def _insert_after(a: np.ndarray, coarse: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """np.insert(a, coarse + 1, new) for increasing `coarse`, without its
+    per-call set-up, which costs more than the copy."""
+    slots = coarse + np.arange(1, coarse.size + 1)
+    out = np.empty(a.size + coarse.size, dtype=a.dtype)
+    kept = np.ones(out.size, dtype=bool)
+    kept[slots] = False
+    out[kept] = a
+    out[slots] = new
+    return out
 
 
 def winding_index(w: Word, c: ContourSpec) -> IndexResult:
@@ -104,11 +127,11 @@ def winding_index(w: Word, c: ContourSpec) -> IndexResult:
     """
     if w.n != c.domain.n:
         raise DimensionMismatch(f"word dimension {w.n} != contour dimension {c.domain.n}")
-    thetas = np.linspace(0.0, 2.0 * np.pi, INITIAL_SAMPLES + 1)
+    thetas = START_THETAS
     values = np.empty(INITIAL_SAMPLES + 1, dtype=np.complex128)
     used = INITIAL_SAMPLES
     with quiet():
-        values[:-1] = _profile(w, c, thetas[:-1])
+        values[:-1] = _profile(w, c, thetas[:-1], START_CIRCLE)
         values[-1] = values[0]
         while True:
             quotients = refuse_non_finite(
@@ -122,8 +145,8 @@ def winding_index(w: Word, c: ContourSpec) -> IndexResult:
                 raise BudgetExhausted(
                     f"argument tracking did not converge within {MAX_SAMPLES} samples")
             mids = 0.5 * (thetas[coarse] + thetas[coarse + 1])
-            thetas = np.insert(thetas, coarse + 1, mids)
-            values = np.insert(values, coarse + 1, _profile(w, c, mids))
+            new = _profile(w, c, mids, np.exp(1j * mids))
+            thetas, values = _insert_after(thetas, coarse, mids), _insert_after(values, coarse, new)
             used += coarse.size
     raw = float(np.sum(increments) / (2.0 * np.pi))
     return IndexResult(index=int(round(raw)), raw=raw, samples_used=used)

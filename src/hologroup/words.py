@@ -218,11 +218,14 @@ def check_invertible(m: np.ndarray) -> None:
     row-normalised determinant as it is: the norm squares the entries,
     which on the raw rows overflow above about 1e154 and underflow to 0
     below about 1e-162."""
-    scales = np.abs(m).max(axis=-1)
-    if (scales == 0).any():
+    scales = np.maximum.reduce(np.abs(m), axis=-1)
+    if not scales.all():
         raise NonInvertibleStep("linear step has a zero row")
     rows = m / scales[..., None]
-    if (np.abs(np.linalg.det(rows / np.linalg.norm(rows, axis=-1)[..., None])) <= TAU_DET).any():
+    # np.linalg.norm(rows, axis=-1), with the same operations and bits,
+    # without its dispatch, which costs more than the arithmetic on a 2x2
+    rows /= np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=-1))[..., None]
+    if (np.abs(np.linalg.det(rows)) <= TAU_DET).any():
         raise NonInvertibleStep("linear step is singular to tolerance")
 
 

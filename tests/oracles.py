@@ -13,11 +13,14 @@ alone, for every word, as the library did before it decided some words
 by proof; the structural escape pass that preservation ran first is
 kept here as its own copy, with its own step classification. The
 sampled centralizer grid is kept as the one broadcast over (64, 64, n)
-arrays that it was before it went coordinate by coordinate. The word
-pass is kept as it was before it went column-major: each step works on
-the batch in whatever layout it comes, a C-ordered one from every copy,
-and returns a new array. The polynomial kernel is kept as it was before
-it built its monomials in reused slots: one new array per monomial.
+arrays that it was before it went coordinate by coordinate. The exact
+diagonal of a monomial word is kept as the numpy loop it was before it
+tracked its permutation in Python integers: a fancy index and a product
+per step, in step order. The word pass is kept as it was before it went
+column-major: each step works on the batch in whatever layout it comes,
+a C-ordered one from every copy, and returns a new array. The
+polynomial kernel is kept as it was before it built its monomials in
+reused slots: one new array per monomial.
 """
 
 import math
@@ -33,6 +36,7 @@ from hologroup import (CentralizerVerdict, CentralizerWitness, CertificationRepo
                        jacobian_det_batch, path_target, sample_points, sample_polydisc)
 from hologroup import _kernels
 from hologroup.domains import PRESERVE_SAMPLES
+from hologroup.errors import quiet
 from hologroup.homotopy import CERTIFY_POINTS, DEFAULT_CERTIFY_SEED
 from hologroup.torus import COMMUTE_TOL, DIAG_RATIO_TOL
 from hologroup.winding import ContourSpec, contour_points
@@ -527,3 +531,41 @@ def commutes_with_torus_sampled(w: Word, d, seed: int) -> CentralizerVerdict:
         return CentralizerVerdict(True, None)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     return CentralizerVerdict(False, CentralizerWitness(thetas[i], pts[j], worst))
+
+
+def _monomial_multipliers(step, n: int):
+    """(lam, src) when the step is exactly z -> (lam_i * z_src[i])_i, as
+    numpy arrays; else None."""
+    if isinstance(step, Diagonal):
+        return np.array(step.lam), np.arange(n)
+    if isinstance(step, Permutation):
+        return np.ones(n, dtype=np.complex128), np.argsort(step.perm)
+    if isinstance(step, Linear) and np.all(np.count_nonzero(step.matrix, axis=1) == 1):
+        src = np.argmax(step.matrix != 0, axis=1)
+        return step.matrix[np.arange(n), src], src
+    if isinstance(step, Overshear) and step.f.is_zero \
+            and set(step.g.terms) <= {(0,) * n}:
+        lam = np.ones(n, dtype=np.complex128)
+        lam[step.axis - 1] = np.exp(step.g.constant_term)
+        return lam, np.arange(n)
+    return None
+
+
+def exact_diagonal_numpy(w: Word, what: str):
+    """torus._exact_diagonal as a step-order numpy loop: the multipliers
+    carried along the composite permutation by fancy indexing, the
+    permutation compared with np.array_equal; None for a word that is not
+    monomial or whose permutations do not compose to the identity."""
+    lam, src = np.ones(w.n, dtype=np.complex128), np.arange(w.n)
+    with quiet():
+        for step in w.steps:
+            mult = _monomial_multipliers(step, w.n)
+            if mult is None:
+                return None
+            lam, src = lam[mult[1]] * mult[0], src[mult[1]]
+    if not np.array_equal(src, np.arange(w.n)):
+        return None
+    if not np.all(np.isfinite(lam)):
+        raise NonFinite(f"{what}: the diagonal multipliers multiply to {lam}, "
+                        f"which is not finite")
+    return lam

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -37,9 +38,29 @@ def test_membership_is_exact():
     assert contains(comp(1, {1}), [1e-300])
 
 
+# coordinates at the edges of the `!= 0` rule: signed zeros, infinities,
+# NaN in either part, and the smallest subnormal
+EDGE_COORDINATES = (0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 1.0, 5e-324,
+                    complex(0.0, 5e-324), -5e-324, np.inf, -np.inf, complex(0.0, -np.inf),
+                    np.nan, complex(0.0, np.nan), complex(-0.0, np.nan))
+
+
+@pytest.mark.parametrize("d", [FullSpace(1), Punctured(1), comp(1, {1}), FullSpace(2),
+                               Punctured(2), comp(2, {1}), comp(2, {2}), comp(2, {1, 2})],
+                         ids=repr)
+def test_point_membership_equals_the_batch_rule(d):
+    pts = np.array(list(itertools.product(EDGE_COORDINATES, repeat=d.n)), dtype=np.complex128)
+    want = contains_batch(d, pts)
+    assert want.any() and (not want.all() or isinstance(d, FullSpace))
+    assert [contains(d, z) for z in pts] == want.tolist()
+    assert [contains(d, z.tolist()) for z in pts] == want.tolist()
+
+
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         contains(FullSpace(2), [1.0])
+    with pytest.raises(DimensionMismatch):
+        contains(Punctured(1), [0.0, 1.0])
     with pytest.raises(DimensionMismatch):
         word_preserves_domain(Word.identity(2), FullSpace(3), 1)
 

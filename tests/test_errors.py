@@ -1,5 +1,7 @@
 import ast
+import importlib
 import os
+import pkgutil
 import warnings
 
 import numpy as np
@@ -72,6 +74,19 @@ def test_package_exports_match_its_imports():
     assert sorted(n for n in set(names) if names.count(n) > 1) == []
     assert [n for n in names if not hasattr(hologroup, n)] == []
     assert sorted(imported - set(names)) == []
+
+
+def test_no_module_array_is_writable():
+    # a module-level array is shared by every call in the process, so a
+    # caller that wrote to one would change every later verdict
+    writable = []
+    for info in pkgutil.iter_modules(hologroup.__path__):
+        module = importlib.import_module(f"hologroup.{info.name}")
+        for name, value in vars(module).items():
+            members = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(a, np.ndarray) and a.flags.writeable for a in members):
+                writable.append(f"{info.name}.{name}")
+    assert writable == []
 
 
 def test_quiet_is_fresh_so_it_nests():

@@ -11,8 +11,9 @@ from hologroup import (Diagonal, DomainNotPreserved, FullSpace,
                        commutes_with_torus, compose, extract_diagonal, integer_det,
                        invert_word, validate_exponent_matrix)
 from hologroup.torus import _exact_diagonal
-from oracles import commutes_with_torus_sampled, det2, extract_diagonal_sampled
-from wordgen import (automorphism_word, exact_diagonal_word, offender_word,
+from oracles import (commutes_with_torus_sampled, det2, exact_diagonal_numpy,
+                     extract_diagonal_sampled)
+from wordgen import (automorphism_word, exact_diagonal_word, monomial_word, offender_word,
                      pure_diagonal_word, random_word)
 
 
@@ -304,6 +305,32 @@ def test_exactly_diagonal_steps_multiply():
     lam = extract_diagonal(w, FullSpace(2), 42)
     assert np.allclose(lam, [6.0, 10j], rtol=1e-15, atol=0)
     assert commutes_with_torus(w, HyperplaneComplement(2, frozenset({2})), 42).commutes
+
+
+# multipliers with signed zero parts, whose product with a one flips a
+# sign, and magnitudes whose products overflow or underflow
+MONOMIAL_MULTIPLIERS = (2.0, -3.0, 0.5j, 1.25 + 0.75j, complex(2.0, -0.0),
+                        complex(-0.0, 3.0), complex(-1.5, -0.0), 1e200, 1e-200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_exact_diagonal_equals_the_step_order_numpy_loop(n, seed, close):
+    # the permutation is tracked in Python ints, the multipliers still
+    # multiply in numpy in step order: same bits, same refusals
+    w = monomial_word(np.random.default_rng(seed), n, MONOMIAL_MULTIPLIERS, close=close)
+    try:
+        want = exact_diagonal_numpy(w, "check")
+    except NonFinite as exc:
+        with pytest.raises(NonFinite) as got:
+            _exact_diagonal(w, "check")
+        assert str(got.value) == str(exc)
+        return
+    got = _exact_diagonal(w, "check")
+    assert (got is None) == (want is None)
+    assert want is not None or not close
+    if want is not None:
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

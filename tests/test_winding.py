@@ -179,6 +179,46 @@ def test_overflowing_quotient_is_refused():
             winding_index(WILD, contour(p=(1.0, 0.0)))
 
 
+def test_fixed_start_samples_equal_fresh_ones(monkeypatch):
+    # the start angles and their unit-circle points are module arrays that
+    # every call shares; a run on ones built afresh gives the same bits
+    rng = np.random.default_rng(3)
+    cases = [(diag_inversion_word(rng, 2), contour(p=(0.7, -1.2 + 0.5j), R=0.8))
+             for _ in range(6)]
+    cases.append((Word(2, (Overshear(1, Poly.constant(2, 0.999), Poly.zero(2)),)), contour()))
+    cases.append((Word(3, (Diagonal((2.0, 1j, -0.5)),)),
+                  make_contour(HyperplaneComplement(3, frozenset({1, 3})), 3,
+                               (0.5, -2.0 + 1j, 1.5), 2.5)))
+    thetas = np.linspace(0.0, 2.0 * np.pi, winding.INITIAL_SAMPLES + 1)
+    for _, c in cases:
+        # the column-major points, as they were built from a broadcast base
+        want = np.broadcast_to(np.array(c.p), (len(thetas) - 1, c.domain.n)).copy(order="F")
+        want[:, c.axis - 1] = c.R * np.exp(1j * thetas[:-1])
+        got = winding._points(c, winding.START_CIRCLE)
+        assert got.flags.f_contiguous and got.tobytes("F") == want.tobytes("F")
+        assert contour_points(c, thetas[:-1]).tobytes("F") == want.tobytes("F")
+    fixed = [winding_index(w, c) for w, c in cases]
+    assert any(r.samples_used > winding.INITIAL_SAMPLES for r in fixed)
+    monkeypatch.setattr(winding, "START_THETAS", thetas)
+    monkeypatch.setattr(winding, "START_CIRCLE", np.exp(1j * thetas[:-1]))
+    fresh = [winding_index(w, c) for w, c in cases]
+    assert [(r.index, r.raw.hex(), r.samples_used) for r in fixed] == \
+        [(r.index, r.raw.hex(), r.samples_used) for r in fresh]
+
+
+def test_refinement_inserts_as_np_insert_does():
+    rng = np.random.default_rng(11)
+    for size in (2, 3, 65, 130):
+        a = np.exp(1j * rng.uniform(0.0, 6.0, size))
+        for coarse in (np.arange(0), np.arange(size - 1), np.array([0]), np.array([size - 2]),
+                       np.flatnonzero(rng.uniform(size=size - 1) < 0.3)):
+            new = rng.uniform(size=coarse.size) + 0j
+            want = np.insert(a, coarse + 1, new)
+            assert winding._insert_after(a, coarse, new).tobytes() == want.tobytes()
+            assert winding._insert_after(a.real, coarse, new.real).tobytes() == \
+                np.insert(a.real, coarse + 1, new.real).tobytes()
+
+
 def test_word_dimension_checked():
     with pytest.raises(DimensionMismatch):
         winding_index(Word.identity(3), contour())

@@ -10,6 +10,7 @@ from hologroup import (DimensionMismatch, Diagonal, Inversion, Linear, NonFinite
                        eval_word_batch, eval_word_batch_masked, invert_word,
                        jacobian_det, jacobian_det_batch)
 from hologroup import _kernels
+from hologroup.words import check_invertible
 from oracles import fd_jacobian_det, permutation_sign_bruteforce, word_pass_row_major
 from wordgen import (admissible_points, point_batch, random_diagonal, random_linear,
                      random_overshear, random_permutation, random_word)
@@ -129,6 +130,32 @@ def test_row_scaling_survives_extreme_magnitudes():
         Linear(np.array([[1e-170, 0.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(NonInvertibleStep, match="singular to tolerance"):
         Linear(np.array([[1.0, 2.0], [2.0, 4.0 + 1e-14]], dtype=complex))
+
+
+def _refused(m) -> bool:
+    try:
+        check_invertible(m)
+    except NonInvertibleStep:
+        return True
+    return False
+
+
+def test_stacked_and_single_invertibility_decisions_agree():
+    # the row-normalised |det| of [[1, 1], [1, 1 + e]] is about e / 2, so
+    # these straddle TAU_DET; a stack is refused iff one of its matrices is
+    rng = np.random.default_rng(5)
+    mats = np.array([[[1.0, 1.0], [1.0, 1.0 + e]] for e in np.geomspace(1e-13, 1e-11, 15)])
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(15, 2, 1)))
+    mats = np.concatenate([mats, mats * phases * rng.uniform(0.5, 2.0, size=(15, 2, 1))])
+    single = np.array([_refused(m) for m in mats])
+    assert single.any() and not single.all()
+    assert [_refused(m[None]) for m in mats] == single.tolist()
+    assert _refused(mats) and not _refused(mats[~single])
+    assert all(_refused(np.stack([mats[~single][0], m])) for m in mats[single])
+    # check_invertible inlines np.linalg.norm along the last axis
+    rows = mats / np.abs(mats).max(axis=-1)[..., None]
+    assert np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=-1)).tobytes() == \
+        np.linalg.norm(rows, axis=-1).tobytes()
 
 
 def test_non_finite_step_data_is_refused():

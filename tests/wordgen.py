@@ -113,6 +113,41 @@ def exact_diagonal_word(rng, n: int, max_steps: int = 4) -> Word:
     return Word(n, tuple(exact_diagonal_step(rng, n) for _ in range(count)))
 
 
+def monomial_word(rng, n: int, multipliers, max_steps: int = 5, close: bool = True) -> Word:
+    """A word of diagonals, permutations, monomial linear maps and
+    constant-g overshears: each step is z -> (lam_i * z_src[i])_i. The
+    multipliers are drawn from `multipliers`, those of a linear map only
+    from the ones within 1e±100, whose determinant stays finite; with
+    `close`, a last permutation undoes the composite one, so the word is
+    diagonal."""
+    def lam(pool=tuple(multipliers)):
+        return [complex(pool[int(rng.integers(len(pool)))]) for _ in range(n)]
+
+    moderate = tuple(v for v in multipliers if 1e-100 < abs(v) < 1e100)
+
+    steps, src = [], np.arange(n)
+    for _ in range(int(rng.integers(0, max_steps + 1))):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            steps.append(Diagonal(tuple(lam())))
+            continue
+        if kind == 3:
+            g = Poly.constant(n, rng.uniform(-0.7, 0.7) + 1j * rng.uniform(0.0, 2.0 * np.pi))
+            steps.append(Overshear(int(rng.integers(1, n + 1)), Poly.zero(n), g))
+            continue
+        step_src = rng.permutation(n)
+        if kind == 1:
+            steps.append(Permutation(tuple(np.argsort(step_src) + 1)))
+        else:
+            m = np.zeros((n, n), dtype=np.complex128)
+            m[np.arange(n), step_src] = lam(moderate)
+            steps.append(Linear(m))
+        src = src[step_src]
+    if close:
+        steps.append(Permutation(tuple(src + 1)))
+    return Word(n, tuple(steps))
+
+
 def automorphism_step(rng, d):
     """A step that maps the domain d bijectively onto itself."""
     n = d.n
