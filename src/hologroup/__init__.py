@@ -10,7 +10,7 @@ operation; see `hologroup --help`.
 
 from .domains import (DomainClass, FullSpace, HyperplaneComplement,
                       PreservationVerdict, Punctured, classify_domain, contains,
-                      contains_batch, sample_points, word_preserves_domain)
+                      contains_batch, word_preserves_domain)
 from .errors import (BudgetExhausted, DimensionMismatch, DomainNotPreserved,
                      HoloError, InvalidAxis, NonFinite, NonInvertibleStep,
                      NotDiagonal, NotUnimodular, OutOfRange, OutsideDomain,
@@ -20,7 +20,7 @@ from .homotopy import (SIN_BUMP, BumpFunction, CertificationReport, HomotopyPath
                        continuity_modulus, path_det, path_target, sample_polydisc)
 from .polynomials import Poly
 from .torus import (CentralizerVerdict, CentralizerWitness, commutes_with_torus,
-                    extract_diagonal, integer_det, validate_exponent_matrix)
+                    extract_diagonal, integer_det, sample_points, validate_exponent_matrix)
 from .winding import (ContourSpec, IndexResult, contour_points,
                       in_negative_component, make_contour, winding_index)
 from .words import (TAU_DET, Diagonal, GeneratorStep, Inversion, Linear,
@@ -47,10 +47,10 @@ __all__ = [
     # domains
     "FullSpace", "Punctured", "HyperplaneComplement", "DomainClass",
     "PreservationVerdict", "contains", "contains_batch", "classify_domain",
-    "sample_points", "word_preserves_domain",
+    "word_preserves_domain",
     # torus
     "integer_det", "validate_exponent_matrix", "CentralizerVerdict",
-    "CentralizerWitness", "commutes_with_torus", "extract_diagonal",
+    "CentralizerWitness", "commutes_with_torus", "extract_diagonal", "sample_points",
     # winding
     "ContourSpec", "IndexResult", "make_contour", "contour_points",
     "winding_index", "in_negative_component",

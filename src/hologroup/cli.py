@@ -9,7 +9,8 @@ points, non-unimodular matrices, zeros on contours, non-finite values,
 and the like), which also emits an {"error": ...} document on stdout.
 
 Randomized procedures take --seed, a non-negative integer (default 42),
-and identical invocations produce byte-identical output.
+and identical invocations produce byte-identical output. `preserves`
+draws no random point; it accepts --seed and ignores it.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ differs from floating-point zero.
 
 `word_preserves_domain` classifies each step of a word once, with
 `_escapes`, which states the rule of every generator; its docstring says
-how the classes of the steps decide the verdict.
+how the classes of the steps decide the verdict. It draws no random point.
 """
 
 from __future__ import annotations
@@ -20,10 +20,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint, quiet
 from .words import Diagonal, Inversion, Linear, Overshear, Permutation, Word
-from .words import eval_word, eval_word_batch_masked, invert_word
-
-# seeded domain points a word faces once no structural rule rejects it
-PRESERVE_SAMPLES = 256
+from .words import eval_word, invert_word
 
 
 @dataclass(frozen=True)
@@ -113,17 +110,6 @@ def classify_domain(d: DomainSpec) -> DomainClass:
     if isinstance(d, Punctured):
         return DomainClass("punctured", d.n == 1)
     return DomainClass("complement", True)
-
-
-def sample_points(d: DomainSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded sample of domain points.
-
-    Coordinates are r * exp(i theta) with r uniform on [0.2, 2.0], so
-    every coordinate stays clear of the deleted hyperplanes.
-    """
-    r = rng.uniform(0.2, 2.0, size=(count, d.n))
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=(count, d.n))
-    return r * np.exp(1j * theta)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +294,12 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
     The witness is not evaluated again, and rounding may keep its
     floating-point image inside d. Any other z in d is the witness only
     when the word, evaluated end to end, sends it out of d or onto a zero
-    it inverts. Last, PRESERVE_SAMPLES seeded points of d are tried; the
-    first escaping one is the witness, and a True from them is sampled,
-    not proved.
+    it inverts. Any other word is True, and a True that no rule proves is
+    unproved. No random point is tried: the points that the word sends
+    out of d, or onto a zero it inverts, are zeros of coordinate functions
+    that are not identically 0, a set of measure zero that random points
+    miss, so a sampled False only shows a coordinate rounded to 0.
+    `sampler_seed` is ignored.
 
     On C^n this is the closed form "preserves iff the word has no
     inversion"; on C^n \\ {0} with n >= 2 it is "no inversion, and
@@ -334,11 +323,4 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
                 not isinstance(d, Punctured) or (np.abs(z) > bound()).any()))
             if proved or _leaves(w, d, z):
                 return PreservationVerdict(False, z)
-    rng = np.random.default_rng(sampler_seed)
-    pts = sample_points(d, PRESERVE_SAMPLES, rng)
-    images, valid = eval_word_batch_masked(w, pts)
-    ok = valid & contains_batch(d, np.where(valid[:, None], images, 1.0))
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        return PreservationVerdict(False, pts[bad[0]])
     return PreservationVerdict(True, None)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DomainNotPreserved, NonFinite, NotDiagonal,
                      NotUnimodular, quiet, refuse_non_finite)
-from .domains import DomainSpec, sample_points, word_preserves_domain
+from .domains import DomainSpec, word_preserves_domain
 from .words import Diagonal, Linear, Overshear, Permutation, Word, eval_word_batch
 
 COMMUTE_TOL = 1e-10
@@ -75,6 +75,17 @@ def validate_exponent_matrix(a: Sequence[Sequence[int]]) -> int:
     if det not in (1, -1):
         raise NotUnimodular(det)
     return det
+
+
+def sample_points(d: DomainSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded sample of domain points.
+
+    Coordinates are r * exp(i theta) with r uniform on [0.2, 2.0], so
+    every coordinate stays clear of the deleted hyperplanes.
+    """
+    r = rng.uniform(0.2, 2.0, size=(count, d.n))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(count, d.n))
+    return r * np.exp(1j * theta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -217,11 +217,14 @@ def check_invertible(m: np.ndarray) -> None:
     Each row is first divided by its largest |entry|, which leaves the
     row-normalised determinant as it is: the norm squares the entries,
     which on the raw rows overflow above about 1e154 and underflow to 0
-    below about 1e-162."""
-    scales = np.maximum.reduce(np.abs(m), axis=-1)
+    below about 1e-162. The parts are divided as reals, since complex
+    division takes 1 / scale, which overflows at a subnormal scale. Only a
+    non-finite entry then makes |det| NaN, and the caller refuses it where
+    it can name its place: `Linear` first, a transposition path by time."""
+    scales = np.maximum.reduce(np.abs(m), axis=-1)[..., None]
     if not scales.all():
         raise NonInvertibleStep("linear step has a zero row")
-    rows = m / scales[..., None]
+    rows = (np.ascontiguousarray(m).view(np.float64) / scales).view(np.complex128)
     # np.linalg.norm(rows, axis=-1), with the same operations and bits,
     # without its dispatch, which costs more than the arithmetic on a 2x2
     rows /= np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=-1))[..., None]
@@ -241,10 +244,11 @@ class Linear:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise NonFinite("linear step has a non-finite entry")
-        check_invertible(m)
+        with quiet():
+            check_invertible(m)
+            object.__setattr__(self, "_det", complex(np.linalg.det(m)))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_det", complex(np.linalg.det(m)))
 
     def __eq__(self, other):
         return isinstance(other, Linear) and np.array_equal(self.matrix, other.matrix)

@@ -8,10 +8,12 @@ checked against these before (and alongside) the library's answers.
 The homotopy checks are redone the plain way, one grid time at a time:
 by one word per time, path_at(path, t), or by the family's closed form
 on the coordinates it moves.
-Domain preservation and diagonal extraction are redone by sampling
-alone, for every word, as the library did before it decided some words
-by proof; the structural escape pass that preservation ran first is
-kept here as its own copy, with its own step classification. The
+Diagonal extraction is redone by sampling alone, for every word, as the
+library did before it decided some words by proof. Domain preservation
+is redone by the structural escape pass alone, which the library ran
+before it classified steps, kept here as its own copy with its own step
+classification; it reads every word it finds no escape for as
+preserving, as the library does. The
 sampled centralizer grid is kept as the one broadcast over (64, 64, n)
 arrays that it was before it went coordinate by coordinate. The exact
 diagonal of a monomial word is kept as the numpy loop it was before it
@@ -31,11 +33,10 @@ from hologroup import (CentralizerVerdict, CentralizerWitness, CertificationRepo
                        Diagonal, FullSpace, HyperplaneComplement, Inversion, Linear,
                        NonFinite, NonInvertibleStep, NotDiagonal, OutOfRange, Overshear,
                        OvershearPath, Permutation, PreservationVerdict, Punctured,
-                       SingularPoint, Word, contains, contains_batch, eval_word,
-                       eval_word_batch, eval_word_batch_masked, invert_word,
-                       jacobian_det_batch, path_target, sample_points, sample_polydisc)
+                       SingularPoint, Word, contains, eval_word, eval_word_batch,
+                       invert_word, jacobian_det_batch, path_target, sample_points,
+                       sample_polydisc)
 from hologroup import _kernels
-from hologroup.domains import PRESERVE_SAMPLES
 from hologroup.errors import quiet
 from hologroup.homotopy import CERTIFY_POINTS, DEFAULT_CERTIFY_SEED
 from hologroup.torus import COMMUTE_TOL, DIAG_RATIO_TOL
@@ -467,19 +468,11 @@ def structural_witness(w: Word, d):
     return None
 
 
-def preserves_sampled(w: Word, d, sampler_seed: int) -> PreservationVerdict:
-    """word_preserves_domain without any proof: the structural escape pass,
-    then PRESERVE_SAMPLES seeded points, for every word."""
+def preserves_structural(w: Word, d) -> PreservationVerdict:
+    """word_preserves_domain without any proof: False with the structural
+    escape pass's witness, for every word, else True."""
     witness = structural_witness(w, d)
-    if witness is not None:
-        return PreservationVerdict(False, witness)
-    pts = sample_points(d, PRESERVE_SAMPLES, np.random.default_rng(sampler_seed))
-    images, valid = eval_word_batch_masked(w, pts)
-    ok = valid & contains_batch(d, np.where(valid[:, None], images, 1.0))
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        return PreservationVerdict(False, pts[bad[0]])
-    return PreservationVerdict(True, None)
+    return PreservationVerdict(witness is None, witness)
 
 
 def extract_diagonal_sampled(w: Word, seed: int) -> np.ndarray:

@@ -59,7 +59,7 @@ def aux_scene(tmp_path_factory):
                                                "im": 0.0}],
                                         "g": [{"exponents": [0, 0], "re": 800.0,
                                                "im": 0.0}]}]},
-            # z1 -> z1 + 1 -> z1: two odd steps, so preservation is sampled
+            # z1 -> z1 + 1 -> z1: two odd steps, and no rule proves it preserves d
             "there_and_back": {"n": 2, "steps": [
                 {"type": "overshear", "axis": 1, "g": [],
                  "f": [{"exponents": [0, 0], "re": 1.0, "im": 0.0}]},
@@ -394,6 +394,19 @@ def test_non_finite_scene_term_exits_1(tmp_path):
     code, out, err = run("eval", "--word", "w", "--point", "1,0;1,0", scene=str(path))
     assert code == 1 and out == ""
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_singular_subnormal_linear_step_exits_1(tmp_path):
+    # its row-normalised determinant was NaN, which passed the singularity
+    # test, and `jacobian` printed {"det":[0.0,0.0]} with exit 0
+    tiny = [5e-324, 0.0]
+    scene = {"words": {"w": {"n": 2, "steps": [
+        {"type": "linear", "matrix": [[tiny, tiny], [tiny, tiny]]}]}}}
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(scene), encoding="utf-8")
+    code, out, err = run("jacobian", "--word", "w", "--point", "1,0;1,0", scene=str(path))
+    assert code == 1 and out == ""
+    assert err == "input error: scene.words.w.steps[0]: linear step is singular to tolerance\n"
 
 
 def test_dimension_mismatch_exits_1():

@@ -24,22 +24,35 @@ def _sources(*dirs):
                     yield name, ast.parse(fh.read())
 
 
-def _calls(node, where, func, found):
-    """Append (file, enclosing function) for each call to an `errstate`."""
+def _calls(node, callee, where, func, found):
+    """Append (file, enclosing function) for each call whose callee's
+    source contains `callee`."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         func = node.name
-    if isinstance(node, ast.Call) and "errstate" in ast.unparse(node.func):
+    if isinstance(node, ast.Call) and callee in ast.unparse(node.func):
         found.append((where, func))
     for child in ast.iter_child_nodes(node):
-        _calls(child, where, func, found)
+        _calls(child, callee, where, func, found)
+
+
+def _callers(callee) -> list:
+    found = []
+    for name, tree in _sources(SRC):
+        _calls(tree, callee, name, None, found)
+    return found
 
 
 def test_errstate_is_entered_only_by_quiet():
     # one overflow policy: every numeric block runs under errors.quiet()
-    found = []
-    for name, tree in _sources(SRC):
-        _calls(tree, name, None, found)
-    assert found == [("errors.py", "quiet")]
+    assert _callers("errstate") == [("errors.py", "quiet")]
+
+
+def test_random_generators_are_made_only_by_the_sampled_checks():
+    # only the sampled checks draw random points, each from a generator made
+    # from its caller's seed; domain preservation draws none
+    assert _callers("random") == [("homotopy.py", "_sample"),
+                                  ("torus.py", "commutes_with_torus"),
+                                  ("torus.py", "extract_diagonal")]
 
 
 def _unused_imports(tree) -> set:

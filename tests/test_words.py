@@ -123,13 +123,21 @@ def test_step_constructor_invariants():
 
 def test_row_scaling_survives_extreme_magnitudes():
     # np.linalg.norm squares the entries: diag(1e155, 1) was refused as
-    # "singular to tolerance" and diag(1e-170, 1) as "has a zero row"
-    for d in ([1e155, 1.0], [1e-170, 1.0], [1e308, 1e-308]):
-        Linear(np.diag(d).astype(complex))
+    # "singular to tolerance" and diag(1e-170, 1) as "has a zero row".
+    # Complex division by the row scale 5e-324 takes 1 / 5e-324 = inf:
+    # diag(5e-324, 1) warned, and the all-5e-324 matrix, whose normalised
+    # determinant came out NaN, was accepted. diag(1e200, 1e200) warned
+    # as its determinant overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in ([1e155, 1.0], [1e-170, 1.0], [1e308, 1e-308], [1e200, 1e200]):
+            Linear(np.diag(d).astype(complex))
+        assert Linear(np.diag([5e-324, 1.0]).astype(complex))._det == 5e-324
     with pytest.raises(NonInvertibleStep, match="zero row"):
         Linear(np.array([[1e-170, 0.0], [0.0, 0.0]], dtype=complex))
-    with pytest.raises(NonInvertibleStep, match="singular to tolerance"):
-        Linear(np.array([[1.0, 2.0], [2.0, 4.0 + 1e-14]], dtype=complex))
+    for m in ([[1.0, 2.0], [2.0, 4.0 + 1e-14]], np.full((2, 2), 5e-324)):
+        with pytest.raises(NonInvertibleStep, match="singular to tolerance"):
+            Linear(np.array(m, dtype=complex))
 
 
 def _refused(m) -> bool:
