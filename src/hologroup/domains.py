@@ -5,9 +5,9 @@ union of coordinate hyperplanes {z_i = 0}; the first two have an empty
 `deleted` set. Membership is exact: a coordinate is "nonzero" iff it
 differs from floating-point zero.
 
-`word_preserves_domain` classifies each step of a word once, with
-`_escapes`, which states the rule of every generator; its docstring says
-how the classes of the steps decide the verdict. It draws no random point.
+`word_preserves_domain` classifies each step once with `_escapes`, which
+reads all but `Linear` and `Overshear` steps through `words.monomial`;
+its docstring says how the classes decide it. It draws no random point.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint, quiet
-from .words import Diagonal, Inversion, Linear, Overshear, Permutation, Word
-from .words import eval_word, invert_word
+from .words import Inversion, Linear, Overshear, Word, eval_word, invert_word, monomial
 
 
 @dataclass(frozen=True)
@@ -158,32 +157,20 @@ def _escapes(step, d: DomainSpec):
     C^n \\ {0} fix the origin; C^n and C^n \\ {0} have no deleted axes.
     The rules are exact for one step once C \\ {0} is read as the
     complement of {z1 = 0}, as `word_preserves_domain` reads it:
-    - Diagonal: always.
-    - Inversion: on a deleted axis; else it escapes where its
-      coordinate is 0.
-    - Permutation: of the deleted set onto itself; else it escapes where
-      a free coordinate that it moves to a deleted slot is 0.
     - Linear: when each deleted row has one nonzero entry, in a deleted
       column; else w_i = 0 is solved, for each other deleted row i, in
       its first free coordinate, else in its last deleted one.
     - Overshear on C^n \\ {0}: when f(0) = 0; else it escapes at the
       unique preimage of the origin. Elsewhere: on a free axis, or with
       f = 0; else f(z') + exp(g(z')) * z_axis = 0 is solved for z_axis.
+    - Any other step, a monomial one (`words.monomial`): when each
+      deleted or inverted slot draws on a deleted coordinate; else it
+      escapes where such a free source coordinate is 0, in source order.
     Each equation is solved at the points FILLERS (an overshear on
     C^n \\ {0} at the origin); a linear or overshear one that none of
     them solves in d is then solved at one generic point (`_solutions`).
     """
     deleted = d.deleted
-    if isinstance(step, Diagonal):
-        return None
-    if isinstance(step, Inversion):
-        if step.axis in deleted:
-            return None
-        return _solutions(d, [(step.axis - 1, lambda z: 0.0)], FILLERS, False)
-    if isinstance(step, Permutation):
-        solves = [(j - 1, lambda z: 0.0) for j, img in enumerate(step.perm, start=1)
-                  if img in deleted and j not in deleted]
-        return _solutions(d, solves, FILLERS, False) if solves else None
     if isinstance(step, Linear):
         solves = []
         for i in sorted(deleted):
@@ -195,22 +182,27 @@ def _escapes(step, d: DomainSpec):
             j0 = free[0] if free else support[-1]
             solves.append((j0, lambda z, row=row, j0=j0: -(row @ z) / row[j0]))
         return _solutions(d, solves, FILLERS, True) if solves else None
-    if isinstance(d, Punctured):  # an overshear, from here on
-        f0, g0 = step.f.constant_term, step.g.constant_term
-        if f0 == 0:
+    if isinstance(step, Overshear):
+        if isinstance(d, Punctured):
+            f0, g0 = step.f.constant_term, step.g.constant_term
+            if f0 == 0:
+                return None
+            return _solutions(d, [(step.axis - 1, lambda z: -f0 * np.exp(-g0))], (0.0,), False)
+        if step.axis not in deleted or step.f.is_zero:
             return None
-        return _solutions(d, [(step.axis - 1, lambda z: -f0 * np.exp(-g0))], (0.0,), False)
-    if step.axis not in deleted or step.f.is_zero:
-        return None
-    return _solutions(d, [(step.axis - 1, lambda z: -step.f(z) * np.exp(-step.g(z)))],
-                      FILLERS, True)
+        return _solutions(d, [(step.axis - 1, lambda z: -step.f(z) * np.exp(-step.g(z)))],
+                          FILLERS, True)
+    _, src, inverted = monomial(step)
+    drawn = {i if src is None else src[i] for i in [j - 1 for j in deleted] + list(inverted)}
+    solves = [(j, lambda z: 0.0) for j in sorted(drawn) if j + 1 not in deleted]
+    return _solutions(d, solves, FILLERS, False) if solves else None
 
 
 def _pullbacks(w: Word, k: int, points):
     """Each solved point of the odd step k, pulled back through the steps
-    before it to a finite z, with a callable that bounds |z - z*| per
-    coordinate, z* being the exact pull-back (`_rounding_bound`). A
-    prefix that cannot be inverted is refused with NonFinite."""
+    before it to z, with a callable bounding |z - z*| per coordinate, z*
+    the exact pull-back (`_rounding_bound`); (None, None) for a z that is
+    not finite. A prefix that cannot be inverted is refused with NonFinite."""
     try:
         back = invert_word(Word(w.n, w.steps[:k]))
     except (NonInvertibleStep, NonFinite) as exc:
@@ -221,8 +213,7 @@ def _pullbacks(w: Word, k: int, points):
             z = eval_word(back, p)
         except SingularPoint:
             continue
-        if np.isfinite(z).all():
-            yield z, lambda p=p: _rounding_bound(back, p)
+        yield (z, lambda p=p: _rounding_bound(back, p)) if np.isfinite(z).all() else (None, None)
 
 
 def _majorant(step, m: np.ndarray) -> np.ndarray:
@@ -230,17 +221,17 @@ def _majorant(step, m: np.ndarray) -> np.ndarray:
     nonnegative point m. It bounds the moduli of the step's image, and of
     the change of each term, on the polydisc |z_i| <= m_i; not for an
     inversion."""
-    if isinstance(step, Permutation):
-        return m[step._sources]
     if isinstance(step, Overshear):
         exps, coeffs = step._tables
         f, g = _kernels.poly_eval(exps, np.abs(coeffs), m[None, :])[:, 0].real
         out = m.copy()
         out[step.axis - 1] = f + np.exp(g) * m[step.axis - 1]
         return out
-    if isinstance(step, Diagonal):
-        return np.abs(step._multipliers) * m
-    return np.abs(step.matrix) @ m
+    if isinstance(step, Linear):
+        return np.abs(step.matrix) @ m
+    lam, src, _ = monomial(step)
+    m = m if src is None else m[src]
+    return m if lam is None else np.abs(lam) * m
 
 
 def _rounding_bound(back: Word, p: np.ndarray) -> np.ndarray:
@@ -295,11 +286,12 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
     floating-point image inside d. Any other z in d is the witness only
     when the word, evaluated end to end, sends it out of d or onto a zero
     it inverts. Any other word is True, and a True that no rule proves is
-    unproved. No random point is tried: the points that the word sends
-    out of d, or onto a zero it inverts, are zeros of coordinate functions
-    that are not identically 0, a set of measure zero that random points
-    miss, so a sampled False only shows a coordinate rounded to 0.
-    `sampler_seed` is ignored.
+    unproved; but where (a) and (b) hold without a bound (the first odd
+    step, or any on C^n) and a step's pull-backs are none of them finite,
+    the verdict is refused with NonFinite, as a finite one in d would
+    prove False. No random point is tried: the points that the word sends
+    out of d, or onto a zero it inverts, form a set of measure zero that
+    random points miss. `sampler_seed` is ignored.
 
     On C^n this is the closed form "preserves iff the word has no
     inversion"; on C^n \\ {0} with n >= 2 it is "no inversion, and
@@ -314,13 +306,21 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
            if (points := _escapes(step, d)) is not None]
     if not odd:
         return PreservationVerdict(True, None)
+    lost = []
     for i, (k, points) in enumerate(odd):
         lasting = k == odd[-1][0] or isinstance(w.steps[k], Inversion)  # (a)
+        sure = lasting and (i == 0 or isinstance(d, FullSpace))  # (b) without a bound
+        finite = None
         for z, bound in _pullbacks(w, k, points):
-            if not contains(d, z):
+            finite = finite or z is not None
+            if z is None or not contains(d, z):
                 continue
-            proved = lasting and (i == 0 or not d.deleted and (  # (b)
-                not isinstance(d, Punctured) or (np.abs(z) > bound()).any()))
+            proved = sure or lasting and isinstance(d, Punctured) and (np.abs(z) > bound()).any()
             if proved or _leaves(w, d, z):
                 return PreservationVerdict(False, z)
+        if sure and finite is False:
+            lost.append(k)
+    if lost:
+        raise NonFinite(f"preservation check: no solved point of step {lost[0] + 1} "
+                        f"({type(w.steps[lost[0]]).__name__}) pulls back to a finite value")
     return PreservationVerdict(True, None)

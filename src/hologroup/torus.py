@@ -10,18 +10,16 @@ point.
 dichotomy this package relies on: a word commutes with every torus
 rotation exactly when it is a diagonal map, and in that case its
 diagonal is recoverable from a single orbit ratio. A word is exactly
-diagonal when every step is a coordinate permutation followed by a
-diagonal map (a `Diagonal`, a `Permutation`, a `Linear` with one nonzero
-entry per row, an `Overshear` with f = 0 and constant g) and the
-permutations compose to the identity. Such a word is decided by proof:
-it commutes, and its diagonal is the product of the steps' multipliers.
-The proof composes the permutations in Python integers and multiplies
-the multipliers in numpy, as whole vectors in step order: Python's
-complex product rounds differently in the last bit.
-Every other word is sampled under `errors.quiet()`, as the word pass
-is: a deviation or orbit ratio that is not finite (the word overflowed)
-is refused with NonFinite, naming its place, since no comparison with
-NaN can fail.
+diagonal when every step is a monomial map without an inverted slot
+(`words.monomial`), a coordinate permutation followed by a diagonal map,
+and the permutations compose to the identity. Such a word is decided by
+proof: it commutes, and its diagonal is the product of the steps'
+multipliers. The proof composes the permutations in Python integers and
+multiplies the multipliers in numpy, as whole vectors in step order:
+Python's complex product rounds differently in the last bit. Every other
+word is sampled under `errors.quiet()`, as the word pass is: a deviation
+or orbit ratio that is not finite (the word overflowed) is refused with
+NonFinite, naming its place, since no comparison with NaN can fail.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 from .errors import (DimensionMismatch, DomainNotPreserved, NonFinite, NotDiagonal,
                      NotUnimodular, quiet, refuse_non_finite)
 from .domains import DomainSpec, word_preserves_domain
-from .words import Diagonal, Linear, Overshear, Permutation, Word, eval_word_batch
+from .words import Word, eval_word_batch, monomial
 
 COMMUTE_TOL = 1e-10
 DIAG_RATIO_TOL = 1e-9
@@ -101,42 +99,21 @@ class CentralizerVerdict:
     witness: Optional[CentralizerWitness]
 
 
-def _step_multipliers(step, one: np.ndarray) -> Optional[tuple]:
-    """(lam, src) when the step is exactly z -> (lam_i * z_src[i])_i, a
-    coordinate permutation followed by a diagonal map, with src a list of
-    0-based ints, or None for the identity permutation; else None. `one`
-    is the all-ones multiplier, which is not written."""
-    if isinstance(step, Diagonal):
-        return step._multipliers, None
-    if isinstance(step, Permutation):
-        return one, step._sources
-    if isinstance(step, Linear) and np.all(np.count_nonzero(step.matrix, axis=1) == 1):
-        src = np.argmax(step.matrix != 0, axis=1)
-        return step.matrix[np.arange(len(src)), src], src.tolist()
-    if isinstance(step, Overshear) and step.f.is_zero \
-            and set(step.g.terms) <= {(0,) * len(one)}:
-        lam = one.copy()
-        lam[step.axis - 1] = np.exp(step.g.constant_term)
-        return lam, None
-    return None
-
-
 def _exact_diagonal(w: Word, what: str) -> Optional[np.ndarray]:
-    """The product, in step order, of the multipliers of a word whose
-    steps are permutations followed by diagonal maps, carried along the
-    permutations, once these compose to the identity; None for any other
-    word. A product that is not finite raises NonFinite."""
+    """The product, in step order, of the multipliers of a word of monomial
+    steps with no inverted slot whose permutations compose to the identity,
+    carried along them; else None. NonFinite if the product is not finite."""
     one = np.ones(w.n, dtype=np.complex128)
     lam, src = one, list(range(w.n))
     with quiet():
         for step in w.steps:
-            mult = _step_multipliers(step, one)
-            if mult is None:
+            mult = monomial(step)
+            if mult is None or mult[2]:
                 return None
-            step_lam, step_src = mult
+            step_lam, step_src, _ = mult
             if step_src is not None:
                 lam, src = lam[step_src], [src[j] for j in step_src]
-            lam = lam * step_lam
+            lam = lam * (one if step_lam is None else step_lam)
     if src != list(range(w.n)):
         return None
     if not np.isfinite(lam).all():

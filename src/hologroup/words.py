@@ -320,6 +320,27 @@ class Inversion:
 GeneratorStep = Union[Overshear, Permutation, Diagonal, Linear, Inversion]
 
 
+def monomial(step) -> Optional[tuple]:
+    """(lam, src, inverted) when the step is z -> (lam_i * z_src[i] ** e_i)_i,
+    e_i being -1 on the 0-based slots in the tuple `inverted`, else 1; None
+    for any other step. lam is None when every multiplier is 1, src None for
+    the identity: `Inversion(a)` is (None, None, (a - 1,))."""
+    if isinstance(step, Diagonal):
+        return step._multipliers, None, ()
+    if isinstance(step, Permutation):
+        return None, step._sources, ()
+    if isinstance(step, Inversion):
+        return None, None, (step.axis - 1,)
+    if isinstance(step, Linear) and np.all(np.count_nonzero(step.matrix, axis=1) == 1):
+        src = np.argmax(step.matrix != 0, axis=1)
+        return step.matrix[np.arange(len(src)), src], src.tolist(), ()
+    if isinstance(step, Overshear) and step.f.is_zero and set(step.g.terms) <= {(0,) * step.dim}:
+        lam = np.ones(step.dim, dtype=np.complex128)
+        lam[step.axis - 1] = np.exp(step.g.constant_term)
+        return lam, None, ()
+    return None
+
+
 @dataclass(frozen=True)
 class Word:
     """An automorphism word: dimension n plus an ordered tuple of steps."""

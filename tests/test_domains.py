@@ -12,8 +12,9 @@ from hologroup import (DimensionMismatch, Diagonal, FullSpace,
                        commutes_with_torus, compose, contains, contains_batch, eval_word,
                        eval_word_batch, invert_word, sample_points, word_preserves_domain)
 from hologroup.domains import _escapes, _pullbacks
-from oracles import automorphism, preserves_structural
-from wordgen import (automorphism_step, automorphism_word, exact_repair_word,
+from hologroup.words import monomial
+from oracles import _monomial_multipliers, _step_escapes, automorphism, preserves_structural
+from wordgen import (automorphism_step, automorphism_word, exact_repair_word, monomial_word,
                      random_diagonal, random_step, random_word)
 
 
@@ -323,6 +324,19 @@ def test_prefix_that_cannot_be_inverted_is_refused():
         word_preserves_domain(w, comp(2, {1}), 42)
 
 
+# every solved point (c, 0) of the inversion pulls back through the two
+# diagonals to (c * 1e400, 0), which is not finite; the word is undefined on
+# {z2 = 0}, so the True these pull-backs once left behind was wrong
+@pytest.mark.parametrize("d", [FullSpace(2), comp(2, {1}), Punctured(2)], ids=repr)
+def test_solved_points_that_pull_back_to_infinity_are_refused(d):
+    w = Word(2, (Diagonal((1e-200, 1)), Diagonal((1e-200, 1)), Inversion(2)))
+    with pytest.raises(NonFinite, match=r"no solved point of step 3 \(Inversion\)"):
+        word_preserves_domain(w, d, 1)
+    # a later step whose pull-back is finite still proves False
+    v = word_preserves_domain(Word(2, w.steps + (Inversion(1),)), FullSpace(2), 1)
+    assert not v.preserves and v.witness[0] == 0
+
+
 def test_escape_of_overshear_vanishing_on_the_diagonal():
     # f = z1 - z2 vanishes at every constant filler point, so the escape
     # z3 = z2 - z1 is solved at the point with distinct coordinates
@@ -424,6 +438,51 @@ def test_automorphism_rules():
 
 DOMAINS = [FullSpace(2), FullSpace(3), Punctured(2), Punctured(3), comp(1, {1}),
            comp(2, {1}), comp(3, {2}), comp(3, {1, 3}), comp(2, {1, 2})]
+
+# multipliers with signed zero parts, as test_torus draws them
+MONOMIAL_MULTIPLIERS = (2.0, -3.0, 0.5j, 1.25 + 0.75j, complex(2.0, -0.0),
+                        complex(-0.0, 3.0), complex(-1.5, -0.0))
+
+
+def _monomial_steps(d, seeds=range(40)):
+    """The steps of seeded monomial words on d, then Inversion(a) for each axis."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        yield from monomial_word(rng, d.n, MONOMIAL_MULTIPLIERS, close=bool(seed % 2)).steps
+    yield from (Inversion(a) for a in range(1, d.n + 1))
+
+
+# on C^4 minus {z1 z2 = 0} a permutation can move two free coordinates
+# into deleted slots, so the order of its solved points shows
+@pytest.mark.parametrize("d", DOMAINS + [comp(4, {1, 2})], ids=repr)
+def test_monomial_rule_yields_the_oracle_escapes(d):
+    # one rule for every monomial step: an automorphism exactly where the
+    # oracle's class rules say so, else the oracle's solved points, in its
+    # order and with its bytes
+    for step in _monomial_steps(d):
+        got = _escapes(step, d)
+        assert (got is None) == automorphism(step, d), step
+        if got is not None:
+            want = _step_escapes(step, d, d.n)
+            assert [z.tobytes() for z in got] == [z.tobytes() for z in want], step
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monomial_equals_the_oracle_multipliers(n):
+    rng = np.random.default_rng(n)
+    steps = [*_monomial_steps(FullSpace(n), range(30)), *(random_step(rng, n) for _ in range(60))]
+    for step in steps:
+        got, want = monomial(step), _monomial_multipliers(step, n)
+        if isinstance(step, Inversion):
+            assert want is None and got == (None, None, (step.axis - 1,))
+            continue
+        assert (got is None) == (want is None), step
+        if want is not None:
+            lam, src, inverted = got
+            assert inverted == ()
+            assert (np.ones(n, dtype=np.complex128) if lam is None else lam).tobytes() \
+                == want[0].tobytes()
+            assert (list(range(n)) if src is None else src) == want[1].tolist()
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,6 +2,8 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
+import typing
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 import hologroup
 from hologroup import NonFinite
 from hologroup.errors import quiet, refuse_non_finite
+from hologroup.words import GeneratorStep
 
 TESTS = os.path.dirname(__file__)
 SRC = os.path.join(TESTS, os.pardir, "src", "hologroup")
@@ -53,6 +56,27 @@ def test_random_generators_are_made_only_by_the_sampled_checks():
     assert _callers("random") == [("homotopy.py", "_sample"),
                                   ("torus.py", "commutes_with_torus"),
                                   ("torus.py", "extract_diagonal")]
+
+
+def _isinstance_classes(tree) -> set:
+    """The words in the class argument of each isinstance call."""
+    return {word for call in ast.walk(tree) if isinstance(call, ast.Call)
+            and ast.unparse(call.func) == "isinstance"
+            for word in re.findall(r"\w+", ast.unparse(call.args[1]))}
+
+
+def test_monomial_steps_are_told_apart_only_in_words():
+    # which steps are monomial maps is stated once, by words.monomial, which
+    # torus and domains read; only words and serialize test for the classes
+    sources = dict(_sources(SRC))
+    tested = {name: sorted(found) for name, tree in sources.items()
+              if name not in ("words.py", "serialize.py")
+              and (found := _isinstance_classes(tree) & {"Diagonal", "Permutation"})}
+    assert tested == {}
+    generators = {c.__name__ for c in typing.get_args(GeneratorStep)}
+    imported = {a.asname or a.name for node in ast.walk(sources["torus.py"])
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert imported & generators == set()
 
 
 def _unused_imports(tree) -> set:
