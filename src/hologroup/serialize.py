@@ -149,7 +149,10 @@ def _as_bounded(v, where: str, what: str = "an axis", limit: int = MAX_DIMENSION
 def _as_number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SceneError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise SceneError(f"{where}: a number has magnitude beyond the float range") from None
 
 
 def parse_complex(v, where: str) -> complex:
@@ -278,7 +281,7 @@ class RawContour:
 def parse_contour(v, where: str) -> RawContour:
     axis = _as_bounded(_want(v, "axis", where), where)
     p = parse_complex_vector(_want(v, "p", where), where + ".p")
-    R = _as_number(_want(v, "R", where), where)
+    R = _as_number(_want(v, "R", where), where + ".R")
     return RawContour(axis, tuple(complex(c) for c in p), R)
 
 

@@ -17,25 +17,23 @@ the multiplier exp(g) is entire and nowhere zero by construction.
 All step and word values are immutable, and every operation is pure:
 only `apply_batch` writes, into memory that the pass calling it owns.
 
-Every step has one evaluation method, `apply_batch(cur, work, jac,
-valid)`. `cur` is a column-major (P, n) batch, in which each coordinate
-is one contiguous column; the step overwrites it with its image and
-returns its Jacobian determinant (an array or a scalar) when `jac` is
-true, else None. numpy works on a contiguous column several times
-faster than on a strided one, and every step reads or writes whole
-coordinates. `work` is a C-ordered (step.work_rows, P) scratch array
-that the step may overwrite; a determinant the step returns may live
-in it, until the next step. `valid` matters only to Inversion: when it
-is None a zero coordinate raises SingularPoint, otherwise the singular
-rows get NaN and are cleared in `valid`.
+Every step has one evaluation method, `apply_batch(cur, work, jac)`.
+`cur` is a column-major (P, n) batch, in which each coordinate is one
+contiguous column; the step overwrites it with its image and returns its
+Jacobian determinant (an array or a scalar) when `jac` is true, else
+None. numpy works on a contiguous column several times faster than on a
+strided one, and every step reads or writes whole coordinates. `work` is
+a C-ordered (step.work_rows, P) scratch array that the step may
+overwrite; a determinant the step returns may live in it, until the next
+step. An Inversion that meets a zero coordinate raises SingularPoint.
 
 `_word_pass` owns the memory of one pass: it copies its input once into
 the column-major array it returns, sizes one `work` array for the
 largest need among the steps, and hands both to every step in turn.
-Diagonal multiplies `cur` in place and needs no scratch. Of the steps
-only Inversion allocates arrays of P values (its zero mask, determinant
-and singular rows), so a wide pass reuses the same pages from step to
-step instead of faulting in new ones. Each pass returns new arrays that
+Diagonal and Inversion work on `cur` in place and need no scratch. Of
+the steps only Inversion allocates arrays of P values, for its
+determinant when `jac`, so a wide pass reuses the same pages from step
+to step instead of faulting in new ones. Each pass returns new arrays that
 share no memory with its input, with an earlier result or with any
 buffer a later pass writes; nothing outlives the call. Overflow, 0 * inf
 and division by zero inside the pass give inf or NaN without a warning;
@@ -109,8 +107,7 @@ class Overshear:
         exp(g) * z_axis."""
         return 2 + _kernels.work_rows(self._tables[0])
 
-    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool,
-                    valid: Optional[np.ndarray]):
+    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool):
         _kernels.poly_eval(*self._tables, cur, out=work[:2], work=work[2:])
         fv, gv, z = work[0], work[1], cur[:, self.axis - 1]
         if self.g.is_zero:
@@ -163,8 +160,7 @@ class Permutation:
         """The 0-based coordinate that moves to each slot."""
         return np.argsort(self.perm).tolist()
 
-    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool,
-                    valid: Optional[np.ndarray]):
+    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool):
         for j, source in enumerate(self._sources):
             work[j] = cur[:, source]
         cur[...] = work[:len(self.perm)].T
@@ -200,8 +196,7 @@ class Diagonal:
         lam.setflags(write=False)
         return lam
 
-    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool,
-                    valid: Optional[np.ndarray]):
+    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool):
         np.multiply(cur, self._multipliers, out=cur)
         return complex(np.prod(self._multipliers)) if jac else None
 
@@ -259,8 +254,7 @@ class Linear:
 
     work_rows = dim  # the image, one row per coordinate
 
-    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool,
-                    valid: Optional[np.ndarray]):
+    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool):
         # the product rounds as `cur @ A.T` does only when it is written
         # row-major, so it goes to `work` as a (P, n) array and is copied back
         image = work[:cur.shape[1]].reshape(cur.shape)
@@ -286,31 +280,18 @@ class Inversion:
         if self.axis < 1:
             raise ValueError("axis must be a positive coordinate index")
 
-    work_rows = 1  # the reciprocals
+    work_rows = 0  # the column is divided in place
 
     @property
     def dim(self) -> Optional[int]:
         return None  # compatible with any n >= axis
 
-    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool,
-                    valid: Optional[np.ndarray]):
-        a = self.axis - 1
-        col = cur[:, a]
-        zero = col == 0
-        # rows singular at an earlier step are not divided and keep their values
-        skip = zero if valid is None else zero | ~valid
-        singular = skip.any()
-        if singular:
-            if valid is None:
-                raise SingularPoint(f"inversion of coordinate {self.axis} at value 0")
-            valid &= ~zero
-            keep = np.where(zero, np.nan, cur[:, a])[skip]
-            col = np.where(skip, 1.0, col)
+    def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool):
+        col = cur[:, self.axis - 1]
+        if not col.all():
+            raise SingularPoint(f"inversion of coordinate {self.axis} at value 0")
         det = -1.0 / col ** 2 if jac else None
-        np.divide(1.0, col, out=work[0])
-        cur[:, a] = work[0]
-        if singular:
-            cur[skip, a] = keep
+        np.divide(1.0, col, out=col)
         return det
 
     def inverse(self) -> tuple:
@@ -383,32 +364,29 @@ def eval_word(word: Word, z) -> np.ndarray:
     return eval_word_batch(word, z.reshape(1, -1))[0]
 
 
-def _word_pass(word: Word, pts, jac: bool = False, masked: bool = False):
-    """The one evaluation pass: (images, det, valid) on a (P, n) batch,
-    with the images column-major.
-
-    det is the Jacobian determinant when `jac`, valid the mask of rows
-    that met no singular inversion when `masked`; each is None otherwise.
-    Without `masked` the first inversion that meets zero raises. Images
-    and det are meaningful only on valid rows.
+def _word_pass(word: Word, pts, jac: bool = False):
+    """The one evaluation pass: (images, det) on a (P, n) batch, with the
+    images column-major and det the Jacobian determinant when `jac`, else
+    None. The first inversion that meets zero raises SingularPoint. Every
+    evaluation runs here: `eval_word_batch_masked` is a driver that hands
+    this pass one step at a time and evaluates nothing itself.
     """
     images = _as_batch(pts)
     if images.shape[1] != word.n:
         raise DimensionMismatch(f"points have {images.shape[1]} coordinates, word has {word.n}")
     det = np.ones(images.shape[0], dtype=np.complex128) if jac else None
-    valid = np.ones(images.shape[0], dtype=bool) if masked else None
     if not word.steps:
-        return images, det, valid
+        return images, det
     rows = 0
     for step in word.steps:
         rows = max(rows, step.work_rows)
     work = np.empty((rows, images.shape[0]), dtype=np.complex128)
     with quiet():
         for step in word.steps:
-            d = step.apply_batch(images, work, jac, valid)
+            d = step.apply_batch(images, work, jac)
             if jac:
                 det *= d
-    return images, det, valid
+    return images, det
 
 
 def eval_word_batch(word: Word, pts) -> np.ndarray:
@@ -419,10 +397,23 @@ def eval_word_batch(word: Word, pts) -> np.ndarray:
 def eval_word_batch_masked(word: Word, pts) -> tuple[np.ndarray, np.ndarray]:
     """Like eval_word_batch but flags singular points instead of raising.
 
-    Returns (images, valid) where invalid rows hold NaN in the
-    coordinate that hit an inversion at zero.
+    Returns (images, valid) where invalid rows hold NaN in the coordinate
+    that hit an inversion at zero. This driver evaluates nothing itself: it
+    hands `_word_pass` one step at a time, and before each inversion it
+    marks the rows that are zero there invalid, writes NaN into that
+    coordinate and passes on only the rows still valid. Invalid rows go
+    through every other step, and a later inversion leaves them as they are.
     """
-    images, _, valid = _word_pass(word, pts, masked=True)
+    images = _word_pass(Word(word.n), pts)[0]
+    valid = np.ones(images.shape[0], dtype=bool)
+    for step in word.steps:
+        rows = slice(None)
+        if isinstance(step, Inversion):
+            zero = images[:, step.axis - 1] == 0
+            images[zero, step.axis - 1] = np.nan
+            valid &= ~zero
+            rows = valid
+        images[rows] = _word_pass(Word(word.n, (step,)), images[rows])[0]
     return images, valid
 
 

@@ -334,6 +334,45 @@ def test_oversized_exponent_entry_exits_1(tmp_path):
                    "an entry has magnitude 2^63 or more\n")
 
 
+# float() of each ended the CLI in "OverflowError: int too large to convert
+# to float", with a traceback
+BEYOND_FLOAT = 10 ** 400
+TERM = {"exponents": [1, 0], "re": 1.0, "im": 0.0}
+BEYOND_FLOAT_FIELDS = [
+    ({"contours": {"c": {"axis": 1, "p": [[1.0, 0.0], [1.0, 0.0]], "R": BEYOND_FLOAT}}},
+     "contours.c.R"),
+    ({"contours": {"c": {"axis": 1, "p": [[1.0, 0.0], [BEYOND_FLOAT, 0.0]], "R": 1.0}}},
+     "contours.c.p"),
+    ({"words": {"w": {"n": 2, "steps": [{"type": "overshear", "axis": 2, "g": [],
+                                         "f": [{**TERM, "re": BEYOND_FLOAT}]}]}}},
+     "words.w.steps[0].f"),
+    ({"words": {"w": {"n": 2, "steps": [{"type": "overshear", "axis": 2, "f": [],
+                                         "g": [{**TERM, "im": -BEYOND_FLOAT}]}]}}},
+     "words.w.steps[0].g"),
+    ({"words": {"w": {"n": 2, "steps": [{"type": "diagonal",
+                                         "lambda": [[1.0, 0.0], [0.0, BEYOND_FLOAT]]}]}}},
+     "words.w.steps[0]"),
+    ({"words": {"w": {"n": 2, "steps": [{"type": "linear", "matrix": [
+        [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-BEYOND_FLOAT, 0.0]]]}]}}},
+     "words.w.steps[0]"),
+    ({"paths": {"q": {"type": "transposition", "n": 2, "j": 1, "k": 2,
+                      "bump": {"table": [0.0, BEYOND_FLOAT, 0.0]}}}},
+     "paths.q.bump"),
+]
+
+
+@pytest.mark.parametrize("scene,where", BEYOND_FLOAT_FIELDS,
+                         ids=["R", "p", "re", "im", "lambda", "matrix", "table"])
+def test_scene_number_beyond_the_float_range_exits_1(tmp_path, scene, where):
+    path = tmp_path / "beyond.json"
+    path.write_text(json.dumps({"domain": {"kind": "complement", "n": 2, "deleted": [1]},
+                                **scene}), encoding="utf-8")
+    code, out, err = run("classify", scene=str(path))
+    assert code == 1 and out == ""
+    assert err == (f"input error: scene.{where}: "
+                   "a number has magnitude beyond the float range\n")
+
+
 # each printed the whole number on one stderr line, of some 4,400 bytes, or
 # failed to format it: two such exponents sum past Python's 4,300-digit limit
 NINES = 10 ** 4300 - 1

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -56,6 +57,15 @@ def test_random_generators_are_made_only_by_the_sampled_checks():
     assert _callers("random") == [("homotopy.py", "_sample"),
                                   ("torus.py", "commutes_with_torus"),
                                   ("torus.py", "extract_diagonal")]
+
+
+def test_every_step_applies_without_a_mask():
+    # one mode per step: singular rows are the masked driver's business, so
+    # no step takes a mask and the strict inversion alone raises SingularPoint
+    for cls in typing.get_args(GeneratorStep):
+        assert list(inspect.signature(cls.apply_batch).parameters) == \
+            ["self", "cur", "work", "jac"], cls.__name__
+    assert _callers("SingularPoint") == [("words.py", "apply_batch")]
 
 
 def _isinstance_classes(tree) -> set:

@@ -229,3 +229,20 @@ def test_result_deterministic():
     a = winding_index(w, contour())
     b = winding_index(w, contour())
     assert (a.index, a.raw, a.samples_used) == (b.index, b.raw, b.samples_used)
+
+
+# open defects, each pinned on the input that shows it; the reason names the
+# ROADMAP items that are to decide it
+
+@pytest.mark.xfail(strict=True, raises=ZeroOnContour,
+                   reason="ROADMAP items 2 and 3: every sample of a contour of "
+                          "radius 1e-14 is below ZERO_TOL")
+def test_identity_on_a_tiny_contour_has_index_1():
+    assert winding_index(Word.identity(2), contour(R=1e-14)).index == 1
+
+
+@pytest.mark.xfail(strict=True, raises=ZeroOnContour,
+                   reason="ROADMAP items 2 and 3: 1 / z1 on a contour of radius "
+                          "1e200 is below ZERO_TOL")
+def test_inversion_on_a_huge_contour_has_index_minus_1():
+    assert winding_index(Word(2, (Inversion(1),)), contour(R=1e200)).index == -1

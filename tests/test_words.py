@@ -429,7 +429,7 @@ def _exp_path_pass(word, pts):
         else:
             cur = cur.copy()
             work = np.empty((step.work_rows, len(cur)), dtype=np.complex128)
-            d = step.apply_batch(cur, work, True, None)
+            d = step.apply_batch(cur, work, True)
         det *= d
     return cur, det
 
