@@ -19,9 +19,12 @@ Certification is empirical on one compact set per call: endpoint
 errors, the least |det| over the grid and the sample points, worst
 inverse residual, and a modulus of continuity in t.
 
-Both checks walk their time grid in blocks of BLOCK_TIMES times and
-evaluate each block in closed form, without building a Word per time,
-as (T, P, k) arrays of only the k coordinates that the path moves
+Both checks walk their time grid in blocks of BLOCK_TIMES times through
+one workspace per call: `_evaluator` allocates its (T, P) arrays once,
+each block writes into them with `out=`, and the arrays that `evaluate`
+returns are valid until its next call, so callers copy what they keep.
+Each block is evaluated in closed form, without a Word per time, as
+(T, P, k) arrays of only the k coordinates that the path moves
 (`_moving`), since every other coordinate of an image is the point's
 own. For an overshear path that is its axis alone. f(z) and g(z) are
 evaluated once per call from the step's own table and scaled per time:
@@ -42,10 +45,11 @@ determinants and inverses. `tests/oracles.py` keeps the per-time
 reference of both families. Grids are capped at MAX_GRID_TIMES times
 (BudgetExhausted). Blocks are computed under `errors.quiet()`, so
 overflow, 0 * inf and division by zero give inf or NaN without a
-warning; a time whose |det|, residual or jump is then not finite
-(exp((1-t) g) overflowed) is refused with NonFinite, "|det| is nan at
-t = 0.1, which is not finite", rather than reported as a finite-looking
-extremum.
+warning; the earliest time whose |det|, residual or jump is then not
+finite (exp((1-t) g) overflowed) is refused with NonFinite, "|det| is
+nan at t = 0.1, which is not finite", |det| before the residual, rather
+than reported as a finite-looking extremum. An f(z) or g(z) that is not
+finite at a sample point is refused there, before any time.
 """
 
 from __future__ import annotations
@@ -63,9 +67,9 @@ BUMP_ENDPOINT_TOL = 1e-12
 BUMP_MIDPOINT_TOL = 1e-12
 CERTIFY_POINTS = 100
 DEFAULT_CERTIFY_SEED = 42
-# Times evaluated together. A block's (T, P, k) arrays stay small: 256
-# times ran faster but raised the CLI's peak RSS by about 10%.
-BLOCK_TIMES = 32
+# Times evaluated together, in one workspace per call. At 96 the CLI's peak
+# RSS is 37.1 MB, 1.2% above 32 times; 128 was no faster and added 2.2%.
+BLOCK_TIMES = 96
 # Most grid times one certify_path or continuity_modulus call may walk.
 MAX_GRID_TIMES = 10 ** 6
 
@@ -195,22 +199,23 @@ def _moving(path: HomotopyPath) -> list:
     return [path.j - 1, path.k - 1]
 
 
-def _polar(mod: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """mod * (c + i s), written through the real and imaginary views."""
-    out = np.empty(mod.shape, dtype=np.complex128)
+def _polar(mod: np.ndarray, c: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = mod * (c + i s), written through its real and imaginary views."""
     np.multiply(mod, c, out=out.real)
     np.multiply(mod, s, out=out.imag)
     return out
 
 
-def _evaluator(path: HomotopyPath, pts: np.ndarray):
-    """Return evaluate(times, certify) -> (images, dets, residuals).
+def _evaluator(path: HomotopyPath, pts: np.ndarray, rows: int):
+    """Return evaluate(times, certify) -> (images, dets, residuals) for
+    blocks of at most `rows` times.
 
     images is (T, P, k): the coordinates `_moving(path)` of the path at
     each of a block of times, applied to the (P, n) points. With
     `certify`, dets and residuals are (T,): per time, the least |det| of
     the Jacobian over the points and the largest |inverse(image) -
-    point|; else both are None.
+    point|; else both are None. images is a view of the evaluator's
+    workspace, valid until the next call.
 
     An overshear block takes cos and sin of (1-t) Im g once and builds
     exp((1-t) g) and exp(-(1-t) g) from them and the real exps of
@@ -220,40 +225,54 @@ def _evaluator(path: HomotopyPath, pts: np.ndarray):
     """
     if isinstance(path, OvershearPath):
         f, g = _kernels.poly_eval(*path.target._tables, pts)
+        for name, values in (("f(z)", f), ("g(z)", g)):
+            refuse_non_finite(values, f"the overshear's {name}", lambda i: f"z {pts[i]}")
         gr, gi = g.real.copy(), g.imag.copy()
         zs = pts[:, path.target.axis - 1]
+        real = np.empty((4, rows, len(pts)))
+        cplx = np.empty((3, rows, len(pts)), dtype=np.complex128)
 
         def evaluate(times, certify):
+            phase, c, s, mod = real[:, :len(times)]
+            fv, ws, back = cplx[:, :len(times)]
             scale = (1.0 - times)[:, None]
-            phase = scale * gi
-            c, s = np.cos(phase), np.sin(phase)
-            exponent = scale * gr
-            mod = np.exp(exponent)
-            fv = scale * f
-            ws = fv + _polar(mod, c, s) * zs
+            np.cos(np.multiply(scale, gi, out=phase), out=c)
+            np.sin(phase, out=s)
+            np.exp(np.multiply(scale, gr, out=phase), out=mod)
+            np.multiply(scale, f, out=fv)
+            np.add(fv, np.multiply(_polar(mod, c, s, ws), zs, out=ws), out=ws)
             if not certify:
                 return ws[:, :, None], None, None
-            back = _polar(np.exp(-exponent), c, -s) * (ws - fv)
-            return ws[:, :, None], np.min(mod, axis=1), np.max(np.abs(back - zs), axis=1)
+            np.exp(np.negative(phase, out=phase), out=phase)
+            _polar(phase, c, np.negative(s, out=s), back)
+            np.multiply(back, np.subtract(ws, fv, out=fv), out=back)
+            np.abs(np.subtract(back, zs, out=back), out=c)
+            return ws[:, :, None], np.min(mod, axis=1), np.max(c, axis=1)
         return evaluate
 
     zs = pts[:, _moving(path)]
+    mats = np.empty((rows, 2, 2), dtype=np.complex128)
+    cplx = np.empty((2, rows) + zs.shape, dtype=np.complex128)
+    size = np.empty((rows, zs.size))
 
     def evaluate(times, certify):
+        m = mats[:len(times)]
+        images, back = cplx[:, :len(times)]
         s = 1.0 - times
-        m = np.empty(times.shape + (2, 2), dtype=np.complex128)
         m[:, 0, 0] = times
         m[:, 0, 1] = s
         m[:, 1, 0] = s + 1j * path.bump(times)
         m[:, 1, 1] = times
         check_invertible(m)
-        images = zs @ m.transpose(0, 2, 1)
+        np.matmul(zs, m.transpose(0, 2, 1), out=images)
         if not certify:
             return images, None, None
         # the rows of inv(m) have m's row norms over |det|, so its row-normalised
         # |det| is m's, which check_invertible(m) has already bounded
-        back = images @ np.linalg.inv(m).transpose(0, 2, 1)
-        return images, np.abs(np.linalg.det(m)), np.max(np.abs(back - zs), axis=(1, 2))
+        np.matmul(images, np.linalg.inv(m).transpose(0, 2, 1), out=back)
+        resid = size[:len(times)]
+        np.abs(np.subtract(back, zs, out=back).reshape(resid.shape), out=resid)
+        return images, np.abs(np.linalg.det(m)), np.max(resid, axis=1)
     return evaluate
 
 
@@ -278,18 +297,20 @@ def certify_path(path: HomotopyPath, grid_size: int, sample_radius: float,
         raise OutOfRange(f"grid must have at least 2 points, got {grid_size}")
     _check_budget(grid_size, "the grid")
     pts = _sample(path, sample_radius, seed)
-    first = None
     min_det, max_resid = np.inf, 0.0
     with quiet():
-        evaluate = _evaluator(path, pts)
-        for times in _blocks(np.linspace(0.0, 1.0, grid_size)):
+        evaluate = _evaluator(path, pts, min(BLOCK_TIMES, grid_size))
+        for b, times in enumerate(_blocks(np.linspace(0.0, 1.0, grid_size))):
             images, dets, resids = evaluate(times, True)
-            if first is None:
-                first = images[0]
+            if b == 0:
+                first = images[0].copy()
+            # refuse the earliest time at which either is not finite, |det| first
+            upto = np.argmin(np.isfinite(dets) & np.isfinite(resids)) + 1
             at = lambda i: f"t = {times[i]}"
-            min_det = np.minimum.reduce(refuse_non_finite(dets, "|det|", at), initial=min_det)
-            max_resid = np.maximum.reduce(
-                refuse_non_finite(resids, "the inverse residual", at), initial=max_resid)
+            refuse_non_finite(dets[:upto], "|det|", at)
+            refuse_non_finite(resids[:upto], "the inverse residual", at)
+            min_det = np.minimum.reduce(dets, initial=min_det)
+            max_resid = np.maximum.reduce(resids, initial=max_resid)
     moving = _moving(path)
     err0 = float(np.max(np.abs(first - eval_word_batch(path_target(path), pts)[:, moving])))
     err1 = float(np.max(np.abs(images[-1] - pts[:, moving])))
@@ -309,18 +330,23 @@ def continuity_modulus(path: HomotopyPath, dt: float, sample_radius: float,
     count = np.floor(1.0 / dt + 1e-9) + 1.0
     _check_budget(count, f"the grid at time step {dt}")
     pts = _sample(path, sample_radius, seed)
+    times = np.minimum(np.arange(int(count)) * dt, 1.0)
+    rows = min(BLOCK_TIMES, len(times))
+    # jumps[r] is images[r] - images[r - 1], and jumps[0] images[0] - prev, the
+    # last image of the block before; the first time has none
+    jumps = np.empty((rows, len(pts) * len(_moving(path))), dtype=np.complex128)
+    size, prev = np.empty(jumps.shape), np.zeros(jumps.shape[1], dtype=np.complex128)
     modulus = 0.0
-    prev = None
     with quiet():
-        evaluate = _evaluator(path, pts)
-        for times in _blocks(np.minimum(np.arange(int(count)) * dt, 1.0)):
-            images = evaluate(times, False)[0]
-            if prev is not None:
-                images = np.concatenate((prev[None], images))
-            jumps = np.max(np.abs(np.diff(images, axis=0)), axis=(1, 2))
-            ends = times[-len(jumps):]
+        evaluate = _evaluator(path, pts, rows)
+        for b, block in enumerate(_blocks(times)):
+            images = evaluate(block, False)[0].reshape(len(block), -1)
+            np.subtract(images[1:], images[:-1], out=jumps[1:len(block)])
+            np.subtract(images[0], prev, out=jumps[0])
+            lo = int(b == 0)
+            sizes = np.max(np.abs(jumps[lo:len(block)], out=size[lo:len(block)]), axis=1)
             modulus = np.maximum.reduce(
-                refuse_non_finite(jumps, "the jump", lambda i: f"t = {ends[i]}"),
+                refuse_non_finite(sizes, "the jump", lambda i: f"t = {block[lo + i]}"),
                 initial=modulus)
-            prev = images[-1]
+            prev[...] = images[-1]
     return float(modulus)

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from hologroup import cli
+from hologroup import cli, homotopy
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "scenes", "demo.json")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -100,6 +100,9 @@ def aux_scene(tmp_path_factory):
             "blowup": {"type": "overshear", "n": 2, "axis": 2,
                        "f": [{"exponents": [1, 0], "re": 1.0, "im": 0.0}],
                        "g": [{"exponents": [1, 0], "re": 400.0, "im": 0.0}]},
+            # g(z) = 1e308i z1 is not finite at some sample points
+            "huge_g": {"type": "overshear", "n": 2, "axis": 2, "f": [],
+                       "g": [{"exponents": [1, 0], "re": 0.0, "im": 1e308}]},
             # three terms in each of f and g, all finite
             "fg": {"type": "overshear", "n": 2, "axis": 2,
                    "f": [{"exponents": [1, 0], "re": 0.5, "im": -0.25},
@@ -666,6 +669,23 @@ AUX_GOLDEN = [
 def test_aux_scene_golden(argv, expected, aux_scene, capsys):
     assert cli.main([*argv, "--scene", aux_scene]) == 0
     assert capsys.readouterr().out == expected + "\n"
+
+
+# the refusal named |det| at t = 1.0 at grid 11, and the inverse residual at
+# t = 0.0 at grid 33, since a block checked every |det| before any residual
+# and the place that failed first depended on the block size
+HUGE_G_MESSAGE = ("the overshear's g(z) is (8.630392279382267e+305-infj) at z "
+                  "[-1.85319108-0.00863039j  1.03277691+1.31257151j], which is not finite")
+
+
+@pytest.mark.parametrize("block", [1, homotopy.BLOCK_TIMES], ids=["block 1", "default block"])
+@pytest.mark.parametrize("grid", ["11", "33"])
+def test_non_finite_g_is_refused_where_it_is_evaluated(grid, block, aux_scene, monkeypatch):
+    monkeypatch.setattr(homotopy, "BLOCK_TIMES", block)
+    code, out, err = run("homotopy-certify", "--path", "huge_g", "--grid", grid, scene=aux_scene)
+    assert code == 2
+    assert json.loads(out) == {"error": "NonFinite", "message": HUGE_G_MESSAGE}
+    assert err == f"error: {HUGE_G_MESSAGE}\n"
 
 
 # oversized work and unusable sampling radii are refused before any

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -245,12 +246,49 @@ def test_block_evaluation_equals_per_time_words(name):
         assert abs(got - continuity_modulus_per_time(path, dt, 1.5, seed=7)) <= tol
 
 
+@pytest.mark.parametrize("name", sorted(bit_identity_paths()))
+def test_results_do_not_depend_on_the_block_size(name, monkeypatch):
+    # one time per block, a partial last block and a single block give the
+    # default's bits: a workspace row kept past the next block (certify's
+    # first image, continuity's previous one) would show here
+    path = bit_identity_paths()[name]
+
+    def reports():
+        fields = [v for grid in (2, 33, 1001) for v in astuple(certify_path(path, grid, 1.5, 7))]
+        fields += [continuity_modulus(path, dt, 1.5, 7) for dt in (1.0, 1.0 / 257, 1e-3)]
+        return [float(v).hex() for v in fields]
+
+    want = reports()
+    for block in (1, 7, 1001):
+        monkeypatch.setattr(homotopy, "BLOCK_TIMES", block)
+        assert reports() == want, f"BLOCK_TIMES = {block}"
+
+
+def _traced_peak(run, size) -> int:
+    tracemalloc.start()
+    try:
+        run(size)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", sorted(bit_identity_paths()))
+def test_memory_grows_with_the_workspace_not_the_grid(name):
+    # ten times the grid adds only its time array, not its images
+    path = bit_identity_paths()[name]
+    for run in (lambda size: certify_path(path, size, 1.5),
+                lambda size: continuity_modulus(path, 1.0 / (size - 1), 1.5)):
+        run(1001)
+        assert _traced_peak(run, 10001) <= _traced_peak(run, 1001) + 128 * 1024
+
+
 @pytest.mark.parametrize("name,moved", [("overshear-fg", 1), ("transposition-wide", 2)])
 def test_evaluator_returns_only_the_moved_coordinates(name, moved):
     # a transposition of z2 and z4 in C^5 gives (T, P, 2), not (T, P, 5)
     path = bit_identity_paths()[name]
     pts = sample_polydisc(path.n, CERTIFY_POINTS, 1.5, np.random.default_rng(7))
-    images, dets, resids = homotopy._evaluator(path, pts)(np.linspace(0.0, 1.0, 7), True)
+    images, dets, resids = homotopy._evaluator(path, pts, 7)(np.linspace(0.0, 1.0, 7), True)
     assert images.shape == (7, CERTIFY_POINTS, moved)
     assert dets.shape == resids.shape == (7,)
 
@@ -339,3 +377,16 @@ def test_huge_bump_is_refused_as_non_finite():
     with pytest.raises(NonFinite, match=r"^\|det\| is nan at t = 0\.1, "
                                         r"which is not finite$"):
         certify_path(path, 11, 2.0)
+
+
+@pytest.mark.parametrize("block", [1, 7, homotopy.BLOCK_TIMES])
+def test_the_earliest_non_finite_time_is_refused(block, monkeypatch):
+    # the residual overflows from t = 0.4, where the bump nears 8e307 on the
+    # radius-3 polydisc, and |det| is NaN from t = 0.7, where interpolating
+    # down to -1e308 overflows; a block checked every |det| before any
+    # residual, so one block of the 11 times named |det| at t = 0.7
+    monkeypatch.setattr(homotopy, "BLOCK_TIMES", block)
+    bump = BumpFunction("table", (0.0, 2e307, 4e307, 6e307, 8e307, 8e307, -1e308, 0.0, 0.0))
+    with pytest.raises(NonFinite, match=r"^the inverse residual is nan at t = 0\.4, "
+                                        r"which is not finite$"):
+        certify_path(swap_path(bump), 11, 3.0)
