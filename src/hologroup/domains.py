@@ -223,7 +223,7 @@ def _majorant(step, m: np.ndarray) -> np.ndarray:
     inversion."""
     if isinstance(step, Overshear):
         exps, coeffs = step._tables
-        f, g = _kernels.poly_eval(exps, np.abs(coeffs), m[None, :])[:, 0].real
+        f, g = _kernels.poly_eval(exps, np.abs(coeffs), m[None, :], plan=step._plan)[:, 0].real
         out = m.copy()
         out[step.axis - 1] = f + np.exp(g) * m[step.axis - 1]
         return out

@@ -96,7 +96,7 @@ def refuse_non_finite(values: np.ndarray, what: str, place):
     or infinite: then NonFinite "`what` is V at `place(i)`, which is not
     finite" names the first such row i and its value V."""
     finite = np.isfinite(values)
-    if not finite.all():
+    if not np.logical_and.reduce(finite, axis=None):
         i = int(np.flatnonzero(~finite.reshape(len(values), -1).all(axis=1))[0])
         raise NonFinite(f"{what} is {values[i]} at {place(i)}, which is not finite")
     return values

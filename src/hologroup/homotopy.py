@@ -114,7 +114,14 @@ class BumpFunction:
             # sin(pi * 1.0) is 1.2e-16
             return np.sin(np.pi * np.minimum(t, 1.0 - t))
         knots = np.linspace(0.0, 1.0, len(self.table))
-        return np.interp(t, knots, self.table)
+        values = np.interp(t, knots, self.table)
+        if np.isfinite(values).all():
+            return values
+        # np.interp's slope overflows where neighbours differ by more than the
+        # float range times the spacing; (1 - w) y_j + w y_j+1 does not
+        j = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+        w, y = (t - knots[j]) / (knots[j + 1] - knots[j]), np.array(self.table)
+        return np.where(np.isfinite(values), values, (1.0 - w) * y[j] + w * y[j + 1])
 
 
 SIN_BUMP = BumpFunction("sin")
@@ -224,7 +231,7 @@ def _evaluator(path: HomotopyPath, pts: np.ndarray, rows: int):
     (z_j, z_k), applied to those two coordinates of the points.
     """
     if isinstance(path, OvershearPath):
-        f, g = _kernels.poly_eval(*path.target._tables, pts)
+        f, g = _kernels.poly_eval(*path.target._tables, pts, plan=path.target._plan)
         for name, values in (("f(z)", f), ("g(z)", g)):
             refuse_non_finite(values, f"the overshear's {name}", lambda i: f"z {pts[i]}")
         gr, gi = g.real.copy(), g.imag.copy()

@@ -19,7 +19,10 @@ is taken of it.
 The start samples are fixed module arrays: the INITIAL_SAMPLES + 1
 angles (with the closing 2*pi knot) and their points on the unit
 circle, computed once at import as `np.linspace` and `np.exp` compute
-them, and read-only, since every call shares them.
+them, and read-only, since every call shares them. The tracker calls
+the ufuncs that `np.angle`, `np.sum`, `np.flatnonzero` and `.min()` are
+defined as, with the same bits and without their Python-level set-up,
+which on 64 samples costs about as much as the arithmetic.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ def _points(c: ContourSpec, circle: np.ndarray) -> np.ndarray:
 def _profile(w: Word, c: ContourSpec, thetas: np.ndarray, circle: np.ndarray) -> np.ndarray:
     values = eval_word_batch(w, _points(c, circle))[:, c.axis - 1]
     refuse_non_finite(values, "the output coordinate", lambda i: f"theta {thetas[i]}")
-    if np.abs(values).min() < ZERO_TOL:
+    if np.minimum.reduce(np.abs(values)) < ZERO_TOL:
         raise ZeroOnContour(
             "output coordinate vanishes on the contour; "
             "the word is not an automorphism of this domain")
@@ -137,8 +140,8 @@ def winding_index(w: Word, c: ContourSpec) -> IndexResult:
             quotients = refuse_non_finite(
                 values[1:] / values[:-1], "the quotient of the output coordinate by "
                 "its previous sample", lambda i: f"theta {thetas[i + 1]}")
-            increments = np.angle(quotients)
-            coarse = np.flatnonzero(np.abs(increments) >= REFINE_ANGLE)
+            increments = np.arctan2(quotients.imag, quotients.real)
+            coarse = (np.abs(increments) >= REFINE_ANGLE).nonzero()[0]
             if coarse.size == 0:
                 break
             if used + coarse.size > MAX_SAMPLES:
@@ -148,7 +151,7 @@ def winding_index(w: Word, c: ContourSpec) -> IndexResult:
             new = _profile(w, c, mids, np.exp(1j * mids))
             thetas, values = _insert_after(thetas, coarse, mids), _insert_after(values, coarse, new)
             used += coarse.size
-    raw = float(np.sum(increments) / (2.0 * np.pi))
+    raw = float(np.add.reduce(increments) / (2.0 * np.pi))
     return IndexResult(index=int(round(raw)), raw=raw, samples_used=used)
 
 

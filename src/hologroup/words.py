@@ -16,6 +16,11 @@ f and g are polynomials that must not involve the overshear axis, so
 the multiplier exp(g) is entire and nowhere zero by construction.
 All step and word values are immutable, and every operation is pure:
 only `apply_batch` writes, into memory that the pass calling it owns.
+So a step keeps what it derives, computed on first use: an overshear its
+term tables and their kernel plan, a permutation its sources, a diagonal
+its multipliers, each step its `inverse` steps, and a word its pass's
+`work_rows`. Every caller may share them, as none of them is written; a
+refused inverse is not kept, and is refused again on every call.
 
 Every step has one evaluation method, `apply_batch(cur, work, jac)`.
 `cur` is a column-major (P, n) batch, in which each coordinate is one
@@ -102,13 +107,17 @@ class Overshear:
         return exps, coeffs
 
     @cached_property
+    def _plan(self) -> tuple:
+        return _kernels._plan_of(self._tables[0])
+
+    @cached_property
     def work_rows(self) -> int:
         """f and g, then the kernel's rows, the first of which then takes
         exp(g) * z_axis."""
         return 2 + _kernels.work_rows(self._tables[0])
 
     def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool):
-        _kernels.poly_eval(*self._tables, cur, out=work[:2], work=work[2:])
+        _kernels.poly_eval(*self._tables, cur, out=work[:2], work=work[2:], plan=self._plan)
         fv, gv, z = work[0], work[1], cur[:, self.axis - 1]
         if self.g.is_zero:
             # kept for speed: every overshear with f and g inverts through such a step.
@@ -120,6 +129,7 @@ class Overshear:
         np.add(fv, np.multiply(hv, z, out=work[2]), out=z)
         return hv if jac else None
 
+    @cached_property
     def inverse(self) -> tuple:
         # (y - f) * exp(-g) is not overshear-shaped in one step unless
         # f or g vanishes, so split into a translation and a scaling.
@@ -166,6 +176,7 @@ class Permutation:
         cur[...] = work[:len(self.perm)].T
         return complex(self.sign) if jac else None
 
+    @cached_property
     def inverse(self) -> tuple:
         return (Permutation(tuple(source + 1 for source in self._sources)),)
 
@@ -200,6 +211,7 @@ class Diagonal:
         np.multiply(cur, self._multipliers, out=cur)
         return complex(np.prod(self._multipliers)) if jac else None
 
+    @cached_property
     def inverse(self) -> tuple:
         return (Diagonal(tuple(1.0 / v for v in self.lam)),)
 
@@ -262,6 +274,7 @@ class Linear:
         cur[...] = image
         return self._det if jac else None
 
+    @cached_property
     def inverse(self) -> tuple:
         try:
             inv = np.linalg.inv(self.matrix)
@@ -288,12 +301,13 @@ class Inversion:
 
     def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool):
         col = cur[:, self.axis - 1]
-        if not col.all():
+        if not np.logical_and.reduce(col):
             raise SingularPoint(f"inversion of coordinate {self.axis} at value 0")
         det = -1.0 / col ** 2 if jac else None
         np.divide(1.0, col, out=col)
         return det
 
+    @property
     def inverse(self) -> tuple:
         return (self,)
 
@@ -343,6 +357,10 @@ class Word:
                 raise DimensionMismatch(
                     f"inversion axis {step.axis} exceeds dimension {self.n}")
 
+    @cached_property
+    def work_rows(self) -> int:
+        return max([step.work_rows for step in self.steps], default=0)
+
     @staticmethod
     def identity(n: int) -> "Word":
         return Word(n, ())
@@ -377,10 +395,7 @@ def _word_pass(word: Word, pts, jac: bool = False):
     det = np.ones(images.shape[0], dtype=np.complex128) if jac else None
     if not word.steps:
         return images, det
-    rows = 0
-    for step in word.steps:
-        rows = max(rows, step.work_rows)
-    work = np.empty((rows, images.shape[0]), dtype=np.complex128)
+    work = np.empty((word.work_rows, images.shape[0]), dtype=np.complex128)
     with quiet():
         for step in word.steps:
             d = step.apply_batch(images, work, jac)
@@ -431,10 +446,7 @@ def invert_word(word: Word) -> Word:
     steps (subtract f, then scale by exp(-g)); every other generator
     inverts to a single step.
     """
-    inv_steps = []
-    for step in reversed(word.steps):
-        inv_steps.extend(step.inverse())
-    return Word(word.n, tuple(inv_steps))
+    return Word(word.n, tuple(s for step in reversed(word.steps) for s in step.inverse))
 
 
 def jacobian_det(word: Word, z) -> complex:

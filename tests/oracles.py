@@ -37,7 +37,7 @@ from hologroup import (CentralizerVerdict, CentralizerWitness, CertificationRepo
                        invert_word, jacobian_det_batch, path_target, sample_points,
                        sample_polydisc)
 from hologroup import _kernels
-from hologroup.errors import quiet
+from hologroup.errors import quiet, refuse_non_finite
 from hologroup.homotopy import CERTIFY_POINTS, DEFAULT_CERTIFY_SEED
 from hologroup.torus import COMMUTE_TOL, DIAG_RATIO_TOL
 from hologroup.winding import ContourSpec, contour_points
@@ -477,14 +477,17 @@ def preserves_structural(w: Word, d) -> PreservationVerdict:
 
 def extract_diagonal_sampled(w: Word, seed: int) -> np.ndarray:
     """extract_diagonal by sampling, for every word: the orbit ratio at one
-    seeded point, checked at 32 more and by a dependence probe."""
+    seeded point, checked at 32 more and by a dependence probe. A ratio
+    that is not finite is refused first, as extract_diagonal refuses it."""
     rng = np.random.default_rng(seed)
     n = w.n
     r = rng.uniform(0.5, 1.5, size=(33, n))
     ang = rng.uniform(0.0, 2.0 * np.pi, size=(33, n))
     pts = r * np.exp(1j * ang)
     images = eval_word_batch(w, pts)
-    ratios = images / pts
+    with quiet():
+        ratios = refuse_non_finite(images / pts, "diagonal extraction: the orbit ratio "
+                                   "w(p) / p", lambda i: f"p {pts[i]}")
     lam = ratios[0]
     drift = np.abs(ratios[1:] - lam[None, :])
     bad = np.flatnonzero(np.max(drift, axis=1) >= DIAG_RATIO_TOL)

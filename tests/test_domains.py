@@ -324,6 +324,25 @@ def test_prefix_that_cannot_be_inverted_is_refused():
         word_preserves_domain(w, comp(2, {1}), 42)
 
 
+def test_a_second_verdict_builds_no_step(monkeypatch):
+    # the prefix before the escaping inversion inverts through the steps'
+    # cached inverses, so a second call builds no Poly, Overshear or Linear
+    # and gives the same verdict and witness bytes
+    f, g = Poly(2, {(1, 0): 0.5}), Poly(2, {(1, 0): 0.25j, (0, 0): 0.1})
+    w = Word(2, (Linear(np.array([[1.0, 2.0], [0.5, 3.0]], dtype=complex)),
+                 Overshear(2, f, g), Inversion(2)))
+    first = word_preserves_domain(w, FullSpace(2), 1)
+    built = []
+    for cls in (Poly, Overshear, Linear):
+        init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, init=init: built.append(self) or init(self))
+    second = word_preserves_domain(w, FullSpace(2), 1)
+    assert not built
+    assert first.preserves is second.preserves is False
+    assert first.witness.tobytes() == second.witness.tobytes()
+
+
 # every solved point (c, 0) of the inversion pulls back through the two
 # diagonals to (c * 1e400, 0), which is not finite; the word is undefined on
 # {z2 = 0}, so the True these pull-backs once left behind was wrong

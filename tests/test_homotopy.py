@@ -372,11 +372,33 @@ def test_overflow_is_refused():
 
 def test_huge_bump_is_refused_as_non_finite():
     # the table's 1e308 overflowed the row norm of check_invertible, which
-    # read the matrix at t = 0.1 as singular (NonInvertibleStep)
+    # read the matrix at t = 0.1 as singular (NonInvertibleStep); then
+    # np.interp's overflowing slope read the bump as NaN there, and |det|
+    # was refused at t = 0.1. The bump is finite, and the round trip of
+    # its 1e308 at t = 0.5 is not
     path = swap_path(BumpFunction("table", (0.0, 1e308, 0.0)))
-    with pytest.raises(NonFinite, match=r"^\|det\| is nan at t = 0\.1, "
+    with pytest.raises(NonFinite, match=r"^the inverse residual is nan at t = 0\.5, "
                                         r"which is not finite$"):
         certify_path(path, 11, 2.0)
+
+
+@pytest.mark.parametrize("table, times, want", [
+    ((0.0, 1e308, 0.0), [0.1], [2e307]),
+    ((0.0, 2e307, 4e307, 6e307, 8e307, 8e307, -1e308, 0.0, 0.0),
+     [0.6875, 0.8125], [-1e307, -5e307]),
+])
+def test_table_bumps_are_finite_where_their_slope_overflows(table, times, want):
+    # np.interp's slope (y[j+1] - y[j]) / dx overflows between these knots,
+    # where it read inf or NaN; the piecewise-linear value is finite
+    bump = BumpFunction("table", table)
+    assert np.allclose(bump(np.array(times)), want, rtol=1e-15, atol=0)
+    assert np.allclose([float(bump(t)) for t in times], want, rtol=1e-15, atol=0)
+    # finite everywhere, and np.interp's bits wherever it is finite
+    t = np.linspace(0.0, 1.0, 1001)
+    got, interp = bump(t), np.interp(t, np.linspace(0.0, 1.0, len(table)), table)
+    finite = np.isfinite(interp)
+    assert np.isfinite(got).all() and not finite.all()
+    assert got[finite].tobytes() == interp[finite].tobytes()
 
 
 @pytest.mark.parametrize("block", [1, 7, homotopy.BLOCK_TIMES])

@@ -170,3 +170,6 @@ def test_slots_give_the_bits_of_new_monomials():
                 work = np.full((_kernels.work_rows(table), size), np.nan, dtype=np.complex128)
                 got = _kernels.poly_eval(table, c, np.asfortranarray(pts), out=out, work=work)
                 assert got is out and _bits(got).tolist() == _bits(want).tolist()
+                # the plan handed in by its owner, not looked up
+                got = _kernels.poly_eval(table, c, pts, plan=_kernels._plan_of(table))
+                assert _bits(got).tolist() == _bits(want).tolist()

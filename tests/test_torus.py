@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hologroup import (Diagonal, DomainNotPreserved, FullSpace,
@@ -349,13 +349,16 @@ def test_exact_extraction_matches_sampled(n, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
+# the word overflows at a sample point: both refuse its orbit ratio as
+# NonFinite before comparing (the oracle had raised NotDiagonal elsewhere)
+@example(n=3, seed=3280004392)
 def test_other_words_keep_the_sampled_extraction(n, seed):
     rng = np.random.default_rng(seed)
     w = compose(offender_word(rng, n), random_word(rng, n, allow_inversion=False))
     try:
         want = extract_diagonal_sampled(w, seed)
-    except NotDiagonal as exc:
-        with pytest.raises(NotDiagonal) as got:
+    except (NotDiagonal, NonFinite) as exc:
+        with pytest.raises(type(exc)) as got:
             extract_diagonal(w, FullSpace(n), seed)
         assert str(got.value) == str(exc)
         return

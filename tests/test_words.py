@@ -174,9 +174,12 @@ def test_non_finite_step_data_is_refused():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(NonFinite):
             Linear(np.array([[1.0, bad], [0.0, 1.0]], dtype=complex))
-    # 1 / 1e-320 overflows, so the inverse of this step is refused too
-    with pytest.raises(NonFinite):
-        Diagonal((1e-320, 1.0)).inverse()
+    # 1 / 1e-320 overflows, so the inverse of this step is refused too, and
+    # again on every call, since a cached inverse keeps only what was returned
+    w = Word(2, (Diagonal((1e-320, 1)),))
+    for _ in range(3):
+        with pytest.raises(NonFinite):
+            invert_word(w)
 
 
 def test_compose_is_concatenation_and_identity_law():
