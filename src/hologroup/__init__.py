@@ -10,7 +10,7 @@ operation; see `hologroup --help`.
 
 from .domains import (DomainClass, FullSpace, HyperplaneComplement,
                       PreservationVerdict, Punctured, classify_domain, contains,
-                      contains_batch, word_preserves_domain)
+                      word_preserves_domain)
 from .errors import (BudgetExhausted, DimensionMismatch, DomainNotPreserved,
                      HoloError, InvalidAxis, NonFinite, NonInvertibleStep,
                      NotDiagonal, NotUnimodular, OutOfRange, OutsideDomain,
@@ -21,8 +21,8 @@ from .homotopy import (SIN_BUMP, BumpFunction, CertificationReport, HomotopyPath
 from .polynomials import Poly
 from .torus import (CentralizerVerdict, CentralizerWitness, commutes_with_torus,
                     extract_diagonal, integer_det, sample_points, validate_exponent_matrix)
-from .winding import (ContourSpec, IndexResult, contour_points,
-                      in_negative_component, make_contour, winding_index)
+from .winding import (ContourSpec, IndexResult, in_negative_component, make_contour,
+                      winding_index)
 from .words import (TAU_DET, Diagonal, GeneratorStep, Inversion, Linear,
                     Overshear, Permutation, Word, compose, eval_word,
                     eval_word_batch, eval_word_batch_masked, invert_word,
@@ -46,14 +46,13 @@ __all__ = [
     "jacobian_det_batch",
     # domains
     "FullSpace", "Punctured", "HyperplaneComplement", "DomainClass",
-    "PreservationVerdict", "contains", "contains_batch", "classify_domain",
+    "PreservationVerdict", "contains", "classify_domain",
     "word_preserves_domain",
     # torus
     "integer_det", "validate_exponent_matrix", "CentralizerVerdict",
     "CentralizerWitness", "commutes_with_torus", "extract_diagonal", "sample_points",
     # winding
-    "ContourSpec", "IndexResult", "make_contour", "contour_points",
-    "winding_index", "in_negative_component",
+    "ContourSpec", "IndexResult", "make_contour", "winding_index", "in_negative_component",
     # homotopy
     "BumpFunction", "SIN_BUMP", "OvershearPath", "TranspositionPath",
     "HomotopyPath", "path_det", "path_target", "certify_path",

@@ -11,20 +11,19 @@ parent by one coordinate column. The plan lists, in lexicographic order
 of exponents (a parent precedes its children), each needed monomial's
 parent, the coordinate it multiplies, the table rows it serves, the
 monomials that can be dropped once it is built, and its slot. It depends
-only on the exponent table and is cached on the table's shape and bytes.
-In that order the descendants of a monomial are contiguous, so a slot
-freed when its monomial is dropped after its last child is soon taken
-again: poly_eval builds every monomial in one (slots + 1, P) array, the
-last row the temporary through which the terms are added, and `slots`
-stays near the degree, not the number of terms (4 for all 84
-monomials of degree <= 6 in 3 variables). A monomial never takes the
-slot of its parent, which it is the product of. The caller may hand
-that array in as `work`, and the (R, P) values as `out`, so that a word
-pass allocates neither per step. Coordinates are read as they come,
-contiguous in the word pass's column-major batch. An owner that keeps
-its exponent table, as an overshear does, may keep its plan too and hand
-it in as `plan`, which skips the lookup (a contiguity check, the table's
-bytes and their hash: about 1 us, an eighth of a 64-point call).
+only on the exponent table, and the table's owner keeps it: an overshear
+its f and g's, a Poly its terms', each built on first use and handed in
+as `plan`. A call without one builds the plan for that call alone; the
+kernel keeps no cache. In the plan's order the descendants of a monomial
+are contiguous, so a slot freed when its monomial is dropped after its
+last child is soon taken again: poly_eval builds every monomial in one
+(slots + 1, P) array, the last row the temporary through which the terms
+are added, and `slots` stays near the degree, not the number of terms (4
+for all 84 monomials of degree <= 6 in 3 variables). A monomial never
+takes the slot of its parent, which it is the product of. The caller may
+hand that array in as `work`, and the (R, P) values as `out`, so that a
+word pass allocates neither per step. Coordinates are read as they come,
+contiguous in the word pass's column-major batch.
 
 `coeffs` is (T,), giving (P,), or (T, R), giving (R, P): R polynomials
 over one exponent table, as for an overshear's f and g. Terms are added
@@ -36,8 +35,6 @@ coeffs[:, r] alone bit for bit, and a term absent from f never adds
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 
@@ -46,13 +43,13 @@ def _parent(e: tuple) -> tuple:
     return e[:v] + (e[v] - 1,) + e[v + 1:], v
 
 
-@lru_cache(maxsize=1024)
-def _plan(shape: tuple, raw: bytes) -> tuple:
-    """(constant rows, steps, slots) for a (T, V) int64 exponent table.
+def build_plan(exps: np.ndarray) -> tuple:
+    """(constant rows, steps, slots) for a (T, V) integer exponent table.
     Step k is (parent step or -1, the coordinate it multiplies by, rows,
     steps to drop after step k, slot of its values or -1 for a coordinate
-    read as it is); `slots` is how many slots the steps use."""
-    exps = np.frombuffer(raw, dtype=np.int64).reshape(shape)
+    read as it is); `slots` is how many slots the steps use, and poly_eval
+    builds the monomials in slots + 1 rows."""
+    exps = np.asarray(exps, dtype=np.int64)
     if exps.size and exps.min() < 0:
         raise ValueError("negative exponent in the exponent table")
     rows = {}
@@ -85,17 +82,7 @@ def _plan(shape: tuple, raw: bytes) -> tuple:
         free.extend(slot[d] for d in drops[k] if slot[d] >= 0)
     steps = tuple((parent, v, tuple(rows.get(e, ())), tuple(drop), s)
                   for e, (parent, v), drop, s in zip(order, links, drops, slot))
-    return tuple(rows.get((0,) * shape[1], ())), steps, slots
-
-
-def _plan_of(exps: np.ndarray) -> tuple:
-    exps = np.ascontiguousarray(exps, dtype=np.int64)
-    return _plan(exps.shape, exps.tobytes())
-
-
-def work_rows(exps: np.ndarray) -> int:
-    """How many rows of P values poly_eval builds its monomials in."""
-    return _plan_of(exps)[2] + 1
+    return tuple(rows.get((0,) * exps.shape[1], ())), steps, slots
 
 
 def poly_eval(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray,
@@ -106,12 +93,12 @@ def poly_eval(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray,
     exps: (T, V) int64, coeffs: (T,) or (T, R) complex128, pts: (P, V)
     complex128. Returns (P,), or (R, P) with one row per column of coeffs,
     written into `out` when it is given (a complex128 array of that shape).
-    `work`, when given, is a complex128 array of at least work_rows(exps)
-    rows of P values that the monomials are built in. Neither may share
-    memory with pts or with each other. `plan`, when given, is
-    `_plan_of(exps)`, which is then not looked up.
+    `work`, when given, is a complex128 array of at least slots + 1 rows
+    of P values that the monomials are built in. Neither may share memory
+    with pts or with each other. `plan`, when given, is the owner's
+    `build_plan(exps)`; without it the plan is built for this call.
     """
-    const, steps, slots = _plan_of(exps) if plan is None else plan
+    const, steps, slots = build_plan(exps) if plan is None else plan
     cs = coeffs.tolist() if coeffs.ndim == 2 else [[c] for c in coeffs.tolist()]
     shape = (coeffs.shape[1], pts.shape[0]) if coeffs.ndim == 2 else (pts.shape[0],)
     if out is None:

@@ -24,7 +24,7 @@ import numpy as np
 from . import serialize
 from .domains import FullSpace, classify_domain, word_preserves_domain
 from .errors import (DimensionMismatch, HoloError, NonFinite, NotUnimodular, SceneError,
-                     quiet, refuse_non_finite)
+                     refuse_non_finite)
 from .homotopy import certify_path, continuity_modulus
 from .torus import commutes_with_torus, extract_diagonal, validate_exponent_matrix
 from .winding import in_negative_component, make_contour, winding_index
@@ -189,10 +189,7 @@ def main(argv: Optional[list] = None) -> int:
         args = build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (try --help)")
-        # overflow and invalid values are refused by the NonFinite checks
-        # and the encoder; numpy's own warnings would only add noise to stderr
-        with quiet():
-            text = serialize.dumps(_dispatch(args))
+        text = serialize.dumps(_dispatch(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

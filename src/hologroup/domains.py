@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint, quiet
+from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint, integer, quiet
 from .words import Inversion, Linear, Overshear, Word, eval_word, invert_word, monomial
 
 
@@ -28,7 +28,7 @@ class FullSpace:
     deleted = frozenset()
 
     def __post_init__(self):
-        if self.n < 1:
+        if integer(self.n, "a dimension") < 1:
             raise ValueError("dimension must be positive")
 
 
@@ -40,7 +40,7 @@ class Punctured:
     deleted = frozenset()
 
     def __post_init__(self):
-        if self.n < 1:
+        if integer(self.n, "a dimension") < 1:
             raise ValueError("dimension must be positive")
 
 
@@ -52,9 +52,9 @@ class HyperplaneComplement:
     deleted: frozenset
 
     def __post_init__(self):
-        if self.n < 1:
+        if integer(self.n, "a dimension") < 1:
             raise ValueError("dimension must be positive")
-        deleted = frozenset(int(i) for i in self.deleted)
+        deleted = frozenset(integer(i, "a deleted index") for i in self.deleted)
         object.__setattr__(self, "deleted", deleted)
         if not deleted:
             raise ValueError("deleted set must be nonempty")
@@ -78,10 +78,10 @@ class PreservationVerdict:
 
 
 def contains(d: DomainSpec, z) -> bool:
-    """Exact membership of one point, decided as `contains_batch` decides
-    it: a coordinate is nonzero iff it compares `!= 0`, with no tolerance,
-    so -0.0 is zero and NaN, inf and subnormals are nonzero. The point's
-    coordinates are compared one by one, as Python complex numbers."""
+    """Exact membership of one point: a coordinate is nonzero iff it
+    compares `!= 0`, with no tolerance, so -0.0 is zero and NaN, inf and
+    subnormals are nonzero. The point's coordinates are compared one by
+    one, as Python complex numbers."""
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
     if z.size != d.n:
         raise DimensionMismatch(f"point has {z.size} coordinates, domain has {d.n}")
@@ -89,16 +89,6 @@ def contains(d: DomainSpec, z) -> bool:
     if isinstance(d, Punctured):
         return any(c != 0 for c in coords)
     return all(coords[i - 1] != 0 for i in d.deleted)
-
-
-def contains_batch(d: DomainSpec, pts) -> np.ndarray:
-    pts = np.asarray(pts, dtype=np.complex128)
-    if pts.shape[-1] != d.n:
-        raise DimensionMismatch(f"point has {pts.shape[-1]} coordinates, domain has {d.n}")
-    if isinstance(d, Punctured):
-        return np.any(pts != 0, axis=1)
-    cols = np.array(sorted(d.deleted), dtype=np.intp) - 1
-    return np.all(pts[:, cols] != 0, axis=1)
 
 
 # Stein-ness is a fixed classification table: C^n and hyperplane

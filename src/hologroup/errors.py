@@ -11,6 +11,8 @@ Overflow has one policy: numeric work runs under `quiet()`, and a value
 that must be finite passes `refuse_non_finite`, which names it and where.
 """
 
+import operator
+
 import numpy as np
 
 
@@ -100,3 +102,12 @@ def refuse_non_finite(values: np.ndarray, what: str, place):
         i = int(np.flatnonzero(~finite.reshape(len(values), -1).all(axis=1))[0])
         raise NonFinite(f"{what} is {values[i]} at {place(i)}, which is not finite")
     return values
+
+
+def integer(v, what: str) -> int:
+    """`v` as an int; ValueError "`what` must be an integer, got V" for a
+    float (even 2.0) or any other value that is not an integer."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {v!r}") from None

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernels
-from .errors import NonFinite
+from .errors import NonFinite, integer
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,11 @@ class Poly:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_vars < 1:
+        if integer(self.n_vars, "n_vars") < 1:
             raise ValueError("n_vars must be a positive integer")
         canon = {}
         for exps, coeff in self.terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(integer(e, "an exponent") for e in exps)
             if len(exps) != self.n_vars:
                 raise ValueError(
                     f"exponent vector {exps} has length {len(exps)}, expected {self.n_vars}")
@@ -99,6 +99,10 @@ class Poly:
         coeffs = np.array([c for _, c in items], dtype=np.complex128)
         return exps, coeffs
 
+    @cached_property
+    def _plan(self) -> tuple:
+        return _kernels.build_plan(self._arrays[0])
+
     # -- evaluation -----------------------------------------------------
 
     def eval_batch(self, pts: np.ndarray) -> np.ndarray:
@@ -107,7 +111,7 @@ class Poly:
         if pts.ndim != 2 or pts.shape[1] != self.n_vars:
             raise ValueError(f"expected points of shape (P, {self.n_vars}), got {pts.shape}")
         exps, coeffs = self._arrays
-        return _kernels.poly_eval(exps, coeffs, pts)
+        return _kernels.poly_eval(exps, coeffs, pts, plan=self._plan)
 
     def __call__(self, z) -> complex:
         z = np.asarray(z, dtype=np.complex128).reshape(1, -1)

@@ -82,10 +82,6 @@ def make_contour(d, axis: int, p, R: float) -> ContourSpec:
     return ContourSpec(d, int(axis), tuple(complex(c) for c in p), float(R))
 
 
-def contour_points(c: ContourSpec, thetas: np.ndarray) -> np.ndarray:
-    return _points(c, np.exp(1j * np.asarray(thetas, dtype=np.float64)))
-
-
 def _points(c: ContourSpec, circle: np.ndarray) -> np.ndarray:
     """The contour points at the unit-circle points `circle`, column-major,
     as the word pass takes them."""
@@ -132,7 +128,6 @@ def winding_index(w: Word, c: ContourSpec) -> IndexResult:
         raise DimensionMismatch(f"word dimension {w.n} != contour dimension {c.domain.n}")
     thetas = START_THETAS
     values = np.empty(INITIAL_SAMPLES + 1, dtype=np.complex128)
-    used = INITIAL_SAMPLES
     with quiet():
         values[:-1] = _profile(w, c, thetas[:-1], START_CIRCLE)
         values[-1] = values[0]
@@ -144,15 +139,14 @@ def winding_index(w: Word, c: ContourSpec) -> IndexResult:
             coarse = (np.abs(increments) >= REFINE_ANGLE).nonzero()[0]
             if coarse.size == 0:
                 break
-            if used + coarse.size > MAX_SAMPLES:
+            if thetas.size - 1 + coarse.size > MAX_SAMPLES:
                 raise BudgetExhausted(
                     f"argument tracking did not converge within {MAX_SAMPLES} samples")
             mids = 0.5 * (thetas[coarse] + thetas[coarse + 1])
             new = _profile(w, c, mids, np.exp(1j * mids))
             thetas, values = _insert_after(thetas, coarse, mids), _insert_after(values, coarse, new)
-            used += coarse.size
     raw = float(np.add.reduce(increments) / (2.0 * np.pi))
-    return IndexResult(index=int(round(raw)), raw=raw, samples_used=used)
+    return IndexResult(index=int(round(raw)), raw=raw, samples_used=thetas.size - 1)
 
 
 def in_negative_component(w: Word, c: ContourSpec) -> bool:

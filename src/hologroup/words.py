@@ -56,7 +56,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint, quiet
+from .errors import DimensionMismatch, NonFinite, NonInvertibleStep, SingularPoint, integer, quiet
 from .polynomials import Poly
 
 # Linear steps must have |det| above this after scaling rows to unit norm.
@@ -87,7 +87,7 @@ class Overshear:
         if self.f.n_vars != self.g.n_vars:
             raise DimensionMismatch(
                 f"f has {self.f.n_vars} variables, g has {self.g.n_vars}")
-        if not 1 <= self.axis <= self.f.n_vars:
+        if not 1 <= integer(self.axis, "an axis") <= self.f.n_vars:
             raise ValueError(f"axis {self.axis} out of range 1..{self.f.n_vars}")
         if self.f.references(self.axis) or self.g.references(self.axis):
             raise ValueError(f"overshear data may not involve variable {self.axis}")
@@ -108,13 +108,13 @@ class Overshear:
 
     @cached_property
     def _plan(self) -> tuple:
-        return _kernels._plan_of(self._tables[0])
+        return _kernels.build_plan(self._tables[0])
 
     @cached_property
     def work_rows(self) -> int:
-        """f and g, then the kernel's rows, the first of which then takes
-        exp(g) * z_axis."""
-        return 2 + _kernels.work_rows(self._tables[0])
+        """f and g, then the kernel's slots and temporary, the first of which
+        then takes exp(g) * z_axis."""
+        return 3 + self._plan[2]
 
     def apply_batch(self, cur: np.ndarray, work: np.ndarray, jac: bool):
         _kernels.poly_eval(*self._tables, cur, out=work[:2], work=work[2:], plan=self._plan)
@@ -149,7 +149,7 @@ class Permutation:
     perm: tuple
 
     def __post_init__(self):
-        perm = tuple(int(p) for p in self.perm)
+        perm = tuple(integer(p, "a permutation entry") for p in self.perm)
         object.__setattr__(self, "perm", perm)
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise ValueError(f"{perm} is not a permutation of 1..{len(perm)}")
@@ -290,7 +290,7 @@ class Inversion:
     axis: int
 
     def __post_init__(self):
-        if self.axis < 1:
+        if integer(self.axis, "an axis") < 1:
             raise ValueError("axis must be a positive coordinate index")
 
     work_rows = 0  # the column is divided in place
@@ -344,7 +344,7 @@ class Word:
     steps: tuple = ()
 
     def __post_init__(self):
-        if self.n < 1:
+        if integer(self.n, "a dimension") < 1:
             raise ValueError("dimension must be a positive integer")
         steps = tuple(self.steps)
         object.__setattr__(self, "steps", steps)
@@ -360,13 +360,6 @@ class Word:
     @cached_property
     def work_rows(self) -> int:
         return max([step.work_rows for step in self.steps], default=0)
-
-    @staticmethod
-    def identity(n: int) -> "Word":
-        return Word(n, ())
-
-    def __call__(self, z):
-        return eval_word(self, z)
 
 
 def _check_point(word: Word, z) -> np.ndarray:

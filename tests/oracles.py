@@ -22,7 +22,9 @@ per step, in step order. The word pass is kept as it was before it went
 column-major: each step works on the batch in whatever layout it comes,
 a C-ordered one from every copy, and returns a new array. The
 polynomial kernel is kept as it was before it built its monomials in
-reused slots: one new array per monomial.
+reused slots: one new array per monomial. Batch membership and contour
+points, which the library computes only for its own calls, are kept
+here as references.
 """
 
 import math
@@ -31,7 +33,8 @@ import numpy as np
 
 from hologroup import (CentralizerVerdict, CentralizerWitness, CertificationReport,
                        Diagonal, FullSpace, HyperplaneComplement, Inversion, Linear,
-                       NonFinite, NonInvertibleStep, NotDiagonal, OutOfRange, Overshear,
+                       DimensionMismatch, NonFinite, NonInvertibleStep, NotDiagonal,
+                       OutOfRange, Overshear,
                        OvershearPath, Permutation, PreservationVerdict, Punctured,
                        SingularPoint, Word, contains, eval_word, eval_word_batch,
                        invert_word, jacobian_det_batch, path_target, sample_points,
@@ -40,7 +43,7 @@ from hologroup import _kernels
 from hologroup.errors import quiet, refuse_non_finite
 from hologroup.homotopy import CERTIFY_POINTS, DEFAULT_CERTIFY_SEED
 from hologroup.torus import COMMUTE_TOL, DIAG_RATIO_TOL
-from hologroup.winding import ContourSpec, contour_points
+from hologroup.winding import ContourSpec
 
 # extract_diagonal_sampled's dependence probe: nudge each coordinate by
 # DIAG_PROBE_STEP and refuse any other output coordinate that moves by
@@ -68,6 +71,26 @@ def fd_jacobian(word: Word, z, step: float = None) -> np.ndarray:
 
 def fd_jacobian_det(word: Word, z, step: float = None) -> complex:
     return complex(np.linalg.det(fd_jacobian(word, z, step)))
+
+
+def contour_points(c: ContourSpec, thetas) -> np.ndarray:
+    """The contour's points at the angles thetas: the base point p, with
+    R e^(i theta) in the axis coordinate."""
+    pts = np.array(np.broadcast_to(np.array(c.p), (len(thetas), c.domain.n)))
+    pts[:, c.axis - 1] = c.R * np.exp(1j * np.asarray(thetas, dtype=np.float64))
+    return pts
+
+
+def contains_batch(d, pts) -> np.ndarray:
+    """Membership of each row of pts, by the rule `contains` applies to one
+    point: a coordinate is nonzero iff it compares `!= 0`."""
+    pts = np.asarray(pts, dtype=np.complex128)
+    if pts.shape[-1] != d.n:
+        raise DimensionMismatch(f"point has {pts.shape[-1]} coordinates, domain has {d.n}")
+    if isinstance(d, Punctured):
+        return np.any(pts != 0, axis=1)
+    cols = np.array(sorted(d.deleted), dtype=np.intp) - 1
+    return np.all(pts[:, cols] != 0, axis=1)
 
 
 def quadrature_winding(word: Word, c: ContourSpec, nodes: int = 4096) -> float:
@@ -121,7 +144,7 @@ def naive_poly_eval(terms: dict, z) -> complex:
 def poly_eval_fresh(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """_kernels.poly_eval as it was before it built its monomials in reused
     slots: each monomial is a new array, dropped after its last child."""
-    const, steps, _ = _kernels._plan_of(exps)
+    const, steps, _ = _kernels.build_plan(exps)
     cs = coeffs.tolist() if coeffs.ndim == 2 else [[c] for c in coeffs.tolist()]
     out = np.zeros((coeffs.shape[1] if coeffs.ndim == 2 else 1, pts.shape[0]),
                    dtype=np.complex128)

@@ -46,13 +46,13 @@ def warm_kernels():
     eval_word_batch(w, pts)
     jacobian_det_batch(w, pts)
     eval_word_batch(invert_word(w), pts)
-    winding_index(Word.identity(2), make_contour(C21, 1, (1.0, 1.0), 1.0))
+    winding_index(Word(2), make_contour(C21, 1, (1.0, 1.0), 1.0))
 
 
 def test_criterion_1_component_invariant():
     t0 = time.perf_counter()
     contour = make_contour(C21, 1, (1.0, 1.0), 1.0)
-    ident = Word.identity(2)
+    ident = Word(2)
     inv = Word(2, (Inversion(1),))
     res_id = winding_index(ident, contour)
     res_inv = winding_index(inv, contour)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -75,6 +76,13 @@ def aux_scene(tmp_path_factory):
                 {"type": "diagonal", "lambda": [[1e308, 0.0], [1.0, 0.0]]},
                 {"type": "permutation", "perm": [2, 1]},
                 {"type": "diagonal", "lambda": [[1.0, 0.0], [1e308, 0.0]]}]},
+            # its image and determinant overflow at (1e10, 1)
+            "diag_1e300": {"n": 2, "steps": [{"type": "diagonal",
+                                              "lambda": [[1e300, 0.0], [1e300, 0.0]]}]},
+            # z2 -> exp(z1^1000) z2 overflows wherever |z1| > 1.0008
+            "g_z1_1000": {"n": 2, "steps": [{"type": "overshear", "axis": 2, "f": [],
+                                             "g": [{"exponents": [1000, 0], "re": 1.0,
+                                                    "im": 0.0}]}]},
             # undefined on {z2 = 0}; the inverse of its first step overflows
             "tiny_inv": {"n": 2, "steps": [{"type": "diagonal",
                                             "lambda": [[1e-320, 0.0], [1.0, 0.0]]},
@@ -94,6 +102,7 @@ def aux_scene(tmp_path_factory):
             "bad_axis": {"axis": 2, "p": [[1.0, 0.0], [1.0, 0.0]], "R": 1.0},
             "off_domain": {"axis": 1, "p": [[0.0, 0.0], [1.0, 0.0]], "R": 1.0},
             "bad_radius": {"axis": 1, "p": [[1.0, 0.0], [1.0, 0.0]], "R": -1.0},
+            "wide": {"axis": 1, "p": [[1.0, 0.0], [1.0, 0.0]], "R": 2.0},
         },
         "paths": {
             # exp((1-t) 400 z1) leaves the float range on the radius-2 polydisc
@@ -103,6 +112,9 @@ def aux_scene(tmp_path_factory):
             # g(z) = 1e308i z1 is not finite at some sample points
             "huge_g": {"type": "overshear", "n": 2, "axis": 2, "f": [],
                        "g": [{"exponents": [1, 0], "re": 0.0, "im": 1e308}]},
+            # f(z) = z1^1000 is not finite on the polydisc of radius 1e10
+            "f_z1_1000": {"type": "overshear", "n": 2, "axis": 2, "g": [],
+                          "f": [{"exponents": [1000, 0], "re": 1.0, "im": 0.0}]},
             # three terms in each of f and g, all finite
             "fg": {"type": "overshear", "n": 2, "axis": 2,
                    "f": [{"exponents": [1, 0], "re": 0.5, "im": -0.25},
@@ -491,14 +503,33 @@ def test_math_errors_exit_2(aux_scene):
         assert err != "" and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [["winding-index", "--word", "spike", "--contour", "good"],
-                                  ["centralizer", "--word", "spike", "--seed", "3"]],
-                         ids=["winding-index", "centralizer"])
-def test_refusal_stderr_is_one_line(aux_scene, argv):
-    # numpy's overflow warnings used to print above the refusal
-    code, out, err = run(*argv, scene=aux_scene)
-    assert code == 2
-    assert err == f"error: {json.loads(out)['message']}\n"
+OVERFLOW_AT_1E10 = ["--point", "1e10,0;1,0"]
+
+
+# each subcommand enters `quiet()` where it computes, and main does not
+@pytest.mark.parametrize("argv,code", [
+    (["winding-index", "--word", "spike", "--contour", "good"], 2),
+    (["centralizer", "--word", "spike", "--seed", "3"], 2),
+    (["eval", "--word", "diag_1e300", *OVERFLOW_AT_1E10], 2),
+    (["jacobian", "--word", "diag_1e300", *OVERFLOW_AT_1E10], 2),
+    (["winding-index", "--word", "g_z1_1000", "--contour", "wide"], 0),
+    (["centralizer", "--word", "g_z1_1000"], 2),
+    (["extract-diagonal", "--word", "g_z1_1000"], 2),
+    (["eval", "--word", "g_z1_1000", *OVERFLOW_AT_1E10], 2),
+    (["homotopy-certify", "--path", "f_z1_1000", "--radius", "1e10"], 2),
+    (["continuity", "--path", "f_z1_1000", "--t", "0.1", "--radius", "1e10"], 2),
+], ids=["winding-index", "centralizer", "eval-diagonal", "jacobian-diagonal",
+        "winding-index-exp", "centralizer-exp", "extract-diagonal-exp", "eval-exp",
+        "homotopy-certify-exp", "continuity-exp"])
+def test_refusal_stderr_is_one_line(aux_scene, argv, code):
+    # numpy's overflow warnings used to print above the refusal; they are
+    # errors here, so a block that overflows outside `quiet()` fails the call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(*argv, scene=aux_scene)
+    assert got == code and out.count("\n") == 1
+    payload = json.loads(out)
+    assert err == (f"error: {payload['message']}\n" if code == 2 else "")
 
 
 @pytest.mark.parametrize("seed", ["3", "42"])

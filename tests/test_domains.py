@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from hologroup import (DimensionMismatch, Diagonal, FullSpace,
                        HyperplaneComplement, Inversion, Linear, NonFinite, Overshear,
                        Permutation, Poly, Punctured, Word, classify_domain,
-                       commutes_with_torus, compose, contains, contains_batch, eval_word,
+                       commutes_with_torus, compose, contains, eval_word,
                        eval_word_batch, invert_word, sample_points, word_preserves_domain)
 from hologroup.domains import _escapes, _pullbacks
 from hologroup.words import monomial
-from oracles import _monomial_multipliers, _step_escapes, automorphism, preserves_structural
+from oracles import (_monomial_multipliers, _step_escapes, automorphism, contains_batch,
+                     preserves_structural)
 from wordgen import (automorphism_step, automorphism_word, exact_repair_word, monomial_word,
                      random_diagonal, random_step, random_word)
 
@@ -63,12 +64,18 @@ def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         contains(Punctured(1), [0.0, 1.0])
     with pytest.raises(DimensionMismatch):
-        word_preserves_domain(Word.identity(2), FullSpace(3), 1)
+        word_preserves_domain(Word(2), FullSpace(3), 1)
 
 
 def test_domain_constructor_invariants():
     with pytest.raises(ValueError):
         FullSpace(0)
+    # int() read the deleted index 1.5 as 1; a dimension of 1.5 was built
+    with pytest.raises(ValueError, match=r"^a deleted index must be an integer, got 1\.5$"):
+        HyperplaneComplement(2, frozenset({1.5}))
+    for kind in (FullSpace, Punctured):
+        with pytest.raises(ValueError, match=r"^a dimension must be an integer, got 1\.5$"):
+            kind(1.5)
     with pytest.raises(ValueError):
         HyperplaneComplement(2, frozenset())
     with pytest.raises(ValueError):

@@ -89,6 +89,17 @@ def test_monomial_steps_are_told_apart_only_in_words():
     assert imported & generators == set()
 
 
+def test_no_function_cache_in_the_package():
+    # what is derived from an object's data is kept on the object, as a
+    # cached_property; a process-wide cache would be a second copy of it
+    cached = [(name, ast.unparse(node)) for name, tree in _sources(SRC)
+              for node in ast.walk(tree)
+              if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                  and {a.name for a in node.names} & {"lru_cache", "cache"})
+              or (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"))]
+    assert cached == []
+
+
 def _unused_imports(tree) -> set:
     """Names a module imports but never reads; a name in `__all__` is read."""
     imported, read = set(), set()

@@ -1,8 +1,11 @@
 import itertools
+import pickle
 
 import numpy as np
 
-from hologroup import _kernels
+from hologroup import (Overshear, OvershearPath, Poly, Word, _kernels, certify_path,
+                       eval_word_batch)
+from hologroup.domains import _majorant
 from oracles import poly_eval_fresh
 
 
@@ -125,7 +128,7 @@ def test_monomials_are_dropped_after_their_last_child():
     # 84 terms, but the tree walk never holds more than a few columns at
     # once, in slots that no two live monomials share and no child takes
     # from its parent
-    _, steps, slots = _kernels._plan_of(DEGREE_6)
+    _, steps, slots = _kernels.build_plan(DEGREE_6)
     live, peak = {}, 0
     for k, (parent, _, _, drop, slot) in enumerate(steps):
         assert parent < k and (parent < 0 or parent in live)
@@ -166,10 +169,38 @@ def test_slots_give_the_bits_of_new_monomials():
             for c in (np.ascontiguousarray(coeffs[:, 0]), coeffs):
                 want = poly_eval_fresh(table, c, pts)
                 assert _bits(_kernels.poly_eval(table, c, pts)).tolist() == _bits(want).tolist()
+                plan = _kernels.build_plan(table)
                 out = np.full(want.shape, np.nan, dtype=np.complex128)
-                work = np.full((_kernels.work_rows(table), size), np.nan, dtype=np.complex128)
+                work = np.full((plan[2] + 1, size), np.nan, dtype=np.complex128)
                 got = _kernels.poly_eval(table, c, np.asfortranarray(pts), out=out, work=work)
                 assert got is out and _bits(got).tolist() == _bits(want).tolist()
-                # the plan handed in by its owner, not looked up
-                got = _kernels.poly_eval(table, c, pts, plan=_kernels._plan_of(table))
+                # the plan handed in by its owner, not built for the call
+                got = _kernels.poly_eval(table, c, pts, plan=plan)
                 assert _bits(got).tolist() == _bits(want).tolist()
+
+
+def test_each_owner_builds_its_plan_once(monkeypatch):
+    # a Poly and an overshear build their plans on first use and hand them
+    # to every later call; the kernel keeps no cache of its own
+    built = []
+    build = _kernels.build_plan
+    monkeypatch.setattr(_kernels, "build_plan", lambda exps: built.append(1) or build(exps))
+    rng = np.random.default_rng(37)
+    pts = rng.normal(size=(65, 3)) + 1j * rng.normal(size=(65, 3))
+    f = Poly(3, {(0, 0, 0): 0.5, (1, 0, 2): -0.25j, (3, 0, 0): 0.125})
+    g = Poly(3, {(0, 0, 1): 0.1 + 0.2j, (2, 0, 0): -0.05})
+    word = Word(3, (Overshear(2, f, g),))
+    step, path = Overshear(2, g, f), OvershearPath(Overshear(2, f, -g), 3)
+    calls = [lambda: f.eval_batch(pts), lambda: eval_word_batch(word, pts),
+             lambda: _majorant(step, np.abs(pts[0])), lambda: certify_path(path, 11, 1.0)]
+    for call in calls:
+        first = call()
+        assert len(built) == 1
+        second = call()
+        assert len(built) == 1 and pickle.dumps(first) == pickle.dumps(second)
+        built.clear()
+    # a plan built for the call gives the owner's bits
+    exps, coeffs = f._arrays
+    assert _bits(_kernels.poly_eval(exps, coeffs, pts)).tolist() == \
+        _bits(f.eval_batch(pts)).tolist()
+    assert built == [1]

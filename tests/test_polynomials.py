@@ -35,6 +35,15 @@ def test_invalid_terms_rejected():
         Poly(0)
     with pytest.raises(NonFinite):
         Poly(2, {(1, 0): complex(float("nan"), 0.0)})
+    # int() read 1.5 as 1: the first stored {(1, 0): 0j}, outside the canonical
+    # form, with is_zero False, and the second became z1^2
+    for terms, e in (({(1.5, 0): 1.0, (1, 0): -1.0}, "1.5"), ({(2.9, 0): 1.0}, "2.9")):
+        with pytest.raises(ValueError, match=rf"^an exponent must be an integer, got {e}$"):
+            Poly(2, terms)
+    # Poly(1.5) was built, and failed only when its arrays were reshaped
+    with pytest.raises(ValueError, match=r"^n_vars must be an integer, got 1\.5$"):
+        Poly(1.5)
+    assert Poly(2, {(np.int64(2), 0): 1.0}).terms == {(2, 0): 1.0 + 0.0j}
 
 
 def test_zero_constant_coordinate():

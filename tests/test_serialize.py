@@ -116,7 +116,7 @@ def test_step_round_trips():
 def test_word_round_trip():
     w = Word(2, tuple(ALL_STEPS))
     assert parse_word(through_json(word_to_json(w)), "t") == w
-    ident = Word.identity(3)
+    ident = Word(3)
     assert parse_word(through_json(word_to_json(ident)), "t") == ident
 
 

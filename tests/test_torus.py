@@ -64,7 +64,7 @@ def test_integer_det_is_exact_on_large_entries():
 def test_diagonal_words_commute():
     d = FullSpace(2)
     assert commutes_with_torus(Word(2, (Diagonal((2.0, 3j)),)), d, 42).commutes
-    assert commutes_with_torus(Word.identity(2), d, 42).commutes
+    assert commutes_with_torus(Word(2), d, 42).commutes
 
 
 def test_overshear_fails_with_explicit_witness_math():

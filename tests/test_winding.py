@@ -6,9 +6,9 @@ import pytest
 from hologroup import (BudgetExhausted, Diagonal, DimensionMismatch,
                        FullSpace, HyperplaneComplement, InvalidAxis,
                        Inversion, NonFinite, OutOfRange, OutsideDomain, Overshear, Poly,
-                       Word, ZeroOnContour, contour_points,
-                       in_negative_component, make_contour, winding, winding_index)
-from oracles import quadrature_winding
+                       Word, ZeroOnContour, in_negative_component, make_contour, winding,
+                       winding_index)
+from oracles import contour_points, quadrature_winding
 from wordgen import diag_inversion_word
 
 C21 = HyperplaneComplement(2, frozenset({1}))
@@ -47,7 +47,7 @@ def test_contour_points_lie_on_circle():
 
 
 def test_identity_has_index_one():
-    res = winding_index(Word.identity(2), contour())
+    res = winding_index(Word(2), contour())
     assert res.index == 1
     assert abs(res.raw - 1.0) < 1e-9
     assert res.samples_used == 64
@@ -71,7 +71,7 @@ def test_double_inversion_restores_index():
 
 def test_tracking_agrees_with_quadrature():
     words = [
-        Word.identity(2),
+        Word(2),
         Word(2, (Inversion(1),)),
         Word(2, (Diagonal((2.0, 3j)),)),
         Word(2, (Inversion(1), Diagonal((0.5j, 1.0)), Inversion(1))),
@@ -105,7 +105,7 @@ def test_base_point_invariance():
 
 
 def test_negative_component_examples():
-    assert not in_negative_component(Word.identity(2), contour())
+    assert not in_negative_component(Word(2), contour())
     assert in_negative_component(Word(2, (Inversion(1),)), contour())
     w = Word(2, (Inversion(1), Inversion(1)))
     assert not in_negative_component(w, contour())
@@ -221,7 +221,7 @@ def test_refinement_inserts_as_np_insert_does():
 
 def test_word_dimension_checked():
     with pytest.raises(DimensionMismatch):
-        winding_index(Word.identity(3), contour())
+        winding_index(Word(3), contour())
 
 
 def test_result_deterministic():
@@ -238,7 +238,7 @@ def test_result_deterministic():
                    reason="ROADMAP items 2 and 3: every sample of a contour of "
                           "radius 1e-14 is below ZERO_TOL")
 def test_identity_on_a_tiny_contour_has_index_1():
-    assert winding_index(Word.identity(2), contour(R=1e-14)).index == 1
+    assert winding_index(Word(2), contour(R=1e-14)).index == 1
 
 
 @pytest.mark.xfail(strict=True, raises=ZeroOnContour,

@@ -34,7 +34,7 @@ def five_kind_word():
 
 
 def test_identity_word_fixes_points():
-    assert np.array_equal(eval_word(Word.identity(2), [1.0, 2.0]), [1.0, 2.0])
+    assert np.array_equal(eval_word(Word(2), [1.0, 2.0]), [1.0, 2.0])
 
 
 def test_overshear_example():
@@ -87,19 +87,19 @@ def test_passes_are_pure_and_chain_step_dets():
     assert np.array_equal(eval_word_batch(w, pts[:3]), images)
     assert np.array_equal(jacobian_det_batch(w, pts[:3]), product)
     assert eval_word_batch_masked(w, pts)[1].tolist() == [i != 3 for i in range(16)]
-    eval_word_batch(Word.identity(3), pts)[:] = 0.0  # the identity returns a copy too
+    eval_word_batch(Word(3), pts)[:] = 0.0  # the identity returns a copy too
     assert np.array_equal(pts, before)
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        eval_word(Word.identity(2), [1.0, 2.0, 3.0])
+        eval_word(Word(2), [1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatch):
         Word(2, (Diagonal((1.0, 2.0, 3.0)),))
     with pytest.raises(DimensionMismatch):
         Word(2, (Inversion(3),))
     with pytest.raises(DimensionMismatch):
-        compose(Word.identity(2), Word.identity(3))
+        compose(Word(2), Word(3))
 
 
 def test_overshear_axis_constraints():
@@ -119,6 +119,16 @@ def test_step_constructor_invariants():
     # row scaling must not rescue a genuinely singular matrix
     with pytest.raises(NonInvertibleStep):
         Linear(np.array([[1e30, 1e30], [1.0, 1.0]], dtype=complex))
+    # each was read through int() or not checked: Permutation((1.5, 2)) became
+    # (1, 2), Inversion(1.5) raised IndexError at its first evaluation, the
+    # overshear raised TypeError from Poly.references, and Word(1.5) was built
+    for build, what in ((lambda: Permutation((1.5, 2)), "a permutation entry"),
+                        (lambda: Inversion(1.5), "an axis"),
+                        (lambda: Overshear(1.5, zero(), zero()), "an axis"),
+                        (lambda: Word(1.5), "a dimension")):
+        with pytest.raises(ValueError, match=rf"^{what} must be an integer, got 1\.5$"):
+            build()
+    assert Permutation(tuple(np.array([2, 1]))).perm == (2, 1)
 
 
 def test_row_scaling_survives_extreme_magnitudes():
@@ -185,7 +195,7 @@ def test_non_finite_step_data_is_refused():
 def test_compose_is_concatenation_and_identity_law():
     rng = np.random.default_rng(5)
     w = random_word(rng, 2)
-    left = compose(Word.identity(2), w)
+    left = compose(Word(2), w)
     assert left == w
     a, b, c = (random_word(rng, 2, allow_inversion=False) for _ in range(3))
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
@@ -370,7 +380,7 @@ def test_column_major_pass_equals_the_row_major_oracle():
             else:
                 assert _bytes(eval_word_batch(w, x)) == _bytes(want_strict)
                 assert _bytes(jacobian_det_batch(w, x)) == _bytes(want_det)
-            same = eval_word_batch(Word.identity(n), x)
+            same = eval_word_batch(Word(n), x)
             assert not np.shares_memory(same, x) and same.tobytes() == x.tobytes()
             assert x.tobytes() == before.tobytes()
 
