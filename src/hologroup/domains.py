@@ -23,37 +23,32 @@ from .words import Inversion, Linear, Overshear, Word, eval_word, invert_word, m
 
 
 @dataclass(frozen=True)
-class FullSpace:
+class _Domain:
     n: int
-    deleted = frozenset()
 
     def __post_init__(self):
         if integer(self.n, "a dimension") < 1:
             raise ValueError("dimension must be positive")
 
 
-@dataclass(frozen=True)
-class Punctured:
+class FullSpace(_Domain):
+    deleted = frozenset()
+
+
+class Punctured(_Domain):
     """C^n with the origin removed."""
 
-    n: int
     deleted = frozenset()
-
-    def __post_init__(self):
-        if integer(self.n, "a dimension") < 1:
-            raise ValueError("dimension must be positive")
 
 
 @dataclass(frozen=True)
-class HyperplaneComplement:
+class HyperplaneComplement(_Domain):
     """C^n without the hyperplanes {z_i = 0} for i in `deleted` (1-based)."""
 
-    n: int
     deleted: frozenset
 
     def __post_init__(self):
-        if integer(self.n, "a dimension") < 1:
-            raise ValueError("dimension must be positive")
+        super().__post_init__()
         deleted = frozenset(integer(i, "a deleted index") for i in self.deleted)
         object.__setattr__(self, "deleted", deleted)
         if not deleted:
@@ -152,7 +147,8 @@ def _escapes(step, d: DomainSpec):
       its first free coordinate, else in its last deleted one.
     - Overshear on C^n \\ {0}: when f(0) = 0; else it escapes at the
       unique preimage of the origin. Elsewhere: on a free axis, or with
-      f = 0; else f(z') + exp(g(z')) * z_axis = 0 is solved for z_axis.
+      f = 0; else f(z') + exp(g(z')) * z_axis = 0 is solved for z_axis,
+      with f and g read from the step's own table in one kernel call.
     - Any other step, a monomial one (`words.monomial`): when each
       deleted or inverted slot draws on a deleted coordinate; else it
       escapes where such a free source coordinate is 0, in source order.
@@ -180,8 +176,11 @@ def _escapes(step, d: DomainSpec):
             return _solutions(d, [(step.axis - 1, lambda z: -f0 * np.exp(-g0))], (0.0,), False)
         if step.axis not in deleted or step.f.is_zero:
             return None
-        return _solutions(d, [(step.axis - 1, lambda z: -step.f(z) * np.exp(-step.g(z)))],
-                          FILLERS, True)
+
+        def solve(z):
+            f, g = _kernels.poly_eval(*step._tables, z[None], plan=step._plan)[:, 0]
+            return -f * np.exp(-g)
+        return _solutions(d, [(step.axis - 1, solve)], FILLERS, True)
     _, src, inverted = monomial(step)
     drawn = {i if src is None else src[i] for i in [j - 1 for j in deleted] + list(inverted)}
     solves = [(j, lambda z: 0.0) for j in sorted(drawn) if j + 1 not in deleted]
@@ -253,7 +252,7 @@ def _leaves(w: Word, d: DomainSpec, z: np.ndarray) -> bool:
         return True
 
 
-def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> PreservationVerdict:
+def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int = None) -> PreservationVerdict:
     """Check that the word maps the domain into itself.
 
     C \\ {0} is read as the complement of {z1 = 0}. Each step is
@@ -281,7 +280,7 @@ def word_preserves_domain(w: Word, d: DomainSpec, sampler_seed: int) -> Preserva
     the verdict is refused with NonFinite, as a finite one in d would
     prove False. No random point is tried: the points that the word sends
     out of d, or onto a zero it inverts, form a set of measure zero that
-    random points miss. `sampler_seed` is ignored.
+    random points miss. `sampler_seed` is accepted and ignored.
 
     On C^n this is the closed form "preserves iff the word has no
     inversion"; on C^n \\ {0} with n >= 2 it is "no inversion, and

@@ -60,7 +60,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExhausted, NonFinite, OutOfRange, quiet, refuse_non_finite
+from .errors import BudgetExhausted, NonFinite, OutOfRange, integer, quiet, refuse_non_finite
 from .words import Overshear, Permutation, Word, check_invertible, eval_word_batch
 
 BUMP_ENDPOINT_TOL = 1e-12
@@ -135,7 +135,9 @@ class OvershearPath:
     n: int
 
     def __post_init__(self):
-        if self.target.dim != self.n:
+        if not isinstance(self.target, Overshear):
+            raise TypeError(f"the target must be an Overshear, got {type(self.target).__name__}")
+        if self.target.dim != integer(self.n, "a dimension"):
             raise ValueError(f"target acts in dimension {self.target.dim}, path says {self.n}")
 
 
@@ -149,7 +151,8 @@ class TranspositionPath:
     bump: BumpFunction = SIN_BUMP
 
     def __post_init__(self):
-        if not 1 <= self.j < self.k <= self.n:
+        j, k, n = (integer(getattr(self, a), f"a transposition path's {a}") for a in "jkn")
+        if not 1 <= j < k <= n:
             raise ValueError(f"need 1 <= j < k <= n, got j={self.j}, k={self.k}, n={self.n}")
 
 
@@ -300,7 +303,7 @@ def certify_path(path: HomotopyPath, grid_size: int, sample_radius: float,
     the Jacobian, and the worst round-trip residual through the inverse
     at each grid time.
     """
-    if grid_size < 2:
+    if integer(grid_size, "the grid size") < 2:
         raise OutOfRange(f"grid must have at least 2 points, got {grid_size}")
     _check_budget(grid_size, "the grid")
     pts = _sample(path, sample_radius, seed)

@@ -84,32 +84,26 @@ def _encode(obj, out: list):
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
-        _encode_items(obj.items(), out, "{", "}", keyed=True)
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError("JSON object keys must be strings")
+            out.append(("," if i else "") + json.dumps(key) + ":")
+            _encode(value, out)
+        out.append("}")
     elif isinstance(obj, (list, tuple)):
-        _encode_items(obj, out, "[", "]", keyed=False)
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _encode(item, out)
+        out.append("]")
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out)
     elif is_dataclass(obj) and not isinstance(obj, type):
         _encode({f.name: getattr(obj, f.name) for f in fields(obj)}, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _encode_items(items, out: list, open_ch, close_ch, keyed):
-    out.append(open_ch)
-    for i, item in enumerate(items):
-        if i:
-            out.append(",")
-        if keyed:
-            key, value = item
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be strings")
-            out.append(json.dumps(key))
-            out.append(":")
-            _encode(value, out)
-        else:
-            _encode(item, out)
-    out.append(close_ch)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
     the verdict is reproducible for a given seed. The grid is compared
     coordinate by coordinate, one 64x64 block each, in that same order.
     """
-    guard = word_preserves_domain(w, d, seed)
+    guard = word_preserves_domain(w, d)
     if not guard.preserves:
         raise DomainNotPreserved(
             f"word does not preserve the domain (witness {guard.witness})")

@@ -34,7 +34,8 @@ import numpy as np
 
 from .domains import HyperplaneComplement, contains
 from .errors import (BudgetExhausted, DimensionMismatch, InvalidAxis, NonFinite,
-                     OutOfRange, OutsideDomain, ZeroOnContour, quiet, refuse_non_finite)
+                     OutOfRange, OutsideDomain, ZeroOnContour, integer, quiet,
+                     refuse_non_finite)
 from .words import Word, eval_word_batch
 
 INITIAL_SAMPLES = 64
@@ -68,6 +69,7 @@ class IndexResult:
 def make_contour(d, axis: int, p, R: float) -> ContourSpec:
     if not isinstance(d, HyperplaneComplement):
         raise InvalidAxis("contours are defined on hyperplane complements only")
+    axis = integer(axis, "a contour axis")
     if axis not in d.deleted:
         raise InvalidAxis(f"axis {axis} is not a deleted axis of the domain")
     p = np.asarray(p, dtype=np.complex128)
@@ -79,7 +81,7 @@ def make_contour(d, axis: int, p, R: float) -> ContourSpec:
         raise OutsideDomain("contour base point lies on a deleted hyperplane")
     if not R > 0:
         raise OutOfRange(f"contour radius must be positive, got {R}")
-    return ContourSpec(d, int(axis), tuple(complex(c) for c in p), float(R))
+    return ContourSpec(d, axis, tuple(complex(c) for c in p), float(R))
 
 
 def _points(c: ContourSpec, circle: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import warnings
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
@@ -80,6 +82,20 @@ def test_domain_constructor_invariants():
         HyperplaneComplement(2, frozenset())
     with pytest.raises(ValueError):
         HyperplaneComplement(2, frozenset({3}))
+    with pytest.raises(TypeError):
+        FullSpace(2, frozenset({1}))
+    with pytest.raises(TypeError):
+        HyperplaneComplement(2)
+    # the kinds share one record, and still tell each other apart
+    assert FullSpace(2) != Punctured(2) and Punctured(2) != FullSpace(2)
+    assert repr(FullSpace(2)) == "FullSpace(n=2)"
+    for d in (FullSpace(2), Punctured(2), comp(2, {1})):
+        same = type(d)(*astuple(d))
+        assert same == d and hash(same) == hash(d) and same != comp(2, {2})
+        for copy in (replace(d), pickle.loads(pickle.dumps(d))):
+            assert type(copy) is type(d) and copy == d and copy.deleted == d.deleted
+        with pytest.raises(FrozenInstanceError):
+            d.n = 3
 
 
 def test_classification_table():

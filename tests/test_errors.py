@@ -100,6 +100,16 @@ def test_no_function_cache_in_the_package():
     assert cached == []
 
 
+def test_polynomials_are_evaluated_only_in_their_module():
+    # a step's f and g are evaluated from the step's own table and plan, in
+    # one kernel call; calling a Poly elsewhere would be a second route
+    calls = [(name, ast.unparse(node.func)) for name, tree in _sources(SRC)
+             if name != "polynomials.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("eval_batch", "f", "g")]
+    assert calls == []
+
+
 def _unused_imports(tree) -> set:
     """Names a module imports but never reads; a name in `__all__` is read."""
     imported, read = set(), set()

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hologroup import (BudgetExhausted, BumpFunction, Linear, NonFinite,
-                       NonInvertibleStep, OutOfRange, Overshear, OvershearPath, Poly,
-                       TranspositionPath, certify_path, continuity_modulus, eval_word,
+                       NonInvertibleStep, OutOfRange, Overshear, OvershearPath, Permutation,
+                       Poly, TranspositionPath, certify_path, continuity_modulus, eval_word,
                        homotopy, jacobian_det, path_det, path_target, sample_polydisc)
 from hologroup.homotopy import CERTIFY_POINTS
 from hologroup.words import check_invertible
@@ -60,6 +60,16 @@ def test_constructor_validation():
         TranspositionPath(1, 3, 2)
     with pytest.raises(ValueError):
         OvershearPath(SHEAR, 3)
+    # each was built; certify_path then ended in AttributeError or IndexError
+    with pytest.raises(TypeError, match=r"^the target must be an Overshear, got Permutation$"):
+        OvershearPath(Permutation((2, 1)), 2)
+    with pytest.raises(ValueError, match=r"^a dimension must be an integer, got 2\.0$"):
+        OvershearPath(SHEAR, 2.0)
+    for args, bad in (((1.5, 2, 3), r"j must be an integer, got 1\.5"),
+                      ((1, 2, 2.5), r"n must be an integer, got 2\.5")):
+        with pytest.raises(ValueError, match=rf"^a transposition path's {bad}$"):
+            TranspositionPath(*args)
+    assert TranspositionPath(np.int64(1), np.int64(2), np.int64(2)) == swap_path()
 
 
 def test_path_det_examples():
@@ -129,6 +139,10 @@ def test_certify_degenerate_identity_path():
 def test_certify_grid_too_small():
     with pytest.raises(OutOfRange):
         certify_path(shear_path(), 1, 2.0)
+    # numpy refused it with "'float' object cannot be interpreted as an integer"
+    with pytest.raises(ValueError, match=r"^the grid size must be an integer, got 11\.0$"):
+        certify_path(swap_path(), 11.0, 1.0)
+    assert certify_path(swap_path(), np.int64(11), 1.0) == certify_path(swap_path(), 11, 1.0)
 
 
 def test_certify_deterministic():

@@ -35,6 +35,10 @@ def test_make_contour_examples():
         make_contour(C21, 1, (1.0, 1.0), float("inf"))
     with pytest.raises(NonFinite):
         make_contour(C21, 1, (1.0, float("nan")), 1.0)
+    # 1.0 was found in the deleted set {1}, and the contour was built
+    with pytest.raises(ValueError, match=r"^a contour axis must be an integer, got 1\.0$"):
+        make_contour(C21, 1.0, (1, 1), 1.0)
+    assert make_contour(C21, np.int64(1), (1, 1), 1.0) == c
 
 
 def test_contour_points_lie_on_circle():
