@@ -25,12 +25,12 @@ hand that array in as `work`, and the (R, P) values as `out`, so that a
 word pass allocates neither per step. Coordinates are read as they come,
 contiguous in the word pass's column-major batch.
 
-`coeffs` is (T,), giving (P,), or (T, R), giving (R, P): R polynomials
-over one exponent table, as for an overshear's f and g. Terms are added
-in lexicographic order through one reused temporary, and a zero
-coefficient is skipped in its column, so column r equals a call with
-coeffs[:, r] alone bit for bit, and a term absent from f never adds
-0 * inf to f.
+`coeffs` is a (T, R) table, giving (R, P): R polynomials over one
+exponent table, as for an overshear's f and g, or R = 1 for one
+polynomial. Terms are added in lexicographic order through one reused
+temporary, and a zero coefficient is skipped in its column, so column r
+equals a call with coeffs[:, r:r + 1] alone bit for bit, and a term
+absent from f never adds 0 * inf to f.
 """
 
 from __future__ import annotations
@@ -90,22 +90,21 @@ def poly_eval(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray,
               plan: tuple = None) -> np.ndarray:
     """Evaluate sum_t coeffs[t] * prod_v pts[:, v]**exps[t, v].
 
-    exps: (T, V) int64, coeffs: (T,) or (T, R) complex128, pts: (P, V)
-    complex128. Returns (P,), or (R, P) with one row per column of coeffs,
-    written into `out` when it is given (a complex128 array of that shape).
+    exps: (T, V) int64, coeffs: (T, R) complex128, pts: (P, V) complex128.
+    Returns (R, P), one row per column of coeffs, written into `out` when
+    it is given (a complex128 array of that shape).
     `work`, when given, is a complex128 array of at least slots + 1 rows
     of P values that the monomials are built in. Neither may share memory
     with pts or with each other. `plan`, when given, is the owner's
     `build_plan(exps)`; without it the plan is built for this call.
     """
     const, steps, slots = build_plan(exps) if plan is None else plan
-    cs = coeffs.tolist() if coeffs.ndim == 2 else [[c] for c in coeffs.tolist()]
-    shape = (coeffs.shape[1], pts.shape[0]) if coeffs.ndim == 2 else (pts.shape[0],)
+    cs = coeffs.tolist()
     if out is None:
-        out = np.zeros(shape, dtype=np.complex128)
+        out = np.zeros((coeffs.shape[1], pts.shape[0]), dtype=np.complex128)
     else:
         out.fill(0)
-    rows_out = list(out) if coeffs.ndim == 2 else [out]
+    rows_out = list(out)
     for t in const:
         for o, c in zip(rows_out, cs[t]):
             if c:

@@ -96,7 +96,7 @@ class Poly:
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         items = sorted(self.terms.items())
         exps = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), self.n_vars)
-        coeffs = np.array([c for _, c in items], dtype=np.complex128)
+        coeffs = np.array([c for _, c in items], dtype=np.complex128).reshape(-1, 1)
         return exps, coeffs
 
     @cached_property
@@ -111,7 +111,7 @@ class Poly:
         if pts.ndim != 2 or pts.shape[1] != self.n_vars:
             raise ValueError(f"expected points of shape (P, {self.n_vars}), got {pts.shape}")
         exps, coeffs = self._arrays
-        return _kernels.poly_eval(exps, coeffs, pts, plan=self._plan)
+        return _kernels.poly_eval(exps, coeffs, pts, plan=self._plan)[0]
 
     def __call__(self, z) -> complex:
         z = np.asarray(z, dtype=np.complex128).reshape(1, -1)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -127,6 +127,13 @@ def _want(obj, key: str, where: str):
     return obj[key]
 
 
+def _want_list(obj, key: str, where: str) -> list:
+    v = _want(obj, key, where)
+    if not isinstance(v, list):
+        raise SceneError(f"{where}: {key} must be a list")
+    return v
+
+
 def _as_int(v, where: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise SceneError(f"{where}: expected an integer, got {v!r}")
@@ -155,12 +162,6 @@ def parse_complex(v, where: str) -> complex:
     return complex(_as_number(v[0], where), _as_number(v[1], where))
 
 
-def parse_complex_vector(v, where: str) -> np.ndarray:
-    if not isinstance(v, list):
-        raise SceneError(f"{where}: expected a list of [re, im] pairs")
-    return np.array([parse_complex(c, where) for c in v], dtype=np.complex128)
-
-
 # ---------------------------------------------------------------------------
 # polynomials and words
 
@@ -173,10 +174,8 @@ def parse_poly(v, n_vars: int, where: str) -> Poly:
         raise SceneError(f"{where}: expected a list of terms")
     terms = {}
     for t in v:
-        exps = _want(t, "exponents", where)
-        if not isinstance(exps, list):
-            raise SceneError(f"{where}: exponents must be a list")
-        key = tuple(_as_bounded(e, where, "an exponent", MAX_DEGREE) for e in exps)
+        key = tuple(_as_bounded(e, where, "an exponent", MAX_DEGREE)
+                    for e in _want_list(t, "exponents", where))
         if sum(key) > MAX_DEGREE:
             raise SceneError(f"{where}: a term of total degree {sum(key)} is over "
                              f"the limit of {MAX_DEGREE}")
@@ -210,15 +209,10 @@ def parse_step(v, n: int, where: str):
                              parse_poly(_want(v, "f", where), n, where + ".f"),
                              parse_poly(_want(v, "g", where), n, where + ".g"))
         if kind == "permutation":
-            perm = _want(v, "perm", where)
-            if not isinstance(perm, list):
-                raise SceneError(f"{where}: perm must be a list")
-            return Permutation(tuple(_as_bounded(p, where, "a permutation entry") for p in perm))
+            return Permutation(tuple(_as_bounded(p, where, "a permutation entry")
+                                     for p in _want_list(v, "perm", where)))
         if kind == "diagonal":
-            lam = _want(v, "lambda", where)
-            if not isinstance(lam, list):
-                raise SceneError(f"{where}: lambda must be a list")
-            return Diagonal(tuple(parse_complex(c, where) for c in lam))
+            return Diagonal(tuple(parse_complex(c, where) for c in _want_list(v, "lambda", where)))
         if kind == "linear":
             rows = _want(v, "matrix", where)
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
@@ -236,10 +230,8 @@ def word_to_json(w: Word) -> dict:
 
 def parse_word(v, where: str) -> Word:
     n = _as_bounded(_want(v, "n", where), where, "a dimension")
-    steps = _want(v, "steps", where)
-    if not isinstance(steps, list):
-        raise SceneError(f"{where}: steps must be a list")
-    parsed = tuple(parse_step(s, n, f"{where}.steps[{i}]") for i, s in enumerate(steps))
+    parsed = tuple(parse_step(s, n, f"{where}.steps[{i}]")
+                   for i, s in enumerate(_want_list(v, "steps", where)))
     with _scene_errors(where):
         return Word(n, parsed)
 
@@ -256,10 +248,8 @@ def parse_domain(v, where: str) -> DomainSpec:
         if kind == "punctured":
             return Punctured(n)
         if kind == "complement":
-            deleted = _want(v, "deleted", where)
-            if not isinstance(deleted, list):
-                raise SceneError(f"{where}: deleted must be a list")
-            return HyperplaneComplement(n, frozenset(_as_bounded(i, where) for i in deleted))
+            return HyperplaneComplement(n, frozenset(_as_bounded(i, where)
+                                                     for i in _want_list(v, "deleted", where)))
     raise SceneError(f"{where}: unknown domain kind {kind!r}")
 
 
@@ -274,9 +264,9 @@ class RawContour:
 
 def parse_contour(v, where: str) -> RawContour:
     axis = _as_bounded(_want(v, "axis", where), where)
-    p = parse_complex_vector(_want(v, "p", where), where + ".p")
+    p = tuple(parse_complex(c, where + ".p") for c in _want_list(v, "p", where))
     R = _as_number(_want(v, "R", where), where + ".R")
-    return RawContour(axis, tuple(complex(c) for c in p), R)
+    return RawContour(axis, p, R)
 
 
 def parse_bump(v, where: str) -> BumpFunction:
@@ -284,10 +274,8 @@ def parse_bump(v, where: str) -> BumpFunction:
         if v == "sin" or v is None:
             return BumpFunction("sin")
         if isinstance(v, dict) and "table" in v:
-            table = v["table"]
-            if not isinstance(table, list):
-                raise SceneError(f"{where}: bump table must be a list")
-            return BumpFunction("table", tuple(_as_number(x, where) for x in table))
+            return BumpFunction("table", tuple(_as_number(x, where)
+                                               for x in _want_list(v, "table", where)))
     raise SceneError(f"{where}: bump must be \"sin\" or {{\"table\": [...]}}")
 
 
@@ -324,11 +312,11 @@ def parse_exponent_matrix(v, where: str) -> list:
 
 @dataclass(frozen=True)
 class Scene:
-    domain: Optional[DomainSpec] = None
-    words: dict = field(default_factory=dict)
-    contours: dict = field(default_factory=dict)
-    paths: dict = field(default_factory=dict)
-    exponent_matrices: dict = field(default_factory=dict)
+    domain: Optional[DomainSpec]
+    words: dict
+    contours: dict
+    paths: dict
+    exponent_matrices: dict
 
 
 def _named_section(v, where: str, parse_one):

@@ -145,9 +145,8 @@ def poly_eval_fresh(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np
     """_kernels.poly_eval as it was before it built its monomials in reused
     slots: each monomial is a new array, dropped after its last child."""
     const, steps, _ = _kernels.build_plan(exps)
-    cs = coeffs.tolist() if coeffs.ndim == 2 else [[c] for c in coeffs.tolist()]
-    out = np.zeros((coeffs.shape[1] if coeffs.ndim == 2 else 1, pts.shape[0]),
-                   dtype=np.complex128)
+    cs = coeffs.tolist()
+    out = np.zeros((coeffs.shape[1], pts.shape[0]), dtype=np.complex128)
     rows_out = list(out)
     for t in const:
         for o, c in zip(rows_out, cs[t]):
@@ -165,7 +164,7 @@ def poly_eval_fresh(exps: np.ndarray, coeffs: np.ndarray, pts: np.ndarray) -> np
                 if c:
                     np.multiply(c, m, out=tmp)
                     o += tmp
-    return out if coeffs.ndim == 2 else out[0]
+    return out
 
 
 def _row_major_step(step, cur, jac: bool, valid):

@@ -1,6 +1,7 @@
 """Every verdict of the benchmark's small pools passes its reference check,
 or fails only as a known defect predicts for its input; a preservation
-verdict must pass outright, whatever its input is tolerated. Every item of
+verdict must pass outright, whatever its input is tolerated. Run twice in
+one process, every item gives the same result bit for bit. Every item of
 the `cli` pool passes outright, run in this process through `cli.main`
 rather than one process each. The pools are
 built from `benchmarks/layers/workloads.py`, loaded by path; `run.py` is
@@ -8,6 +9,7 @@ not imported, since importing it pins the process to one CPU."""
 
 import importlib.util
 import os
+import pickle
 import sys
 
 import pytest
@@ -39,6 +41,24 @@ def test_small_pool_has_no_unpredicted_failure(workload):
         if key is not None and (outright or key not in item.tolerated):
             unpredicted.append(f"{item.family}:{key}")
     assert unpredicted == []
+
+
+def outcome(item):
+    """The item's result pickled, so that floats and arrays compare by their
+    bytes; a refusal by its type and message."""
+    try:
+        return pickle.dumps(item.run())
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("workload", ["verdicts", "sweep", "paths"])
+def test_small_pool_is_deterministic_in_one_process(workload):
+    # what each object derives once and keeps (kernel plans, tables,
+    # inverses, work sizes) must not change a later verdict
+    items = load_workloads().build(workload, 7, ROOT, small=True)
+    first = [outcome(item) for item in items]
+    assert [outcome(item) for item in items] == first
 
 
 @pytest.mark.parametrize("seed", [1, 7])

@@ -191,6 +191,9 @@ def test_eval_and_jacobian():
     code, out, _ = run("jacobian", "--word", "diag", "--point", "1,0;1,0")
     assert code == 0
     assert json.loads(out) == {"det": [0.0, 6.0]}
+    # an empty component between separators is skipped
+    assert run("eval", "--word", "shear", "--point=1,0;;2,0") == \
+        run("eval", "--word", "shear", "--point", "1,0;2,0")
 
 
 def test_compose_and_invert():
@@ -255,10 +258,14 @@ def test_centralizer_negative_verdict_has_witness():
     assert len(res["witness"]["theta"]) == 2
 
 
-def test_classify_and_preserves():
+def test_classify_and_preserves(tmp_path):
     code, out, _ = run("classify")
     assert code == 0
     assert json.loads(out) == {"kind": "complement", "is_stein": True}
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}", encoding="utf-8")
+    assert run("classify", scene=str(empty)) == \
+        (1, "", "input error: scene has no domain to classify\n")
     code, out, _ = run("preserves", "--word", "inv1")
     assert code == 0
     assert json.loads(out) == {"preserves": True, "witness": None}
@@ -290,6 +297,25 @@ def test_usage_errors_exit_1():
         assert code == 1, argv
         assert out == ""
         assert err != ""
+
+
+# each usage error's one stderr line; the first call has no argument at all
+USAGE_ERRORS = [
+    ([], "a subcommand is required (try --help)"),
+    (["eval", "--word", "shear", "--point=a,b", "--scene", DEMO],
+     "bad point component 'a,b': not numbers"),
+    (["eval", "--word", "shear", "--point=;", "--scene", DEMO],
+     "point must have at least one coordinate"),
+    (["centralizer", "--word", "shear", "--seed", "x", "--scene", DEMO],
+     "argument --seed: invalid seed 'x': not an integer"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS,
+                         ids=["no subcommand", "point a,b", "point ;", "seed x"])
+def test_usage_error_lines(argv, message, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 # each of these ended in numpy's "expected non-negative integer" traceback

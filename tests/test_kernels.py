@@ -2,6 +2,7 @@ import itertools
 import pickle
 
 import numpy as np
+import pytest
 
 from hologroup import (Overshear, OvershearPath, Poly, Word, _kernels, certify_path,
                        eval_word_batch)
@@ -42,7 +43,7 @@ DEGREE_6 = _table([e for e in itertools.product(range(7), repeat=3) if sum(e) <=
 def test_numpy_backend_matches_naive_sum():
     rng = np.random.default_rng(7)
     exps, coeffs, pts = _random_case(rng)
-    got = _kernels.poly_eval(exps, coeffs, pts)
+    got = _kernels.poly_eval(exps, coeffs[:, None], pts)[0]
     assert np.allclose(got, _naive(exps, coeffs, pts), rtol=1e-12, atol=1e-12)
 
 
@@ -52,13 +53,13 @@ def test_matches_naive_sum_at_degree_6():
     coeffs = rng.normal(size=len(exps)) + 1j * rng.normal(size=len(exps))
     pts = rng.normal(size=(300, 3)) + 1j * rng.normal(size=(300, 3))
     want = _naive(exps, coeffs, pts)
-    got = _kernels.poly_eval(exps, coeffs, pts)
+    got = _kernels.poly_eval(exps, coeffs[:, None], pts)[0]
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
     # an unsorted table with a repeated row is the same polynomial
     order = rng.permutation(len(exps))
     table, c = np.concatenate((exps[order], exps[:1])), np.append(coeffs[order], 1.0)
     want = want + np.prod(pts ** exps[0][None, :], axis=1)
-    got = _kernels.poly_eval(table, c, pts)
+    got = _kernels.poly_eval(table, c[:, None], pts)[0]
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -72,8 +73,9 @@ def test_columns_equal_single_column_calls():
         got = _kernels.poly_eval(exps, coeffs, pts)
         assert got.shape == (3, 257)
         for r in range(3):
-            single = _kernels.poly_eval(exps, np.ascontiguousarray(coeffs[:, r]), pts)
-            assert np.array_equal(_bits(got[r]), _bits(single))
+            single = _kernels.poly_eval(exps, coeffs[:, r:r + 1], pts)
+            assert single.shape == (1, 257)
+            assert np.array_equal(_bits(got[r]), _bits(single[0]))
         assert np.all(_bits(got[2]) == 0)
 
 
@@ -86,7 +88,7 @@ def test_values_do_not_depend_on_the_table():
     union = _table([(0, 0, 0), (1, 0, 1), (2, 0, 0)])
     f = np.array([0.5 - 1j, 2.0 + 0.25j])
     both = np.array([[f[0], 0.1], [f[1], 0.0], [0.0, 0.3j]])
-    alone = _kernels.poly_eval(f_exps, f, pts)
+    alone = _kernels.poly_eval(f_exps, f[:, None], pts)[0]
     assert np.array_equal(_bits(_kernels.poly_eval(union, both, pts)[0]), _bits(alone))
 
 
@@ -104,16 +106,20 @@ def test_zero_coefficient_is_skipped():
 def test_constant_only_polynomial():
     exps = np.zeros((1, 2), dtype=np.int64)
     pts = np.arange(10, dtype=np.complex128).reshape(5, 2)
-    got = _kernels.poly_eval(exps, np.array([2 - 3j]), pts)
-    assert np.all(got == 2 - 3j)
+    got = _kernels.poly_eval(exps, np.array([[2 - 3j]]), pts)
+    assert got.shape == (1, 5) and np.all(got == 2 - 3j)
 
 
 def test_empty_polynomial_evaluates_to_zero():
     exps = np.zeros((0, 2), dtype=np.int64)
     pts = np.ones((5, 2), dtype=np.complex128)
-    assert np.all(_kernels.poly_eval(exps, np.zeros(0, dtype=np.complex128), pts) == 0)
     got = _kernels.poly_eval(exps, np.zeros((0, 2), dtype=np.complex128), pts)
     assert got.shape == (2, 5) and np.all(got == 0)
+
+
+def test_negative_exponent_is_refused():
+    with pytest.raises(ValueError, match="^negative exponent in the exponent table$"):
+        _kernels.build_plan(np.array([[-1, 0]]))
 
 
 def test_points_are_not_mutated():
@@ -151,7 +157,7 @@ def test_column_major_points_give_the_same_bits():
     for table in (SWEEP, GAP, _random_case(rng)[0]):
         pts = rng.normal(size=(257, 3)) + 1j * rng.normal(size=(257, 3))
         coeffs = rng.normal(size=(len(table), 2)) + 1j * rng.normal(size=(len(table), 2))
-        for c in (coeffs, coeffs[:, 0]):
+        for c in (coeffs, coeffs[:, :1]):
             want = _kernels.poly_eval(table, c, pts)
             got = _kernels.poly_eval(table, c, np.asfortranarray(pts))
             assert _bits(got).tolist() == _bits(want).tolist()
@@ -166,7 +172,7 @@ def test_slots_give_the_bits_of_new_monomials():
         coeffs[1::3, 1] = 0.0
         for size in (1, 2, 257, 16384):
             pts = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
-            for c in (np.ascontiguousarray(coeffs[:, 0]), coeffs):
+            for c in (coeffs[:, :1], coeffs):
                 want = poly_eval_fresh(table, c, pts)
                 assert _bits(_kernels.poly_eval(table, c, pts)).tolist() == _bits(want).tolist()
                 plan = _kernels.build_plan(table)
@@ -201,6 +207,6 @@ def test_each_owner_builds_its_plan_once(monkeypatch):
         built.clear()
     # a plan built for the call gives the owner's bits
     exps, coeffs = f._arrays
-    assert _bits(_kernels.poly_eval(exps, coeffs, pts)).tolist() == \
+    assert _bits(_kernels.poly_eval(exps, coeffs, pts)[0]).tolist() == \
         _bits(f.eval_batch(pts)).tolist()
     assert built == [1]

@@ -111,6 +111,8 @@ def test_step_round_trips():
     for step in ALL_STEPS:
         assert parse_word(through_json({"n": 2, "steps": [step_to_json(step)]}), "t") == \
             Word(2, (step,))
+    with pytest.raises(TypeError, match="^unknown step object$"):
+        step_to_json(object())
 
 
 def test_word_round_trip():
@@ -209,7 +211,8 @@ def test_parse_path():
     assert str(exc.value) == "t: axis 3 out of range 1..2"
 
 
-# a constructor's complaint is re-raised as a SceneError naming the field
+# each refusal names its field: a constructor's complaint, re-raised as a
+# SceneError, or a rule of the parser
 CONSTRUCTOR_ERRORS = [
     (lambda: parse_poly([{"exponents": [-1, 0], "re": 1.0, "im": 0.0}], 2, "t"),
      "t: negative exponent in (-1, 0)"),
@@ -249,6 +252,26 @@ CONSTRUCTOR_ERRORS = [
      "t: an entry has magnitude 2^63 or more"),
     (lambda: parse_exponent_matrix([[1, 0], [0, -2 ** 63]], "t"),
      "t: an entry has magnitude 2^63 or more"),
+    # a field that must be a list, given something else, is refused by one rule
+    (lambda: parse_word({"n": 2, "steps": {}}, "t"), "t: steps must be a list"),
+    (lambda: parse_word({"n": 2, "steps": [{"type": "permutation", "perm": "21"}]}, "t"),
+     "t.steps[0]: perm must be a list"),
+    (lambda: parse_word({"n": 2, "steps": [{"type": "diagonal", "lambda": 2.0}]}, "t"),
+     "t.steps[0]: lambda must be a list"),
+    (lambda: parse_poly([{"exponents": 1, "re": 1.0, "im": 0.0}], 2, "t"),
+     "t: exponents must be a list"),
+    (lambda: parse_domain({"kind": "complement", "n": 2, "deleted": 1}, "t"),
+     "t: deleted must be a list"),
+    (lambda: parse_bump({"table": "sin"}, "t"), "t: table must be a list"),
+    (lambda: parse_contour({"axis": 1, "p": [1.0, 0.0, 1.0], "R": 1.0}, "t"),
+     "t.p: expected [re, im], got 1.0"),
+    (lambda: parse_contour({"axis": 1, "p": {"re": 1.0}, "R": 1.0}, "t"),
+     "t: p must be a list"),
+    (lambda: parse_poly({"exponents": [1, 0], "re": 1.0, "im": 0.0}, 2, "t"),
+     "t: expected a list of terms"),
+    (lambda: parse_word({"n": 2, "steps": [{"type": "linear", "matrix": [
+        [[1.0, 0.0], [0.0, 0.0]], "row"]}]}, "t"),
+     "t.steps[0]: matrix must be a list of rows"),
 ]
 
 
@@ -256,7 +279,9 @@ CONSTRUCTOR_ERRORS = [
                          ids=["poly", "step", "word", "domain", "bump", "path",
                               "path dimension", "word dimension", "domain dimension",
                               "exponent", "degree", "matrix dimension", "bump nan",
-                              "matrix entry", "negative matrix entry"])
+                              "matrix entry", "negative matrix entry", "steps", "perm",
+                              "lambda", "exponents", "deleted", "table", "p entry", "p",
+                              "terms", "matrix row"])
 def test_constructor_errors_name_their_field(parse, message):
     with pytest.raises(SceneError) as exc:
         parse()
@@ -308,6 +333,9 @@ def test_scene_errors(tmp_path):
                      "contours": {"c": {"axis": 1, "p": [[1.0, 0.0]], "R": 1.0}}})
     with pytest.raises(SceneError):
         parse_scene({"words": "not a map"})
+    with pytest.raises(SceneError, match=r"^scene\.paths\.p: dimension 3 != domain dimension 2$"):
+        parse_scene({"domain": {"kind": "full", "n": 2},
+                     "paths": {"p": {"type": "transposition", "n": 3, "j": 1, "k": 2}}})
 
 
 def test_scene_sections_default_empty():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hologroup import (Diagonal, DomainNotPreserved, FullSpace,
+from hologroup import (DimensionMismatch, Diagonal, DomainNotPreserved, FullSpace,
                        HyperplaneComplement, Inversion, Linear, NonFinite, NotDiagonal,
                        NotUnimodular, Overshear, Permutation, Poly, Punctured, Word,
                        commutes_with_torus, compose, extract_diagonal, integer_det,
@@ -59,6 +59,10 @@ def test_integer_det_is_exact_on_large_entries():
     assert validate_exponent_matrix(m) == 1
     assert integer_det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
     assert integer_det([[0, 0], [0, 5]]) == 0
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        integer_det([[1, 2]])
+    with pytest.raises(ValueError, match="^matrix must be nonempty$"):
+        integer_det([])
 
 
 def test_diagonal_words_commute():
@@ -94,6 +98,11 @@ def test_centralizer_requires_domain_preservation():
     # on its natural domain the check runs (and correctly fails commutation)
     d = HyperplaneComplement(2, frozenset({1}))
     assert not commutes_with_torus(w, d, 42).commutes
+
+
+def test_extraction_requires_the_domain_dimension():
+    with pytest.raises(DimensionMismatch, match="^word dimension 2 != domain dimension 3$"):
+        extract_diagonal(Word(2), FullSpace(3), 1)
 
 
 def test_overflowing_multiplier_is_refused():

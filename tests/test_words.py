@@ -100,6 +100,13 @@ def test_dimension_mismatch():
         Word(2, (Inversion(3),))
     with pytest.raises(DimensionMismatch):
         compose(Word(2), Word(3))
+    with pytest.raises(DimensionMismatch, match="^f has 2 variables, g has 3$"):
+        Overshear(1, zero(2), zero(3))
+    with pytest.raises(DimensionMismatch, match="^points have 3 coordinates, word has 2$"):
+        eval_word_batch(Word(2), np.ones((4, 3)))
+    with pytest.raises(ValueError,
+                       match=r"^expected a \(P, n\) batch of points, got shape \(2,\)$"):
+        eval_word_batch(Word(2), np.ones(2))
 
 
 def test_overshear_axis_constraints():
@@ -116,6 +123,10 @@ def test_step_constructor_invariants():
         Permutation((1, 1))
     with pytest.raises(NonInvertibleStep):
         Linear(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
+    with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+        Linear(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^dimension must be a positive integer$"):
+        Word(0)
     # row scaling must not rescue a genuinely singular matrix
     with pytest.raises(NonInvertibleStep):
         Linear(np.array([[1e30, 1e30], [1.0, 1.0]], dtype=complex))
