@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (DimensionMismatch, DomainNotPreserved, NonFinite, NotDiagonal,
                      NotUnimodular, quiet, refuse_non_finite)
 from .domains import DomainSpec, word_preserves_domain
-from .words import Word, eval_word_batch, monomial
+from .words import Word, _word_pass, eval_word_batch, monomial
 
 COMMUTE_TOL = 1e-10
 DIAG_RATIO_TOL = 1e-9
@@ -133,8 +133,11 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
     sup norm over the full 64x64 grid, compared against 1e-10, with the
     maximizing pair returned on failure; a non-finite deviation (the
     word overflowed) raises NonFinite. Enumeration order is fixed, so
-    the verdict is reproducible for a given seed. The grid is compared
-    coordinate by coordinate, one 64x64 block each, in that same order.
+    the verdict is reproducible for a given seed. The rotated points and
+    the points themselves are evaluated in one word pass over one batch,
+    which this call builds and the pass overwrites, and the deviation is
+    taken coordinate by coordinate in the same order, through buffers
+    that every coordinate reuses.
     """
     guard = word_preserves_domain(w, d)
     if not guard.preserves:
@@ -145,21 +148,23 @@ def commutes_with_torus(w: Word, d: DomainSpec, seed: int) -> CentralizerVerdict
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=(64, w.n))
     pts = sample_points(d, 64, rng)
-    # row i * 64 + j is rotation i applied to point j; the grid is
+    # row i * 64 + j is rotation i applied to point j, and the last 64 rows
+    # are the points, so one pass gives both w(t(z)) and w(z). The grid is
     # column-major, as the word pass keeps it, so each coordinate is one
     # contiguous 64x64 block, since numpy is slow along a last axis of n
     coeffs_t = np.ascontiguousarray(np.exp(1j * thetas).T)
-    pts_t = np.ascontiguousarray(pts.T)
-    rotated = np.empty((64 * 64, w.n), dtype=np.complex128, order="F")
+    grid = np.empty((64 * 64 + 64, w.n), dtype=np.complex128, order="F")
     for c in range(w.n):
-        rotated[:, c] = np.multiply.outer(coeffs_t[c], pts_t[c]).ravel()
-    images = eval_word_batch(w, rotated)
-    wz = eval_word_batch(w, pts)
+        np.multiply.outer(coeffs_t[c], pts[:, c], out=grid[:4096, c].reshape(64, 64))
+    grid[4096:] = pts
+    _word_pass(w, grid)
     dev = np.zeros((64, 64))
+    diff, mag = np.empty((64, 64), dtype=np.complex128), np.empty((64, 64))
     with quiet():
         for c in range(w.n):
-            col = np.abs(images[:, c].reshape(64, 64) - np.multiply.outer(coeffs_t[c], wz[:, c]))
-            np.maximum(dev, col, out=dev)
+            np.multiply.outer(coeffs_t[c], grid[4096:, c], out=diff)
+            np.subtract(grid[:4096, c].reshape(64, 64), diff, out=diff)
+            np.maximum(dev, np.abs(diff, out=mag), out=dev)
     refuse_non_finite(dev.ravel(), "centralizer check: the deviation |w(t(z)) - t(w(z))|",
                       lambda k: f"theta {thetas[k // 64]}, z {pts[k % 64]}")
     worst = float(dev.max())

@@ -32,17 +32,20 @@ a C-ordered (step.work_rows, P) scratch array that the step may
 overwrite; a determinant the step returns may live in it, until the next
 step. An Inversion that meets a zero coordinate raises SingularPoint.
 
-`_word_pass` owns the memory of one pass: it copies its input once into
-the column-major array it returns, sizes one `work` array for the
-largest need among the steps, and hands both to every step in turn.
-Diagonal and Inversion work on `cur` in place and need no scratch. Of
-the steps only Inversion allocates arrays of P values, for its
-determinant when `jac`, so a wide pass reuses the same pages from step
-to step instead of faulting in new ones. Each pass returns new arrays that
-share no memory with its input, with an earlier result or with any
-buffer a later pass writes; nothing outlives the call. Overflow, 0 * inf
-and division by zero inside the pass give inf or NaN without a warning;
-callers that refuse them check the values.
+`_word_pass` evaluates in place a column-major batch that its caller
+owns: it sizes one `work` array for the largest need among the steps,
+and hands both to every step in turn. Diagonal and Inversion work on
+`cur` in place and need no scratch. Of the steps only Inversion
+allocates arrays of P values, for its determinant when `jac`, so a wide
+pass reuses the same pages from step to step instead of faulting in new
+ones. The public evaluations hand the pass a checked copy (`_as_batch`),
+so each returns new arrays that share no memory with its input, with an
+earlier result or with any buffer a later pass writes; a caller that
+builds its own batch, as the torus centralizer does, hands it over
+without a copy. Every step works row by row, so a row's image does not
+depend on the other rows of its batch. Overflow, 0 * inf and division
+by zero inside the pass give inf or NaN without a warning; callers that
+refuse them check the values.
 """
 
 from __future__ import annotations
@@ -61,14 +64,6 @@ from .polynomials import Poly
 
 # Linear steps must have |det| above this after scaling rows to unit norm.
 TAU_DET = 1e-12
-
-
-def _as_batch(pts) -> np.ndarray:
-    """A new column-major (P, n) complex copy of pts."""
-    pts = np.array(pts, dtype=np.complex128, order="F")
-    if pts.ndim != 2:
-        raise ValueError(f"expected a (P, n) batch of points, got shape {pts.shape}")
-    return pts
 
 
 @dataclass(frozen=True)
@@ -375,31 +370,42 @@ def eval_word(word: Word, z) -> np.ndarray:
     return eval_word_batch(word, z.reshape(1, -1))[0]
 
 
-def _word_pass(word: Word, pts, jac: bool = False):
-    """The one evaluation pass: (images, det) on a (P, n) batch, with the
-    images column-major and det the Jacobian determinant when `jac`, else
-    None. The first inversion that meets zero raises SingularPoint. Every
+def _as_batch(word: Word, pts) -> np.ndarray:
+    """A new column-major (P, n) complex copy of pts, n being the word's
+    dimension."""
+    pts = np.array(pts, dtype=np.complex128, order="F")
+    if pts.ndim != 2:
+        raise ValueError(f"expected a (P, n) batch of points, got shape {pts.shape}")
+    if pts.shape[1] != word.n:
+        raise DimensionMismatch(f"points have {pts.shape[1]} coordinates, word has {word.n}")
+    return pts
+
+
+def _word_pass(word: Word, cur: np.ndarray, jac: bool = False):
+    """The one evaluation pass: overwrite `cur`, a column-major (P, n)
+    complex batch that the caller owns, with its images, and return the
+    Jacobian determinant when `jac`, else None. The first inversion that
+    meets zero raises SingularPoint, leaving `cur` part evaluated. Every
     evaluation runs here: `eval_word_batch_masked` is a driver that hands
     this pass one step at a time and evaluates nothing itself.
     """
-    images = _as_batch(pts)
-    if images.shape[1] != word.n:
-        raise DimensionMismatch(f"points have {images.shape[1]} coordinates, word has {word.n}")
-    det = np.ones(images.shape[0], dtype=np.complex128) if jac else None
+    det = np.ones(cur.shape[0], dtype=np.complex128) if jac else None
     if not word.steps:
-        return images, det
-    work = np.empty((word.work_rows, images.shape[0]), dtype=np.complex128)
+        return det
+    work = np.empty((word.work_rows, cur.shape[0]), dtype=np.complex128)
     with quiet():
         for step in word.steps:
-            d = step.apply_batch(images, work, jac)
+            d = step.apply_batch(cur, work, jac)
             if jac:
                 det *= d
-    return images, det
+    return det
 
 
 def eval_word_batch(word: Word, pts) -> np.ndarray:
     """Vectorized evaluation on a (P, n) batch; raises on singular points."""
-    return _word_pass(word, pts)[0]
+    images = _as_batch(word, pts)
+    _word_pass(word, images)
+    return images
 
 
 def eval_word_batch_masked(word: Word, pts) -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +418,7 @@ def eval_word_batch_masked(word: Word, pts) -> tuple[np.ndarray, np.ndarray]:
     coordinate and passes on only the rows still valid. Invalid rows go
     through every other step, and a later inversion leaves them as they are.
     """
-    images = _word_pass(Word(word.n), pts)[0]
+    images = _as_batch(word, pts)
     valid = np.ones(images.shape[0], dtype=bool)
     for step in word.steps:
         rows = slice(None)
@@ -421,7 +427,9 @@ def eval_word_batch_masked(word: Word, pts) -> tuple[np.ndarray, np.ndarray]:
             images[zero, step.axis - 1] = np.nan
             valid &= ~zero
             rows = valid
-        images[rows] = _word_pass(Word(word.n, (step,)), images[rows])[0]
+        part = _as_batch(word, images[rows])
+        _word_pass(Word(word.n, (step,)), part)
+        images[rows] = part
     return images, valid
 
 
@@ -450,4 +458,4 @@ def jacobian_det(word: Word, z) -> complex:
 
 def jacobian_det_batch(word: Word, pts) -> np.ndarray:
     """Jacobian determinants at a (P, n) batch of points."""
-    return _word_pass(word, pts, jac=True)[1]
+    return _word_pass(word, _as_batch(word, pts), jac=True)

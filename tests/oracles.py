@@ -15,7 +15,9 @@ before it classified steps, kept here as its own copy with its own step
 classification; it reads every word it finds no escape for as
 preserving, as the library does. The
 sampled centralizer grid is kept as the one broadcast over (64, 64, n)
-arrays that it was before it went coordinate by coordinate. The exact
+arrays that it was before it went coordinate by coordinate, and the
+whole centralizer as it was before its grid and its points went through
+one word pass: a separate rotated grid and two passes. The exact
 diagonal of a monomial word is kept as the numpy loop it was before it
 tracked its permutation in Python integers: a fancy index and a product
 per step, in step order. The word pass is kept as it was before it went
@@ -33,16 +35,16 @@ import numpy as np
 
 from hologroup import (CentralizerVerdict, CentralizerWitness, CertificationReport,
                        Diagonal, FullSpace, HyperplaneComplement, Inversion, Linear,
-                       DimensionMismatch, NonFinite, NonInvertibleStep, NotDiagonal,
-                       OutOfRange, Overshear,
+                       DimensionMismatch, DomainNotPreserved, NonFinite,
+                       NonInvertibleStep, NotDiagonal, OutOfRange, Overshear,
                        OvershearPath, Permutation, PreservationVerdict, Punctured,
                        SingularPoint, Word, contains, eval_word, eval_word_batch,
                        invert_word, jacobian_det_batch, path_target, sample_points,
-                       sample_polydisc)
+                       sample_polydisc, word_preserves_domain)
 from hologroup import _kernels
 from hologroup.errors import quiet, refuse_non_finite
 from hologroup.homotopy import CERTIFY_POINTS, DEFAULT_CERTIFY_SEED
-from hologroup.torus import COMMUTE_TOL, DIAG_RATIO_TOL
+from hologroup.torus import COMMUTE_TOL, DIAG_RATIO_TOL, _exact_diagonal
 from hologroup.winding import ContourSpec
 
 # extract_diagonal_sampled's dependence probe: nudge each coordinate by
@@ -545,6 +547,42 @@ def commutes_with_torus_sampled(w: Word, d, seed: int) -> CentralizerVerdict:
         i, j = np.unravel_index(int(np.flatnonzero(~np.isfinite(dev))[0]), dev.shape)
         raise NonFinite(f"centralizer check: the deviation |w(t(z)) - t(w(z))| is "
                         f"{dev[i, j]} at theta {thetas[i]}, z {pts[j]}, which is not finite")
+    if worst < COMMUTE_TOL:
+        return CentralizerVerdict(True, None)
+    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    return CentralizerVerdict(False, CentralizerWitness(thetas[i], pts[j], worst))
+
+
+def commutes_with_torus_two_passes(w: Word, d, seed: int) -> CentralizerVerdict:
+    """commutes_with_torus as it was before the rotated points and the
+    points went through one pass over one batch: the domain guard and the
+    exact diagonal as the library decides them, then a separate rotated
+    grid, eval_word_batch on it and on the points, and the deviation from
+    new arrays for each coordinate."""
+    guard = word_preserves_domain(w, d)
+    if not guard.preserves:
+        raise DomainNotPreserved(
+            f"word does not preserve the domain (witness {guard.witness})")
+    if _exact_diagonal(w, "centralizer check") is not None:
+        return CentralizerVerdict(True, None)
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(64, w.n))
+    pts = sample_points(d, 64, rng)
+    coeffs_t = np.ascontiguousarray(np.exp(1j * thetas).T)
+    pts_t = np.ascontiguousarray(pts.T)
+    rotated = np.empty((64 * 64, w.n), dtype=np.complex128, order="F")
+    for c in range(w.n):
+        rotated[:, c] = np.multiply.outer(coeffs_t[c], pts_t[c]).ravel()
+    images = eval_word_batch(w, rotated)
+    wz = eval_word_batch(w, pts)
+    dev = np.zeros((64, 64))
+    with quiet():
+        for c in range(w.n):
+            col = np.abs(images[:, c].reshape(64, 64) - np.multiply.outer(coeffs_t[c], wz[:, c]))
+            np.maximum(dev, col, out=dev)
+    refuse_non_finite(dev.ravel(), "centralizer check: the deviation |w(t(z)) - t(w(z))|",
+                      lambda k: f"theta {thetas[k // 64]}, z {pts[k % 64]}")
+    worst = float(dev.max())
     if worst < COMMUTE_TOL:
         return CentralizerVerdict(True, None)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)

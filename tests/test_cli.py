@@ -287,7 +287,7 @@ def test_validate_exponents():
 
 def test_usage_errors_exit_1():
     for argv in (
-        [],                                        # no subcommand
+        [],                                        # --scene FILE read as a subcommand
         ["frobnicate"],                            # unknown subcommand
         ["eval", "--word", "id"],                  # missing --point
         ["eval", "--word", "id", "--point", "x"],  # malformed point

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 
 from hologroup import (DimensionMismatch, Diagonal, DomainNotPreserved, FullSpace,
                        HyperplaneComplement, Inversion, Linear, NonFinite, NotDiagonal,
-                       NotUnimodular, Overshear, Permutation, Poly, Punctured, Word,
-                       commutes_with_torus, compose, extract_diagonal, integer_det,
+                       NotUnimodular, Overshear, Permutation, Poly, Punctured, SingularPoint,
+                       Word, commutes_with_torus, compose, extract_diagonal, integer_det,
                        invert_word, validate_exponent_matrix)
 from hologroup.torus import _exact_diagonal
-from oracles import (commutes_with_torus_sampled, det2, exact_diagonal_numpy,
-                     extract_diagonal_sampled)
+from oracles import (commutes_with_torus_sampled, commutes_with_torus_two_passes, det2,
+                     exact_diagonal_numpy, extract_diagonal_sampled)
 from wordgen import (automorphism_word, exact_diagonal_word, monomial_word, offender_word,
                      pure_diagonal_word, random_word)
 
@@ -261,6 +262,68 @@ def test_sampled_grid_matches_the_broadcast_oracle():
         with pytest.raises(NonFinite, match="centralizer check"):
             commutes_with_torus(Word(2, (step,)), FullSpace(2), 3)
         assert _same_verdict(Word(2, (step,)), FullSpace(2), 3)
+
+
+def _outcome(check, w, d, seed):
+    """The verdict, with the witness's theta and z as bytes and its
+    deviation by float.hex, or the refusal's type and message."""
+    try:
+        v = check(w, d, seed)
+    except (NonFinite, SingularPoint, DomainNotPreserved) as exc:
+        return type(exc).__name__, str(exc)
+    wit = v.witness
+    return v.commutes, None if wit is None else (wit.theta.tobytes(), wit.z.tobytes(),
+                                                 wit.deviation.hex())
+
+
+def test_one_pass_grid_matches_the_two_pass_reference():
+    # n = 1..4 on all three domain kinds: offenders, automorphisms of the
+    # domain, words followed by their inverses and random words (Linear,
+    # Permutation and Inversion steps), then a word whose pass overflows
+    # and one that underflows into an inversion
+    rng = np.random.default_rng(33)
+    seen = set()
+    cases = []
+    for i in range(1200):
+        n = 1 + i % 4
+        d = _random_domain(rng, n, (i // 4) % 3)
+        family = (i // 12) % 4
+        if family == 0 and n > 1:
+            w = offender_word(rng, n)
+        elif family == 1:
+            w = automorphism_word(rng, d)
+        elif family == 2:
+            u = random_word(rng, n)
+            w = compose(u, invert_word(u))
+        else:
+            w = random_word(rng, n)
+        cases.append((w, d, int(rng.integers(0, 2 ** 31))))
+    cases += [(Word(2, (Overshear(2, Poly.zero(2), Poly(2, {(1, 0): 800.0})),)), FullSpace(2), 3),
+              (Word(2, (Diagonal((1e-200, 1.0)), Diagonal((1e-200, 1.0)), Inversion(1))),
+               HyperplaneComplement(2, frozenset({1})), 3)]
+    for w, d, seed in cases:
+        got = _outcome(commutes_with_torus, w, d, seed)
+        assert got == _outcome(commutes_with_torus_two_passes, w, d, seed)
+        seen.add(got[0])
+    assert seen == {True, False, "NonFinite", "SingularPoint", "DomainNotPreserved"}
+
+
+def test_centralizer_memory_is_its_grid_work_rows_and_deviation():
+    # one (4,096 + 64, n) grid, the pass's work rows over it, and three
+    # 64x64 deviation arrays, plus small slack: no copy of the grid
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4):
+        for _ in range(8):
+            w, d = offender_word(rng, n), FullSpace(n)
+            commutes_with_torus(w, d, 1)  # the steps' tables and plans
+            bound = 16 * 4160 * (n + w.work_rows) + 64 * 64 * (16 + 8 + 8) + 16 * 1024
+            tracemalloc.start()
+            try:
+                assert not commutes_with_torus(w, d, 1).commutes
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (n, w)
 
 
 def test_large_diagonals_are_decided_exactly():

@@ -396,6 +396,22 @@ def test_column_major_pass_equals_the_row_major_oracle():
             assert x.tobytes() == before.tobytes()
 
 
+def test_a_row_image_does_not_depend_on_its_batch():
+    # the torus centralizer evaluates its 64 points in the rows after its
+    # 4,096 rotated ones, in one pass: every step, Linear's matmul
+    # included, gives a row the bits it gets in a batch of its own
+    rng = np.random.default_rng(37)
+    kinds = set()
+    for i in range(200):
+        n = 1 + i % 4
+        w = random_word(rng, n, max_steps=6)
+        kinds.update(type(step) for step in w.steps)
+        pts = point_batch(rng, 4160, n)
+        assert eval_word_batch(w, pts)[4096:].tobytes() == \
+            eval_word_batch(w, pts[4096:]).tobytes()
+    assert kinds == {Overshear, Permutation, Diagonal, Linear, Inversion}
+
+
 def _fifteen_term_word(rng):
     """A word on C^3 shaped like the wide-batch benchmark's: four overshears
     whose f and g have every monomial of degree <= 4 in the two other
